@@ -27,6 +27,7 @@ from .errors import ConfigError, DataError, NumericalError
 from .pipeline import (
     Manifest,
     RunConfig,
+    _write_dendrogram_csv,
     compare,
     dump_json,
     run_pipeline,
@@ -154,10 +155,7 @@ def cmd_cluster(args) -> int:
             raise ConfigError("--method hac requires --dissimilarity CSV")
         d = np.loadtxt(args.dissimilarity, delimiter=",", ndmin=2)
         dendro = cluster_mod.hac(d, linkage=args.linkage)
-        with open(os.path.join(args.out_dir, "dendrogram.csv"), "w", encoding="utf-8") as fh:
-            fh.write("merge_index,cluster_a,cluster_b,height,new_size\n")
-            for i, (a, b, h, s) in enumerate(dendro.merges):
-                fh.write(f"{i},{a},{b},{h!r},{s}\n")
+        _write_dendrogram_csv(dendro, os.path.join(args.out_dir, "dendrogram.csv"))
         part = cluster_mod.cut(dendro, args.k)
     dump_json(part.to_dict(), os.path.join(args.out_dir, "partition.json"))
     print(f"wrote partition.json (k={part.k}) to {args.out_dir}")

@@ -5,7 +5,13 @@ minimal linkage distance. Complete linkage scores a cluster pair by the
 maximum pairwise member distance, average linkage by the mean over all
 cross pairs (size-weighted). Ties on the minimal distance are broken
 deterministically by the sorted pair of cluster representatives (smallest
-member index of each side), lexicographically smallest first.
+member index of each side), lexicographically smallest first. A merged
+cluster keeps the smaller slot of its two sides, so a slot's index is its
+smallest member, and the tie-break is the smallest slot pair (a, b).
+
+hac() caches each slot's row minimum over the slots after it, so a merge
+costs O(M) reads plus the rows it invalidates, not an O(M^2) rescan; its
+merges and heights are bit-identical to the rescanning definition.
 """
 
 from __future__ import annotations
@@ -20,6 +26,10 @@ LINKAGES = ("complete", "average")
 
 # every representation has a conventional linkage; callers may override
 DEFAULT_LINKAGE = {"histogram": "complete", "acf": "average", "psd": "average"}
+
+# rows per block when hac() first fills its row-minimum cache, which bounds
+# the temporaries to this many rows of the matrix
+_REFRESH_ROWS = 256
 
 
 @dataclass
@@ -113,6 +123,16 @@ def hac(d: np.ndarray, linkage: str = "average") -> Dendrogram:
     the running SUM of original cross-pair distances and divides by the
     member-pair count on demand, so every reported height equals the
     definitional computation (not a rounded running mean).
+
+    Each slot i caches row_min[i] and row_arg[i], the minimum of row i's
+    linkage values over the slots j > i and its first argmin, so a merge
+    reads the minimum in O(M) instead of rescanning the M x M matrix. The
+    surviving slot of a merge is the smaller index, so a slot's index is
+    always its smallest member; the tie-break is therefore the
+    lexicographically smallest slot pair (a, b), which is
+    a = argmin(row_min), b = row_arg[a]. After a merge only row a, the
+    rows whose argmin was a or b, and column a change, so only those
+    entries are recomputed.
     """
     if linkage not in LINKAGES:
         raise ValidationError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
@@ -125,29 +145,32 @@ def hac(d: np.ndarray, linkage: str = "average") -> Dendrogram:
     work = d.copy()
     np.fill_diagonal(work, np.inf)
     sizes = np.ones(m, dtype=np.int64)
-    reps = np.arange(m)  # smallest member index per slot, for tie-breaking
     ids = np.arange(m)  # current dendrogram id per slot
     merges: list[tuple[int, int, float, int]] = []
 
+    def linkage_values(w, sizes_i, sizes_j):
+        """Linkage values of work entries w: the same int64 product and
+        division as work / np.outer(sizes, sizes)."""
+        return w if linkage == "complete" else w / (sizes_i * sizes_j)
+
+    cols = np.arange(m)
+    row_min = np.empty(m)
+    row_arg = np.empty(m, dtype=np.int64)
+
+    def refresh(rows: np.ndarray) -> None:
+        """Recompute row_min and row_arg of rows over their columns j > i."""
+        vals = linkage_values(work[rows], sizes[rows, None], sizes)
+        vals[cols <= rows[:, None]] = np.inf
+        row_arg[rows] = vals.argmin(axis=1)
+        row_min[rows] = vals.min(axis=1)
+
+    for start in range(0, m, _REFRESH_ROWS):
+        refresh(cols[start : start + _REFRESH_ROWS])
+
     for step in range(m - 1):
-        if linkage == "complete":
-            values = work
-        else:
-            values = work / np.outer(sizes, sizes)
-        best = values.min()
-        cand_i, cand_j = np.nonzero(values == best)
-        # keep one orientation per pair, choose the tie-break winner
-        pick = None
-        pick_key = None
-        for a, b in zip(cand_i, cand_j):
-            if a >= b:
-                continue
-            key = (min(reps[a], reps[b]), max(reps[a], reps[b]))
-            if pick_key is None or key < pick_key:
-                pick_key = key
-                pick = (a, b)
-        a, b = pick
-        height = float(values[a, b])
+        a = int(row_min.argmin())
+        b = int(row_arg[a])
+        height = float(row_min[a])
         new_size = int(sizes[a] + sizes[b])
         merges.append((int(min(ids[a], ids[b])), int(max(ids[a], ids[b])), height, new_size))
 
@@ -161,8 +184,21 @@ def hac(d: np.ndarray, linkage: str = "average") -> Dendrogram:
         work[b, :] = np.inf
         work[:, b] = np.inf
         sizes[a] = new_size
-        reps[a] = min(reps[a], reps[b])
         ids[a] = m + step
+
+        # a dead slot never becomes a minimum again; -1 keeps it out of the
+        # argmin tests below
+        row_min[b] = np.inf
+        row_arg[b] = -1
+        above = row_arg[:a]
+        stale = (above == a) | (above == b)
+        col_a = linkage_values(work[:a, a], sizes[:a], sizes[a])
+        better = (col_a < row_min[:a]) | ((col_a == row_min[:a]) & (a < above))
+        take = np.flatnonzero(better & ~stale)
+        row_min[take] = col_a[take]
+        row_arg[take] = a
+        between = np.flatnonzero(row_arg[a + 1 : b] == b) + a + 1
+        refresh(np.concatenate((np.flatnonzero(stale), [a], between)))
 
     return Dendrogram(n_leaves=m, merges=merges)
 

@@ -2,10 +2,14 @@
 
 A run executes ingest -> extract -> normalize -> represent -> cluster ->
 train -> predict -> evaluate, writing every intermediate artifact plus a
-manifest (config echo, seeds, versions, stage wall times, content hashes).
+manifest (config echo, seeds, versions, stage wall times, stage hashes).
+The run directory does not copy the trace: the manifest's ingest entry
+records trace_sha256, a hash of the loaded trace's values and interval.
 Re-running with the same config and seeds reproduces byte-identical metric
-outputs; with resume=True, stages whose config hash is unchanged are loaded
-from the run directory instead of recomputed.
+outputs; with resume=True, stages whose hash is unchanged are loaded from
+the run directory instead of recomputed. The ingest hash covers the trace
+hash and each later stage hash chains on the one before, so a resume after
+the trace's contents change recomputes every stage.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .dataset import (
     make_windows,
     normalize,
     split,
-    write_canonical_csv,
 )
 from .errors import ConfigError, ValidationError
 from .evaluate import (
@@ -255,11 +258,13 @@ class Manifest:
                 return {}
         return {}
 
-    def record(self, stage: str, stage_hash: str, wall_time: float, artifacts: list[str]):
+    def record(self, stage: str, stage_hash: str, wall_time: float, artifacts: list[str],
+               **extra):
         self.data["stages"][stage] = {
             "hash": stage_hash,
             "wall_time_seconds": wall_time,
             "artifacts": artifacts,
+            **extra,
         }
 
     def write(self) -> None:
@@ -289,6 +294,14 @@ def write_sweep_csv(curve: SweepCurve, path: str) -> None:
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
+
+
+def trace_sha256(tm: TmSeries) -> str:
+    """Content hash of a loaded trace: its shape, values and interval."""
+    h = hashlib.sha256(repr(tm.values.shape).encode("utf-8"))
+    h.update(tm.values.tobytes())
+    h.update(str(tm.interval_seconds).encode("utf-8"))
+    return h.hexdigest()
 
 
 def _prepare(config: RunConfig):
@@ -356,15 +369,15 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
 
     # --- ingest + extract + normalize -------------------------------------
     t0 = time.perf_counter()
+    tm, flows_norm, scale, ranges = _prepare(config)
+    trace_digest = trace_sha256(tm)
     ingest_hash, _ = stage(
         "ingest",
         ["trace", "format", "interval_seconds", "missing", "train_frac", "val_frac",
          "window_length"],
-        "",
+        trace_digest,
         [],
     )
-    tm, flows_norm, scale, ranges = _prepare(config)
-    write_canonical_csv(tm, os.path.join(run_dir, "trace.csv"))
     dump_json(
         {
             "n_nodes": tm.n_nodes,
@@ -380,7 +393,7 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
     np.savez_compressed(os.path.join(run_dir, "flows_norm.npz"), flows=flows_norm.values)
     manifest.record(
         "ingest", ingest_hash, time.perf_counter() - t0,
-        ["trace.csv", "scale.json", "flows_norm.npz"],
+        ["scale.json", "flows_norm.npz"], trace_sha256=trace_digest,
     )
 
     # --- represent + cluster ----------------------------------------------

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import signal
 
+from .cluster import _validate_dissimilarity
 from .dataset import FlowSet
 from .errors import ValidationError
 
@@ -88,7 +89,8 @@ class ReprMatrix:
 
 @dataclass
 class DissimilarityMatrix:
-    """Symmetric nonnegative M x M matrix with zero diagonal."""
+    """Symmetric nonnegative M x M matrix with zero diagonal, checked as
+    hac() checks its input; JSD entries must also not exceed 1."""
 
     d: np.ndarray
     metric: str
@@ -96,15 +98,7 @@ class DissimilarityMatrix:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise ValidationError(f"metric must be one of {METRICS}, got {self.metric!r}")
-        self.d = np.asarray(self.d, dtype=np.float64)
-        if self.d.ndim != 2 or self.d.shape[0] != self.d.shape[1]:
-            raise ValidationError(f"dissimilarity matrix must be square, got {self.d.shape}")
-        if np.abs(self.d - self.d.T).max() > 1e-12:
-            raise ValidationError("dissimilarity matrix is not symmetric within 1e-12")
-        if np.abs(np.diag(self.d)).max() > 0:
-            raise ValidationError("dissimilarity matrix diagonal must be zero")
-        if (self.d < 0).any():
-            raise ValidationError("dissimilarity entries must be nonnegative")
+        self.d = _validate_dissimilarity(self.d)
         if self.metric == "jsd" and (self.d > 1.0).any():
             raise ValidationError("JSD entries must not exceed 1")
 

@@ -44,3 +44,32 @@ def test_synth_run_evaluate_ingest(tmp_path):
         "ingest", "--input", trace, "--format", "canonical", "--out", canonical,
     ]) == EXIT_OK
     assert np.array_equal(load_tm_series(canonical).values, load_tm_series(trace).values)
+
+
+def test_cluster_reproduces_run_dendrogram(tmp_path):
+    synth_dir = str(tmp_path / "synth")
+    run_dir = str(tmp_path / "run")
+    cluster_dir = str(tmp_path / "cluster")
+    assert main([
+        "synth", "--nodes", "4", "--steps", "400", "--seed", "5",
+        "--group", "8:24:1.0:0.1:sine", "--group", "8:7:1.0:0.1:square",
+        "--out-dir", synth_dir,
+    ]) == EXIT_OK
+    assert main([
+        "run", "--trace", os.path.join(synth_dir, "trace.csv"), "--out-dir", run_dir,
+        "--k", "2", "--linkage", "average",
+    ] + TRAIN_FLAGS) == EXIT_OK
+
+    assert main([
+        "cluster", "--method", "hac", "--dissimilarity", os.path.join(run_dir, "dissimilarity.csv"),
+        "--linkage", "average", "--k", "2", "--out-dir", cluster_dir,
+    ]) == EXIT_OK
+    for name in ("dendrogram.csv", "partition.json"):
+        with open(os.path.join(run_dir, name), "rb") as fh:
+            want = fh.read()
+        with open(os.path.join(cluster_dir, name), "rb") as fh:
+            got = fh.read()
+        if name == "partition.json":
+            # the run tags its partition with the representation, the CLI with "hac"
+            want, got = json.loads(want)["labels"], json.loads(got)["labels"]
+        assert got == want, name

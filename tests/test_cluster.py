@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tmcf.cluster import Partition, cut, hac, naive_partition
+from tmcf.cluster import LINKAGES, Partition, _validate_dissimilarity, cut, hac, naive_partition
 from tmcf.errors import ValidationError
 from tmcf.evaluate import ari
 
@@ -31,6 +33,68 @@ def brute_force_hac(dist, linkage):
         clusters[new_id] = merged
         merges.append((min(ia, ib), max(ia, ib), h, len(merged)))
     return merges
+
+
+def reference_hac(d, linkage="average"):
+    """The former hac(): rescans the whole matrix at every merge, O(M^3).
+    Kept as the oracle that the cached-row-minimum hac() must equal exactly."""
+    if linkage not in LINKAGES:
+        raise ValidationError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
+    d = _validate_dissimilarity(d)
+    m = d.shape[0]
+    if m < 2:
+        raise ValidationError("need at least 2 items to cluster")
+
+    # work holds the pairwise max (complete) or the cross-distance sum (average)
+    work = d.copy()
+    np.fill_diagonal(work, np.inf)
+    sizes = np.ones(m, dtype=np.int64)
+    reps = np.arange(m)  # smallest member index per slot, for tie-breaking
+    ids = np.arange(m)  # current dendrogram id per slot
+    merges: list[tuple[int, int, float, int]] = []
+
+    for step in range(m - 1):
+        if linkage == "complete":
+            values = work
+        else:
+            values = work / np.outer(sizes, sizes)
+        best = values.min()
+        cand_i, cand_j = np.nonzero(values == best)
+        # keep one orientation per pair, choose the tie-break winner
+        pick = None
+        pick_key = None
+        for a, b in zip(cand_i, cand_j):
+            if a >= b:
+                continue
+            key = (min(reps[a], reps[b]), max(reps[a], reps[b]))
+            if pick_key is None or key < pick_key:
+                pick_key = key
+                pick = (a, b)
+        a, b = pick
+        height = float(values[a, b])
+        new_size = int(sizes[a] + sizes[b])
+        merges.append((int(min(ids[a], ids[b])), int(max(ids[a], ids[b])), height, new_size))
+
+        if linkage == "complete":
+            updated = np.maximum(work[a, :], work[b, :])
+        else:
+            updated = work[a, :] + work[b, :]
+        work[a, :] = updated
+        work[:, a] = updated
+        work[a, a] = np.inf
+        work[b, :] = np.inf
+        work[:, b] = np.inf
+        sizes[a] = new_size
+        reps[a] = min(reps[a], reps[b])
+        ids[a] = m + step
+
+    return merges
+
+
+def assert_same_merges(got, want):
+    """Exact merge tuples, heights compared bit for bit."""
+    assert got == want
+    assert [g[2].hex() for g in got] == [w[2].hex() for w in want]
 
 
 def line_points_matrix():
@@ -110,6 +174,67 @@ class TestHacOracle:
                 unpermuted = np.empty(10, dtype=int)
                 unpermuted[perm] = labels_perm
                 assert ari(labels_orig, unpermuted) == pytest.approx(1.0)
+
+
+def duplicated_points_dissimilarity(rng, m):
+    """Euclidean distances of points drawn from a few distinct values, so
+    many pairs are at distance zero and many heights tie."""
+    points = rng.integers(0, 4, size=(m, 2)).astype(float)
+    return np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1))
+
+
+class TestHacReference:
+    """hac() against the former O(M^3) implementation: same merges, ties included."""
+
+    @pytest.mark.parametrize("linkage", LINKAGES)
+    @pytest.mark.parametrize("kind", ["random", "integral", "duplicated", "zero"])
+    def test_matches_reference(self, linkage, kind):
+        rng = np.random.default_rng(200)
+        for _ in range(25):
+            m = int(rng.integers(2, 40))
+            if kind == "random":
+                d = random_dissimilarity(rng, m)
+            elif kind == "integral":
+                d = random_dissimilarity(rng, m, integral=True)
+            elif kind == "duplicated":
+                d = duplicated_points_dissimilarity(rng, m)
+            else:
+                d = np.zeros((m, m))
+            assert_same_merges(hac(d, linkage).merges, reference_hac(d, linkage))
+
+    def test_merged_value_rounding_onto_a_row_minimum(self):
+        # After {1, 3} merge, fl((1 + 2**-52 + 1) / 2) == 1.0 ties row 0's
+        # cached minimum at column 2; the tie-break must move to slot 1.
+        up = 1.0 + 2**-52
+        d = np.array([[0, up, 1, 1], [up, 0, 3, 0.5], [1, 3, 0, 3], [1, 0.5, 3, 0]])
+        merges = hac(d, "average").merges
+        assert merges[1] == (0, 4, 1.0, 3)
+        assert_same_merges(merges, reference_hac(d, "average"))
+
+    @pytest.mark.parametrize("linkage", LINKAGES)
+    def test_matches_reference_m200(self, linkage):
+        rng = np.random.default_rng(201)
+        d = random_dissimilarity(rng, 200, integral=True)
+        d[:40, :40] = 0.0  # a block of identical flows, as all-zero OD flows give
+        assert_same_merges(hac(d, linkage).merges, reference_hac(d, linkage))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=12).flatmap(
+            lambda m: st.lists(
+                st.integers(min_value=0, max_value=3),
+                min_size=m * (m - 1) // 2,
+                max_size=m * (m - 1) // 2,
+            ).map(lambda upper: (m, upper))
+        ),
+        st.sampled_from(LINKAGES),
+    )
+    def test_property_small_integer_matrices(self, m_upper, linkage):
+        m, upper = m_upper
+        d = np.zeros((m, m))
+        d[np.triu_indices(m, 1)] = upper
+        d = d + d.T
+        assert_same_merges(hac(d, linkage).merges, reference_hac(d, linkage))
 
 
 class TestCut:
