@@ -39,7 +39,6 @@ from .evaluate import (
     ari,
     cluster_stats,
     error_correlation,
-    k_sweep,
     kneedle,
     nmi,
     per_flow_rmse,

@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Subcommands: synth, ingest, represent, cluster, train, evaluate, sweep,
-run, compare. All take flags directly; `run`, `sweep`, and `compare` also
-accept a JSON config file whose keys match RunConfig, with command-line
-flags winning over file values.
+run, compare, validate. All take flags directly; train, evaluate, sweep,
+run, compare and validate also accept a JSON config file whose keys match
+RunConfig, with command-line flags winning over file values. Every
+subcommand that prepares, trains or scores a trace calls the same steps as
+`tmcf run` (see `tmcf.pipeline`), so `train` then `evaluate` reproduces a
+run's scores.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.
@@ -12,9 +15,9 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,19 +25,26 @@ from . import __version__
 from . import cluster as cluster_mod
 from . import represent as represent_mod
 from .cluster import Partition
-from .dataset import extract_flows, fit_scale_params, load_tm_series, normalize, split, write_canonical_csv
+from .dataset import load_tm_series, write_canonical_csv
 from .errors import ConfigError, DataError, NumericalError
 from .pipeline import (
-    Manifest,
     RunConfig,
     _write_dendrogram_csv,
+    _write_matrix_csv,
     compare,
     dump_json,
+    load_json,
+    load_models,
+    prepare,
+    represent,
     run_pipeline,
+    score,
     sweep,
+    train_models,
     validate_config,
+    write_report,
+    write_sweep_csv,
 )
-from .predict import load_model, save_model, train_partitioned
 from .synth import GroupSpec, SynthSpec, generate
 
 EXIT_OK = 0
@@ -113,27 +123,12 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_represent(args) -> int:
-    tm = load_tm_series(args.trace, format=args.format,
-                        interval_seconds=args.interval_seconds)
-    ranges = split(tm.n_steps, args.train_frac, args.val_frac, args.window_length)
-    flows = extract_flows(tm)
-    scale = fit_scale_params(flows, (0, ranges.val[1]))
-    flows_norm = normalize(flows, scale)
-    feats = represent_mod.build_features(
-        flows_norm.values[:, : ranges.val[1]],
-        args.representation,
-        bins=args.bins,
-        lags=args.lags,
-        fs=args.fs,
-        interval_seconds=tm.interval_seconds,
-        normalize_power=not args.raw_power,
-    )
-    diss = represent_mod.pairwise_dissimilarity(feats, args.metric)
+    config = replace(_build_run_config(args), normalize_power=not args.raw_power)
+    tm, flows_norm, _, ranges = prepare(config)
+    feats, diss = represent(config, tm, flows_norm, ranges)
     os.makedirs(args.out_dir, exist_ok=True)
-    np.savetxt(os.path.join(args.out_dir, "features.csv"), feats.features,
-               delimiter=",", fmt="%.17g")
-    np.savetxt(os.path.join(args.out_dir, "dissimilarity.csv"), diss.d,
-               delimiter=",", fmt="%.17g")
+    _write_matrix_csv(feats.features, os.path.join(args.out_dir, "features.csv"))
+    _write_matrix_csv(diss.d, os.path.join(args.out_dir, "dissimilarity.csv"))
     dump_json(
         {"representation": feats.kind, "metric": diss.metric, **feats.meta},
         os.path.join(args.out_dir, "features_meta.json"),
@@ -164,70 +159,21 @@ def cmd_cluster(args) -> int:
 
 def cmd_train(args) -> int:
     config = _build_run_config(args)
-    tm = load_tm_series(config.trace, format=config.format,
-                        interval_seconds=config.interval_seconds,
-                        missing=config.missing)
-    with open(args.partition, encoding="utf-8") as fh:
-        part = Partition.from_dict(json.load(fh))
-    ranges = split(tm.n_steps, config.train_frac, config.val_frac, config.window_length)
-    flows = extract_flows(tm)
-    scale = fit_scale_params(flows, (0, ranges.val[1]))
-    flows_norm = normalize(flows, scale)
-    results = train_partitioned(
-        part, flows_norm.values, config.gru_config(input_size=1),
-        ranges.train, ranges.val, config.window_length,
-        workers=config.resolve_workers(),
-    )
-    os.makedirs(args.out_dir, exist_ok=True)
-    reports = {}
-    for label, (model, report) in sorted(results.items()):
-        save_model(model, os.path.join(args.out_dir, f"cluster_{label}.bin"))
-        reports[str(label)] = report.to_dict()
-    dump_json({"profile": config.profile, "per_cluster": reports},
-              os.path.join(args.out_dir, "train_report.json"))
+    _, flows_norm, _, ranges = prepare(config)
+    part = Partition.from_dict(load_json(args.partition))
+    train_models(config, flows_norm, ranges, part, model_dir=args.out_dir)
     print(f"trained {part.k} model(s); wrote models and train_report.json to {args.out_dir}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    from .dataset import make_windows
-    from .evaluate import per_flow_rmse
-    from .pipeline import build_eval_report
-    from .predict import predict_tm
-
     config = _build_run_config(args)
-    tm = load_tm_series(config.trace, format=config.format,
-                        interval_seconds=config.interval_seconds,
-                        missing=config.missing)
-    with open(args.partition, encoding="utf-8") as fh:
-        part = Partition.from_dict(json.load(fh))
-    ranges = split(tm.n_steps, config.train_frac, config.val_frac, config.window_length)
-    flows = extract_flows(tm)
-    scale = fit_scale_params(flows, (0, ranges.val[1]))
-    flows_norm = normalize(flows, scale)
-    models = {
-        label: load_model(os.path.join(args.models, f"cluster_{label}.bin"))
-        for label in range(1, part.k + 1)
-    }
-    pred_norm, tm_pred = predict_tm(
-        models, part, flows_norm.values, ranges.test, config.window_length,
-        scale, tm.n_nodes, tm.interval_seconds,
-    )
-    truth_norm = make_windows(
-        flows_norm.values[:, ranges.test[0] : ranges.test[1]].T, config.window_length
-    ).targets
-    hist = config.window_length - 1
-    truth_bytes = tm.values[ranges.test[0] + hist : ranges.test[1]]
-    report = build_eval_report(config, part, truth_norm, pred_norm,
-                               truth_bytes, tm_pred.values, tm.interval_seconds,
-                               train_block_len=ranges.val[1])
+    tm, flows_norm, scale, ranges = prepare(config)
+    part = Partition.from_dict(load_json(args.partition))
+    models = load_models(args.models, part)
+    report, _ = score(config, tm, flows_norm, scale, ranges, part, models)
     os.makedirs(args.out_dir, exist_ok=True)
-    dump_json(report.to_dict(), os.path.join(args.out_dir, "eval_report.json"))
-    errors = per_flow_rmse(truth_norm, pred_norm)
-    with open(os.path.join(args.out_dir, "per_flow_rmse.csv"), "w", encoding="utf-8") as fh:
-        fh.write("flow,rmse_normalized\n")
-        for i, v in enumerate(errors):
-            fh.write(f"{i},{float(v)!r}\n")
+    write_report(report, args.out_dir)
     print(f"rmse_normalized={report.rmse_normalized!r} "
           f"rmse_physical_mbps={report.rmse_physical_mbps!r}")
     return EXIT_OK
@@ -239,8 +185,6 @@ def cmd_sweep(args) -> int:
         config.k_grid = _parse_grid(args.k_grid_spec)
     curve, knee = sweep(config)
     os.makedirs(args.out_dir, exist_ok=True)
-    from .pipeline import write_sweep_csv
-
     write_sweep_csv(curve, os.path.join(args.out_dir, "sweep.csv"))
     dump_json(knee, os.path.join(args.out_dir, "knee.json"))
     print(f"selected k={knee['selected_k']} (no_knee={knee['no_knee']}); "
@@ -273,9 +217,7 @@ def cmd_run(args) -> int:
     if errors:
         raise ConfigError("; ".join(errors))
     run_dir = run_pipeline(config, resume=args.resume)
-    report_path = os.path.join(run_dir, "eval_report.json")
-    with open(report_path, encoding="utf-8") as fh:
-        report = json.load(fh)
+    report = load_json(os.path.join(run_dir, "eval_report.json"))
     print(f"run directory: {run_dir}")
     print(f"rmse_normalized={report['rmse_normalized']!r} "
           f"rmse_physical_mbps={report['rmse_physical_mbps']!r}")
@@ -323,8 +265,6 @@ def _add_run_config_flags(p: argparse.ArgumentParser, with_k: bool = True) -> No
     p.add_argument("--hidden-size", dest="hidden_size", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int,
-                   help="worker pool size (default: TMCF_WORKERS or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,8 @@
-"""Evaluation battery: RMSE, clustering agreement, sweeps, knee selection.
+"""Evaluation metrics: RMSE, clustering agreement, knee selection.
+
+This module computes metrics only; the pipeline (`tmcf.pipeline`) runs the
+models whose predictions it scores, including the K sweeps that kneedle
+reads.
 
 Scalar RMSE pools the squared errors of every test sample and matrix entry
 (matching the single-sum definition), so it is NOT the mean of per-flow
@@ -9,25 +13,15 @@ information normalized by the arithmetic mean of the label entropies.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import cluster as cluster_mod
-from . import represent as represent_mod
-from .cluster import Partition
-from .dataset import (
-    FlowSet,
-    TmSeries,
-    extract_flows,
-    fit_scale_params,
-    make_windows,
-    normalize,
-    split,
-)
 from .errors import ValidationError
-from .predict import GruConfig, predict_tm, train_partitioned
+
+if TYPE_CHECKING:
+    from .cluster import Partition
 
 BYTES_TO_MEGABITS = 8.0 / 1e6
 
@@ -44,14 +38,7 @@ class ClusterStats:
     singleton_pct: float
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "min_size": self.min_size,
-            "mean_size": self.mean_size,
-            "max_size": self.max_size,
-            "n_singletons": self.n_singletons,
-            "singleton_pct": self.singleton_pct,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -108,20 +95,12 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "rmse_normalized": self.rmse_normalized,
-            "rmse_physical_mbps": self.rmse_physical_mbps,
-            "per_flow_rmse": self.per_flow_rmse,
-            "partition": self.partition,
-            "config": self.config,
-            "metadata": self.metadata,
-        }
+        return asdict(self)
 
 
 def _as_array(x) -> np.ndarray:
-    if isinstance(x, TmSeries):
-        return x.values
-    return np.asarray(x, dtype=np.float64)
+    """A TmSeries's values, or x itself, as a float64 array."""
+    return np.asarray(getattr(x, "values", x), dtype=np.float64)
 
 
 def rmse(truth, pred) -> float:
@@ -167,9 +146,8 @@ def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _labels_of(p) -> np.ndarray:
-    if isinstance(p, Partition):
-        return p.labels
-    return np.asarray(p)
+    """A Partition's labels, or p itself, as an array."""
+    return np.asarray(getattr(p, "labels", p))
 
 
 def _comb2(x: np.ndarray) -> np.ndarray:
@@ -292,94 +270,3 @@ def kneedle(curve, rmse_values=None, sensitivity: float = 1.0) -> KneeResult:
         return KneeResult(k=argmin_k, no_knee=True)
     best = max(confirmed, key=lambda i: (y_d[i], -i))
     return KneeResult(k=int(ks[best]), no_knee=False)
-
-
-def k_sweep(
-    trace: TmSeries,
-    representation: str,
-    k_grid,
-    repetitions: int = 5,
-    profile: str = "desk",
-    seed: int = 0,
-    window_length: int = 11,
-    train_frac: float = 0.8,
-    val_frac: float = 0.1,
-    bins: int = represent_mod.DEFAULT_BINS,
-    lags=None,
-    fs: float | None = None,
-    normalize_power: bool = True,
-    linkage: str | None = None,
-    workers: int = 1,
-) -> SweepCurve:
-    """RMSE-versus-K curve for one representation.
-
-    For representation-based methods the dendrogram is deterministic and
-    reused across the grid; repetitions vary the predictor seed. The naive
-    baseline additionally re-seeds its random partition per repetition.
-    """
-    k_grid = sorted(set(int(k) for k in k_grid))
-    m = trace.n_flows
-    if not k_grid or k_grid[0] < 1 or k_grid[-1] > m:
-        raise ValidationError(f"k grid must lie within [1, {m}]")
-    if repetitions < 1:
-        raise ValidationError("repetitions must be >= 1")
-
-    flows = extract_flows(trace)
-    ranges = split(trace.n_steps, train_frac, val_frac, window_length)
-    scale = fit_scale_params(flows, (0, ranges.val[1]))
-    flows_norm = normalize(flows, scale)
-
-    dendro = None
-    if representation != "naive":
-        feats = represent_mod.build_features(
-            FlowSet(trace.n_nodes, trace.interval_seconds,
-                    flows_norm.values[:, : ranges.val[1]]),
-            representation,
-            bins=bins,
-            lags=lags,
-            fs=fs,
-            normalize_power=normalize_power,
-        )
-        diss = represent_mod.pairwise_dissimilarity(feats)
-        dendro = cluster_mod.hac(
-            diss.d, linkage or cluster_mod.DEFAULT_LINKAGE[representation]
-        )
-
-    mean_rmse = []
-    rmse_std = []
-    mean_runtime = []
-    for k in k_grid:
-        vals = []
-        times = []
-        for rep in range(repetitions):
-            t0 = time.perf_counter()
-            if representation == "naive":
-                part = cluster_mod.naive_partition(m, k, seed=seed + rep)
-            else:
-                part = cluster_mod.cut(dendro, k)
-            config = GruConfig.for_profile(profile, input_size=1, seed=seed + rep)
-            results = train_partitioned(
-                part, flows_norm.values, config,
-                ranges.train, ranges.val, window_length, workers=workers,
-            )
-            models = {label: mr[0] for label, mr in results.items()}
-            pred_norm, _ = predict_tm(
-                models, part, flows_norm.values, ranges.test, window_length,
-                scale, trace.n_nodes, trace.interval_seconds,
-            )
-            truth_norm = make_windows(
-                flows_norm.values[:, ranges.test[0] : ranges.test[1]].T, window_length
-            ).targets
-            vals.append(rmse(truth_norm, pred_norm))
-            times.append(time.perf_counter() - t0)
-        arr = np.asarray(vals)
-        mean_rmse.append(float(arr.mean()))
-        rmse_std.append(float(arr.std()))
-        mean_runtime.append(float(np.mean(times)))
-    return SweepCurve(
-        k_values=k_grid,
-        mean_rmse=mean_rmse,
-        rmse_std=rmse_std,
-        mean_runtime_seconds=mean_runtime,
-        repetitions=repetitions,
-    )

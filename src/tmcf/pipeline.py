@@ -1,15 +1,19 @@
-"""End-to-end run orchestration with reproducible run directories.
+"""The pipeline core and reproducible run directories.
 
-A run executes ingest -> extract -> normalize -> represent -> cluster ->
-train -> predict -> evaluate, writing every intermediate artifact plus a
-manifest (config echo, seeds, versions, stage wall times, stage hashes).
-The run directory does not copy the trace: the manifest's ingest entry
-records trace_sha256, a hash of the loaded trace's values and interval.
-Re-running with the same config and seeds reproduces byte-identical metric
-outputs; with resume=True, stages whose hash is unchanged are loaded from
-the run directory instead of recomputed. The ingest hash covers the trace
-hash and each later stage hash chains on the one before, so a resume after
-the trace's contents change recomputes every stage.
+Every entry point (run_pipeline, sweep, compare and the CLI's represent,
+train and evaluate) calls the same steps, so all compute the same numbers
+from the same prepared trace: prepare (load, split, extract, fit scale,
+normalize), represent, train_models, score and write_report.
+
+A run writes every intermediate artifact plus a manifest (config echo,
+seeds, versions, stage wall times, stage hashes). It keeps no copy of the
+trace or of the normalized flows: the manifest's ingest entry records
+trace_sha256, a hash of the loaded trace's values and interval. Re-running
+with the same config and seeds reproduces byte-identical metric outputs;
+with resume=True, stages whose hash is unchanged are loaded from the run
+directory instead of recomputed. The ingest hash covers the trace hash and
+each later stage hash chains on the one before, so a resume after the
+trace's contents change recomputes every stage.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import json
 import os
 import platform
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 import scipy
@@ -38,9 +42,8 @@ from .dataset import (
     normalize,
     split,
 )
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError
 from .evaluate import (
-    ClusterStats,
     EvalReport,
     SweepCurve,
     cluster_stats,
@@ -52,7 +55,6 @@ from .evaluate import (
     rmse_physical,
 )
 from .evaluate import ari as ari_score
-from .evaluate import k_sweep as run_k_sweep
 from .predict import GruConfig, load_model, predict_tm, save_model, train_partitioned
 
 METHODS = ("histogram", "acf", "psd", "naive")
@@ -88,7 +90,6 @@ class RunConfig:
     hidden_size: int | None = None
     epochs: int | None = None
     seed: int | None = 0
-    workers: int | None = None
     out_dir: str = "runs/run"
     units: str = "bytes_per_interval"
 
@@ -113,17 +114,6 @@ class RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
         return cls.from_dict(data)
-
-    def resolve_workers(self) -> int:
-        if self.workers is not None:
-            return max(1, self.workers)
-        env = os.environ.get("TMCF_WORKERS")
-        if env:
-            try:
-                return max(1, int(env))
-            except ValueError:
-                raise ConfigError(f"TMCF_WORKERS must be an integer, got {env!r}") from None
-        return 1
 
     def gru_config(self, input_size: int) -> GruConfig:
         overrides = {}
@@ -275,20 +265,29 @@ def _write_matrix_csv(matrix: np.ndarray, path: str) -> None:
     np.savetxt(path, matrix, delimiter=",", fmt="%.17g")
 
 
-def _write_dendrogram_csv(dendro: cluster_mod.Dendrogram, path: str) -> None:
+def _write_csv(path: str, header: str, rows) -> None:
+    """One comma-separated line per row; floats in their shortest repr."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("merge_index,cluster_a,cluster_b,height,new_size\n")
-        for i, (a, b, height, size) in enumerate(dendro.merges):
-            fh.write(f"{i},{a},{b},{height!r},{size}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
+def _write_dendrogram_csv(dendro: cluster_mod.Dendrogram, path: str) -> None:
+    _write_csv(path, "merge_index,cluster_a,cluster_b,height,new_size",
+               ((i, *merge) for i, merge in enumerate(dendro.merges)))
+
+
+def write_report(report: EvalReport, out_dir: str) -> None:
+    """eval_report.json and per_flow_rmse.csv (one row per flow)."""
+    dump_json(report.to_dict(), os.path.join(out_dir, "eval_report.json"))
+    _write_csv(os.path.join(out_dir, "per_flow_rmse.csv"), "flow,rmse_normalized",
+               enumerate(report.per_flow_rmse))
 
 
 def write_sweep_csv(curve: SweepCurve, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,mean_rmse,rmse_std,mean_runtime_s\n")
-        for k, mr, sd, rt in zip(
-            curve.k_values, curve.mean_rmse, curve.rmse_std, curve.mean_runtime_seconds
-        ):
-            fh.write(f"{k},{mr!r},{sd!r},{rt!r}\n")
+    _write_csv(path, "k,mean_rmse,rmse_std,mean_runtime_s", zip(
+        curve.k_values, curve.mean_rmse, curve.rmse_std, curve.mean_runtime_seconds))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +303,9 @@ def trace_sha256(tm: TmSeries) -> str:
     return h.hexdigest()
 
 
-def _prepare(config: RunConfig):
+def prepare(config: RunConfig):
+    """Load, split, extract and normalize; returns (tm, flows_norm, scale, ranges).
+    Scale parameters are fit on the training and validation regions only."""
     tm = load_tm_series(
         config.trace,
         format=config.format,
@@ -318,14 +319,8 @@ def _prepare(config: RunConfig):
     return tm, flows_norm, scale, ranges
 
 
-def _partition_for(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, ranges, run_dir=None):
-    """Representation + clustering stages; returns (partition, dendro, diss, feats)."""
-    m = tm.n_flows
-    k = config.k
-    if k is None or not 1 <= k <= m:
-        raise ConfigError(f"k must lie in [1, {m}], got {k}")
-    if config.representation == "naive":
-        return cluster_mod.naive_partition(m, k, seed=config.seed), None, None, None
+def represent(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, ranges):
+    """Features and dissimilarities of the training block; returns (feats, diss)."""
     train_block = flows_norm.values[:, : ranges.val[1]]
     feats = represent_mod.build_features(
         FlowSet(tm.n_nodes, tm.interval_seconds, train_block),
@@ -336,20 +331,80 @@ def _partition_for(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, ranges,
         normalize_power=config.normalize_power,
         segment_length=config.segment_length,
     )
-    diss = represent_mod.pairwise_dissimilarity(feats, config.metric)
+    return feats, represent_mod.pairwise_dissimilarity(feats, config.metric)
+
+
+def _check_k(k, m: int) -> None:
+    if k is None or not 1 <= k <= m:
+        raise ConfigError(f"k must lie in [1, {m}], got {k}")
+
+
+def _partition_for(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, ranges):
+    """Representation + clustering stages; returns (partition, dendro, diss, feats)."""
+    _check_k(config.k, tm.n_flows)
+    if config.representation == "naive":
+        part = cluster_mod.naive_partition(tm.n_flows, config.k, seed=config.seed)
+        return part, None, None, None
+    feats, diss = represent(config, tm, flows_norm, ranges)
     linkage = config.linkage or cluster_mod.DEFAULT_LINKAGE[config.representation]
     dendro = cluster_mod.hac(diss.d, linkage)
-    part = cluster_mod.cut(dendro, k)
+    part = cluster_mod.cut(dendro, config.k)
     part.method = config.representation
     return part, dendro, diss, feats
+
+
+def train_models(config: RunConfig, flows_norm: FlowSet, ranges, part: Partition,
+                 model_dir: str | None = None, report_path: str | None = None) -> dict:
+    """Train one forecaster per cluster; returns {cluster id: model}. Given
+    model_dir, saves the models there and the loss curves to report_path
+    (default: train_report.json in model_dir)."""
+    results = train_partitioned(
+        part, flows_norm.values, config.gru_config(input_size=1),
+        ranges.train, ranges.val, config.window_length,
+    )
+    if model_dir is not None:
+        os.makedirs(model_dir, exist_ok=True)
+        reports = {}
+        for label, (model, report) in sorted(results.items()):
+            save_model(model, os.path.join(model_dir, f"cluster_{label}.bin"))
+            reports[str(label)] = report.to_dict()
+        dump_json({"profile": config.profile, "per_cluster": reports},
+                  report_path or os.path.join(model_dir, "train_report.json"))
+    return {label: model for label, (model, _) in results.items()}
+
+
+def load_models(model_dir: str, part: Partition) -> dict:
+    return {
+        label: load_model(os.path.join(model_dir, f"cluster_{label}.bin"))
+        for label in range(1, part.k + 1)
+    }
+
+
+def score(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, scale, ranges,
+          part: Partition, models: dict) -> tuple[EvalReport, dict]:
+    """Predict the test region and score it; returns the report and the
+    arrays of predictions.npz (predictions and truths, normalized and bytes)."""
+    pred_norm, tm_pred = predict_tm(
+        models, part, flows_norm.values, ranges.test, config.window_length,
+        scale, tm.n_nodes, tm.interval_seconds,
+    )
+    truth_norm = make_windows(
+        flows_norm.values[:, ranges.test[0] : ranges.test[1]].T, config.window_length
+    ).targets
+    truth_bytes = tm.values[ranges.test[0] + config.window_length - 1 : ranges.test[1]]
+    report = build_eval_report(config, part, truth_norm, pred_norm, truth_bytes,
+                               tm_pred.values, tm.interval_seconds,
+                               train_block_len=ranges.val[1])
+    return report, dict(pred_norm=pred_norm, pred_bytes=tm_pred.values,
+                        truth_norm=truth_norm, truth_bytes=truth_bytes)
 
 
 def run_pipeline(config: RunConfig, resume: bool = False) -> str:
     """Execute the full pipeline; returns the run directory path."""
     warnings = require_valid(config)
     run_dir = config.out_dir
-    os.makedirs(run_dir, exist_ok=True)
-    os.makedirs(os.path.join(run_dir, "models"), exist_ok=True)
+    model_dir = os.path.join(run_dir, "models")
+    os.makedirs(model_dir, exist_ok=True)
     manifest = Manifest(run_dir, config)
     previous = manifest.load_previous() if resume else {}
     cfg = config.to_dict()
@@ -369,7 +424,7 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
 
     # --- ingest + extract + normalize -------------------------------------
     t0 = time.perf_counter()
-    tm, flows_norm, scale, ranges = _prepare(config)
+    tm, flows_norm, scale, ranges = prepare(config)
     trace_digest = trace_sha256(tm)
     ingest_hash, _ = stage(
         "ingest",
@@ -390,10 +445,9 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
         },
         os.path.join(run_dir, "scale.json"),
     )
-    np.savez_compressed(os.path.join(run_dir, "flows_norm.npz"), flows=flows_norm.values)
     manifest.record(
         "ingest", ingest_hash, time.perf_counter() - t0,
-        ["scale.json", "flows_norm.npz"], trace_sha256=trace_digest,
+        ["scale.json"], trace_sha256=trace_digest,
     )
 
     # --- represent + cluster ----------------------------------------------
@@ -424,68 +478,24 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
 
     # --- train ---------------------------------------------------------------
     t0 = time.perf_counter()
+    model_files = [f"models/cluster_{label}.bin" for label in range(1, part.k + 1)]
     train_hash, reuse_train = stage(
-        "train",
-        ["profile", "hidden_size", "epochs", "seed"],
-        cluster_hash,
-        [f"models/cluster_{label}.bin" for label in range(1, part.k + 1)],
+        "train", ["profile", "hidden_size", "epochs", "seed"], cluster_hash, model_files,
     )
-    gru_cfg = config.gru_config(input_size=1)
     if reuse_train:
-        models = {
-            label: load_model(os.path.join(run_dir, "models", f"cluster_{label}.bin"))
-            for label in range(1, part.k + 1)
-        }
+        models = load_models(model_dir, part)
         train_artifacts = previous["train"]["artifacts"]
     else:
-        results = train_partitioned(
-            part, flows_norm.values, gru_cfg,
-            ranges.train, ranges.val, config.window_length,
-            workers=config.resolve_workers(),
-        )
-        models = {}
-        reports = {}
-        train_artifacts = []
-        for label, (model, report) in sorted(results.items()):
-            fname = f"cluster_{label}.bin"
-            save_model(model, os.path.join(run_dir, "models", fname))
-            models[label] = model
-            reports[str(label)] = report.to_dict()
-            train_artifacts.append(f"models/{fname}")
-        dump_json(
-            {"profile": config.profile, "per_cluster": reports},
-            os.path.join(run_dir, "train_report.json"),
-        )
-        train_artifacts.append("train_report.json")
+        models = train_models(config, flows_norm, ranges, part, model_dir=model_dir,
+                              report_path=os.path.join(run_dir, "train_report.json"))
+        train_artifacts = model_files + ["train_report.json"]
     manifest.record("train", train_hash, time.perf_counter() - t0, train_artifacts)
 
     # --- predict + evaluate ---------------------------------------------------
     t0 = time.perf_counter()
-    pred_norm, tm_pred = predict_tm(
-        models, part, flows_norm.values, ranges.test, config.window_length,
-        scale, tm.n_nodes, tm.interval_seconds,
-    )
-    truth_norm = make_windows(
-        flows_norm.values[:, ranges.test[0] : ranges.test[1]].T, config.window_length
-    ).targets
-    hist = config.window_length - 1
-    truth_bytes = tm.values[ranges.test[0] + hist : ranges.test[1]]
-    np.savez_compressed(
-        os.path.join(run_dir, "predictions.npz"),
-        pred_norm=pred_norm,
-        pred_bytes=tm_pred.values,
-        truth_norm=truth_norm,
-        truth_bytes=truth_bytes,
-    )
-    report = build_eval_report(config, part, truth_norm, pred_norm, truth_bytes,
-                               tm_pred.values, tm.interval_seconds,
-                               train_block_len=ranges.val[1])
-    dump_json(report.to_dict(), os.path.join(run_dir, "eval_report.json"))
-    flow_errors = per_flow_rmse(truth_norm, pred_norm)
-    with open(os.path.join(run_dir, "per_flow_rmse.csv"), "w", encoding="utf-8") as fh:
-        fh.write("flow,rmse_normalized\n")
-        for i, v in enumerate(flow_errors):
-            fh.write(f"{i},{float(v)!r}\n")
+    report, arrays = score(config, tm, flows_norm, scale, ranges, part, models)
+    np.savez_compressed(os.path.join(run_dir, "predictions.npz"), **arrays)
+    write_report(report, run_dir)
     manifest.record(
         "evaluate",
         config_hash({"stage": "evaluate", "upstream": train_hash}),
@@ -543,30 +553,46 @@ def build_eval_report(
 
 
 def sweep(config: RunConfig) -> tuple[SweepCurve, dict]:
-    """K-sweep plus Kneedle knee selection; returns (curve, knee payload)."""
+    """RMSE-versus-K curve plus Kneedle knee selection; returns (curve, knee
+    payload). Each repetition scores replace(config, k=k, seed=seed + rep).
+    The dendrogram does not depend on K or the seed and is built once; the
+    naive baseline draws a new random partition per repetition."""
     require_valid(config)
     if not config.k_grid:
         raise ConfigError("sweep requires k_grid")
-    tm = load_tm_series(
-        config.trace, format=config.format,
-        interval_seconds=config.interval_seconds, missing=config.missing,
-    )
-    curve = run_k_sweep(
-        tm,
-        config.representation,
-        config.k_grid,
+    tm, flows_norm, scale, ranges = prepare(config)
+    k_grid = sorted(set(int(k) for k in config.k_grid))
+    for k in k_grid:
+        _check_k(k, tm.n_flows)
+    seed = config.seed or 0
+    # the dendrogram (None for naive) is cut at every K below
+    _, dendro, _, _ = _partition_for(replace(config, k=k_grid[0]), tm, flows_norm, ranges)
+
+    mean_rmse, rmse_std, mean_runtime = [], [], []
+    for k in k_grid:
+        vals = []
+        times = []
+        for rep in range(config.repetitions):
+            t0 = time.perf_counter()
+            rep_cfg = replace(config, k=k, seed=seed + rep)
+            if dendro is None:
+                part = cluster_mod.naive_partition(tm.n_flows, k, seed=rep_cfg.seed)
+            else:
+                part = cluster_mod.cut(dendro, k)
+            models = train_models(rep_cfg, flows_norm, ranges, part)
+            report, _ = score(rep_cfg, tm, flows_norm, scale, ranges, part, models)
+            vals.append(report.rmse_normalized)
+            times.append(time.perf_counter() - t0)
+        arr = np.asarray(vals)
+        mean_rmse.append(float(arr.mean()))
+        rmse_std.append(float(arr.std()))
+        mean_runtime.append(float(np.mean(times)))
+    curve = SweepCurve(
+        k_values=k_grid,
+        mean_rmse=mean_rmse,
+        rmse_std=rmse_std,
+        mean_runtime_seconds=mean_runtime,
         repetitions=config.repetitions,
-        profile=config.profile,
-        seed=config.seed or 0,
-        window_length=config.window_length,
-        train_frac=config.train_frac,
-        val_frac=config.val_frac,
-        bins=config.bins,
-        lags=config.lags,
-        fs=config.fs,
-        normalize_power=config.normalize_power,
-        linkage=config.linkage,
-        workers=config.resolve_workers(),
     )
     knee = kneedle(curve)
     return curve, {"selected_k": knee.k, "no_knee": knee.no_knee}
@@ -581,53 +607,34 @@ def compare(config: RunConfig, out_dir: str) -> dict:
     if config.seed is None:
         raise ConfigError("compare requires a seed (naive baseline is included)")
     os.makedirs(out_dir, exist_ok=True)
-    tm, flows_norm, scale, ranges = _prepare(config)
+    tm, flows_norm, scale, ranges = prepare(config)
 
     partitions: dict[str, Partition] = {}
-    flow_errs: dict[str, np.ndarray] = {}
-    sizes: dict[str, ClusterStats] = {}
-    truth_norm = make_windows(
-        flows_norm.values[:, ranges.test[0] : ranges.test[1]].T, config.window_length
-    ).targets
+    flow_errs: dict[str, list[float]] = {}
     for method in METHODS:
-        mcfg = RunConfig.from_dict({**config.to_dict(), "representation": method,
-                                    "metric": None, "linkage": None})
+        mcfg = replace(config, representation=method, metric=None, linkage=None)
         part, _, _, _ = _partition_for(mcfg, tm, flows_norm, ranges)
+        models = train_models(mcfg, flows_norm, ranges, part)
+        report, _ = score(mcfg, tm, flows_norm, scale, ranges, part, models)
         partitions[method] = part
-        results = train_partitioned(
-            part, flows_norm.values, mcfg.gru_config(input_size=1),
-            ranges.train, ranges.val, config.window_length,
-            workers=config.resolve_workers(),
-        )
-        models = {label: mr[0] for label, mr in results.items()}
-        pred_norm, _ = predict_tm(
-            models, part, flows_norm.values, ranges.test, config.window_length,
-            scale, tm.n_nodes, tm.interval_seconds,
-        )
-        flow_errs[method] = per_flow_rmse(truth_norm, pred_norm)
-        sizes[method] = cluster_stats(part)
+        flow_errs[method] = report.per_flow_rmse
 
     pairs = [(a, b) for i, a in enumerate(METHODS) for b in METHODS[i + 1 :]]
-    with open(os.path.join(out_dir, "pairwise_agreement.csv"), "w", encoding="utf-8") as fh:
-        fh.write("method_a,method_b,nmi,ari\n")
-        for a, b in pairs:
-            fh.write(
-                f"{a},{b},{nmi(partitions[a], partitions[b])!r},"
-                f"{ari_score(partitions[a], partitions[b])!r}\n"
-            )
-    with open(os.path.join(out_dir, "error_correlation.csv"), "w", encoding="utf-8") as fh:
-        fh.write("method_a,method_b,pearson_correlation\n")
-        for a, b in pairs:
-            fh.write(f"{a},{b},{error_correlation(flow_errs[a], flow_errs[b])!r}\n")
-    with open(os.path.join(out_dir, "cluster_size_stats.csv"), "w", encoding="utf-8") as fh:
-        fh.write("method,k,min_size,mean_size,max_size,n_singletons,singleton_pct\n")
-        for method in METHODS:
-            s = sizes[method]
-            fh.write(
-                f"{method},{s.k},{s.min_size},{s.mean_size!r},{s.max_size},"
-                f"{s.n_singletons},{s.singleton_pct!r}\n"
-            )
+    _write_csv(
+        os.path.join(out_dir, "pairwise_agreement.csv"), "method_a,method_b,nmi,ari",
+        ((a, b, nmi(partitions[a], partitions[b]), ari_score(partitions[a], partitions[b]))
+         for a, b in pairs),
+    )
+    _write_csv(
+        os.path.join(out_dir, "error_correlation.csv"), "method_a,method_b,pearson_correlation",
+        ((a, b, error_correlation(flow_errs[a], flow_errs[b])) for a, b in pairs),
+    )
+    _write_csv(
+        os.path.join(out_dir, "cluster_size_stats.csv"),
+        "method,k,min_size,mean_size,max_size,n_singletons,singleton_pct",
+        ((m, *astuple(cluster_stats(partitions[m]))) for m in METHODS),
+    )
     return {
         "partitions": {m: partitions[m].to_dict() for m in METHODS},
-        "per_flow_rmse": {m: [float(v) for v in flow_errs[m]] for m in METHODS},
+        "per_flow_rmse": flow_errs,
     }

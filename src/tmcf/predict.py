@@ -14,8 +14,7 @@ from __future__ import annotations
 import json
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -100,15 +99,18 @@ class TrainReport:
     init_scheme: str = "uniform(-1/sqrt(hidden), 1/sqrt(hidden))"
 
     def to_dict(self) -> dict:
-        return {
-            "epochs_run": self.epochs_run,
-            "train_losses": self.train_losses,
-            "val_losses": self.val_losses,
-            "stopped_early": self.stopped_early,
-            "wall_time_seconds": self.wall_time_seconds,
-            "best_epoch": self.best_epoch,
-            "init_scheme": self.init_scheme,
-        }
+        return asdict(self)
+
+
+def _param_shapes(input_size: int, hidden_size: int) -> dict:
+    """Shape of every parameter tensor of a model of the given sizes."""
+    d, h = input_size, hidden_size
+    return {
+        "wz": (h, d), "uz": (h, h), "bz": (h,),
+        "wr": (h, d), "ur": (h, h), "br": (h,),
+        "wn": (h, d), "un": (h, h), "bn": (h,),
+        "wo": (d, h), "bo": (d,),
+    }
 
 
 def init_model(config: GruConfig) -> GruModel:
@@ -117,12 +119,7 @@ def init_model(config: GruConfig) -> GruModel:
     d, h = config.input_size, config.hidden_size
     scale = 1.0 / np.sqrt(h)
     rng = np.random.default_rng(config.seed)
-    shapes = {
-        "wz": (h, d), "uz": (h, h), "bz": (h,),
-        "wr": (h, d), "ur": (h, h), "br": (h,),
-        "wn": (h, d), "un": (h, h), "bn": (h,),
-        "wo": (d, h), "bo": (d,),
-    }
+    shapes = _param_shapes(d, h)
     params = {name: rng.uniform(-scale, scale, size=shapes[name]) for name in PARAM_ORDER}
     return GruModel(
         params=params,
@@ -353,34 +350,29 @@ def train_partitioned(
     train_range: tuple[int, int],
     val_range: tuple[int, int],
     window_length: int,
-    workers: int = 1,
 ) -> dict[int, tuple[GruModel, TrainReport]]:
     """Train one model per cluster on the normalized flow matrix.
 
     flow_values is (M, T); each cluster's model has input/output width
-    |cluster|. Results are keyed by cluster id so output does not depend on
-    scheduling order.
+    |cluster| and its own seed from cluster_seed, so a cluster's model does
+    not depend on the other clusters. Results are keyed by cluster id.
     """
     if partition.n_items != flow_values.shape[0]:
         raise ValidationError(
             f"partition covers {partition.n_items} flows, matrix has {flow_values.shape[0]}"
         )
 
-    def job(label: int) -> tuple[int, tuple[GruModel, TrainReport]]:
+    # one call per cluster, so a cluster's windows are freed before the next
+    # cluster's are built
+    def train_cluster(label: int) -> tuple[GruModel, TrainReport]:
         rows = partition.members(label)
         sub = flow_values[rows]
         train_ds = make_windows(sub[:, train_range[0] : train_range[1]].T, window_length)
         val_ds = make_windows(sub[:, val_range[0] : val_range[1]].T, window_length)
         cfg = replace(config, input_size=rows.size, seed=cluster_seed(config.seed, label))
-        return label, train(cfg, train_ds, val_ds)
+        return train(cfg, train_ds, val_ds)
 
-    labels = list(range(1, partition.k + 1))
-    if workers <= 1:
-        results = dict(job(label) for label in labels)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(job, labels))
-    return results
+    return {label: train_cluster(label) for label in range(1, partition.k + 1)}
 
 
 def predict_tm(
@@ -455,27 +447,52 @@ def save_model(model: GruModel, path: str) -> None:
             fh.write(np.ascontiguousarray(model.params[name], dtype=np.float64).tobytes())
 
 
+def _read_exact(fh, n: int, path: str, what: str) -> bytes:
+    buf = fh.read(n)
+    if len(buf) != n:
+        raise ValidationError(f"{path}: truncated {what}")
+    return buf
+
+
 def load_model(path: str) -> GruModel:
+    """Read a model written by save_model; any malformed or truncated part
+    of the file raises ValidationError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MODEL_MAGIC:
             raise ValidationError(f"{path}: not a model file (bad magic {magic!r})")
-        version, hlen = struct.unpack("<II", fh.read(8))
+        version, hlen = struct.unpack("<II", _read_exact(fh, 8, path, "version block"))
         if version != MODEL_FORMAT_VERSION:
             raise ValidationError(f"{path}: unsupported model format version {version}")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        blob = _read_exact(fh, hlen, path, "header")
+        try:
+            header = json.loads(blob.decode("utf-8"))
+            input_size = int(header["input_size"])
+            hidden_size = int(header["hidden_size"])
+            seed = int(header["seed"])
+            order = tuple(header["param_order"])
+            shapes = {name: tuple(header["shapes"][name]) for name in PARAM_ORDER}
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValidationError(f"{path}: unreadable model header: {exc}") from None
+        if order != PARAM_ORDER:
+            raise ValidationError(
+                f"{path}: parameter order {list(order)} is not {list(PARAM_ORDER)}"
+            )
+        expected = _param_shapes(input_size, hidden_size)
+        if min(input_size, hidden_size) < 1 or shapes != expected:
+            raise ValidationError(
+                f"{path}: parameter shapes do not fit input_size={input_size}, "
+                f"hidden_size={hidden_size}"
+            )
         params = {}
-        for name in header["param_order"]:
-            shape = tuple(header["shapes"][name])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValidationError(f"{path}: truncated parameter block {name!r}")
+        for name in PARAM_ORDER:
+            shape = expected[name]
+            buf = _read_exact(fh, 8 * int(np.prod(shape)), path, f"parameter block {name!r}")
             params[name] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
     return GruModel(
         params=params,
-        input_size=int(header["input_size"]),
-        hidden_size=int(header["hidden_size"]),
-        seed=int(header["seed"]),
+        input_size=input_size,
+        hidden_size=hidden_size,
+        seed=seed,
         profile=header.get("profile", "paper"),
     )

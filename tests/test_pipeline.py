@@ -1,15 +1,17 @@
-"""run_pipeline at tiny size: the run directory records the trace's hash, not
-a copy, and a resume reuses stages only while the trace's contents match."""
+"""run_pipeline and sweep at tiny size: the run directory records the trace's
+hash, not a copy, a resume reuses stages only while the trace's contents
+match, and a sweep scores each K as the run at that K does."""
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tmcf import pipeline
 from tmcf.dataset import TmSeries, load_tm_series, write_canonical_csv
-from tmcf.pipeline import RunConfig, run_pipeline, trace_sha256
+from tmcf.pipeline import RunConfig, run_pipeline, sweep, trace_sha256
 from tmcf.synth import GroupSpec, SynthSpec, generate
 
 
@@ -53,7 +55,8 @@ def test_fresh_run_records_trace_hash_not_copy(trace, tmp_path):
     assert not os.path.exists(os.path.join(run_dir, "trace.csv"))
     ingest = manifest(run_dir)["stages"]["ingest"]
     assert ingest["trace_sha256"] == trace_sha256(load_tm_series(trace))
-    assert "trace.csv" not in ingest["artifacts"]
+    assert ingest["artifacts"] == ["scale.json"]
+    assert not os.path.exists(os.path.join(run_dir, "flows_norm.npz"))
 
 
 def test_resume_on_same_trace_reuses_cluster_and_train(trace, tmp_path, monkeypatch):
@@ -88,3 +91,13 @@ def test_resume_after_trace_content_change_recomputes(trace, tmp_path):
     assert resumed == read(os.path.join(fresh_dir, "partition.json"))
     assert resumed != stale
     assert manifest(run_dir)["stages"]["ingest"]["trace_sha256"] != old_hash
+
+
+def test_sweep_scores_each_k_as_the_run_does(trace, tmp_path):
+    # epochs=2 must reach the sweep's models too, not only the run's
+    cfg = config(trace, tmp_path / "run")
+    curve, _ = sweep(replace(cfg, k=None, k_grid=[1, 2, 4], repetitions=1))
+    with open(os.path.join(run_pipeline(cfg), "eval_report.json"), encoding="utf-8") as fh:
+        run_rmse = json.load(fh)["rmse_normalized"]
+    assert curve.k_values == [1, 2, 4]
+    assert curve.mean_rmse[1] == run_rmse

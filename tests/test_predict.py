@@ -1,12 +1,16 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from tmcf.cluster import Partition, naive_partition
+from tmcf.cluster import Partition
 from tmcf.dataset import ScaleParams, WindowedDataset, make_windows
 from tmcf.errors import NumericalError, ValidationError
 from tmcf.predict import (
+    MODEL_MAGIC,
+    PARAM_ORDER,
     GruConfig,
     GruModel,
     _Adam,
@@ -211,18 +215,6 @@ class TestPartitionedTraining:
         assert cluster_seed(42, 3) != cluster_seed(42, 4)
         assert cluster_seed(41, 3) != cluster_seed(42, 3)
 
-    def test_worker_count_does_not_change_results(self):
-        values = self._flows()
-        part = naive_partition(6, 3, seed=5)
-        cfg = GruConfig(input_size=1, hidden_size=4, epochs=3, seed=1)
-        serial = train_partitioned(part, values, cfg, (0, 120), (120, 160), 8, workers=1)
-        threaded = train_partitioned(part, values, cfg, (0, 120), (120, 160), 8, workers=3)
-        for label in serial:
-            for name in serial[label][0].params:
-                assert np.array_equal(
-                    serial[label][0].params[name], threaded[label][0].params[name]
-                )
-
 
 class TestPredictTm:
     def _setup(self):
@@ -292,3 +284,53 @@ class TestSerialization:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValidationError):
             load_model(str(path))
+
+
+def _saved_model_bytes(tmp_path) -> bytes:
+    path = tmp_path / "model.bin"
+    save_model(init_model(GruConfig(input_size=3, hidden_size=5, seed=11)), str(path))
+    return path.read_bytes()
+
+
+def _with_header(data: bytes, edit) -> bytes:
+    """data with its JSON header replaced by edit(header) (bytes or a dict)."""
+    hlen = struct.unpack("<II", data[4:12])[1]
+    new = edit(json.loads(data[12 : 12 + hlen]))
+    blob = new if isinstance(new, bytes) else json.dumps(new).encode("utf-8")
+    return MODEL_MAGIC + struct.pack("<II", 1, len(blob)) + blob + data[12 + hlen :]
+
+
+MALFORMED_MODELS = {
+    "short_magic": lambda data: data[:2],
+    "short_version_block": lambda data: data[:6],
+    "short_header": lambda data: data[:20],
+    "header_not_json": lambda data: _with_header(data, lambda h: b"{not json"),
+    "header_not_object": lambda data: _with_header(data, lambda h: [1, 2]),
+    "header_missing_key": lambda data: _with_header(
+        data, lambda h: {k: v for k, v in h.items() if k != "hidden_size"}),
+    "param_order": lambda data: _with_header(
+        data, lambda h: {**h, "param_order": list(reversed(PARAM_ORDER))}),
+    "shape_vs_input_size": lambda data: _with_header(data, lambda h: {**h, "input_size": 4}),
+    "shape_vs_hidden_size": lambda data: _with_header(
+        data, lambda h: {**h, "shapes": {**h["shapes"], "uz": [5, 4]}}),
+    "zero_input_size": lambda data: _with_header(data, lambda h: {
+        **h, "input_size": 0,
+        "shapes": {**h["shapes"], "wz": [5, 0], "wr": [5, 0], "wn": [5, 0], "wo": [0, 5],
+                   "bo": [0]},
+    }),
+    "short_parameter_block": lambda data: data[:-8],
+}
+
+
+class TestLoadModelRejectsMalformedFiles:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_raises_validation_error(self, tmp_path, case):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(MALFORMED_MODELS[case](_saved_model_bytes(tmp_path)))
+        with pytest.raises(ValidationError):
+            load_model(str(path))
+
+    def test_unedited_header_round_trips(self, tmp_path):
+        path = tmp_path / "same.bin"
+        path.write_bytes(_with_header(_saved_model_bytes(tmp_path), lambda h: h))
+        assert load_model(str(path)).hidden_size == 5
