@@ -37,6 +37,7 @@ from .pipeline import (
     load_models,
     prepare,
     represent,
+    require_valid,
     run_pipeline,
     score,
     sweep,
@@ -89,6 +90,14 @@ def _build_run_config(args, require_trace: bool = True) -> RunConfig:
     return RunConfig.from_dict(base)
 
 
+def _checked(config: RunConfig) -> RunConfig:
+    """config, after printing its warnings to stderr; its errors raise
+    ConfigError."""
+    for w in require_valid(config):
+        print(f"warning: {w}", file=sys.stderr)
+    return config
+
+
 def cmd_synth(args) -> int:
     groups = [_parse_group(g) for g in args.group]
     spec = SynthSpec(
@@ -123,7 +132,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_represent(args) -> int:
-    config = replace(_build_run_config(args), normalize_power=not args.raw_power)
+    config = _checked(replace(_build_run_config(args), normalize_power=not args.raw_power))
     tm, flows_norm, _, ranges = prepare(config)
     feats, diss = represent(config, tm, flows_norm, ranges)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -158,7 +167,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _build_run_config(args)
+    config = _checked(_build_run_config(args))
     _, flows_norm, _, ranges = prepare(config)
     part = Partition.from_dict(load_json(args.partition))
     train_models(config, flows_norm, ranges, part, model_dir=args.out_dir)
@@ -167,7 +176,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = _build_run_config(args)
+    config = _checked(_build_run_config(args))
     tm, flows_norm, scale, ranges = prepare(config)
     part = Partition.from_dict(load_json(args.partition))
     models = load_models(args.models, part)
@@ -183,7 +192,7 @@ def cmd_sweep(args) -> int:
     config = _build_run_config(args)
     if args.k_grid_spec:
         config.k_grid = _parse_grid(args.k_grid_spec)
-    curve, knee = sweep(config)
+    curve, knee = sweep(_checked(config))
     os.makedirs(args.out_dir, exist_ok=True)
     write_sweep_csv(curve, os.path.join(args.out_dir, "sweep.csv"))
     dump_json(knee, os.path.join(args.out_dir, "knee.json"))
@@ -210,12 +219,7 @@ def _parse_grid(spec: str) -> list[int]:
 
 
 def cmd_run(args) -> int:
-    config = _build_run_config(args)
-    errors, warnings = validate_config(config)
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    if errors:
-        raise ConfigError("; ".join(errors))
+    config = _checked(_build_run_config(args))
     run_dir = run_pipeline(config, resume=args.resume)
     report = load_json(os.path.join(run_dir, "eval_report.json"))
     print(f"run directory: {run_dir}")
@@ -225,7 +229,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = _build_run_config(args)
+    config = _checked(_build_run_config(args))
     compare(config, args.out_dir)
     print(f"wrote pairwise_agreement.csv, error_correlation.csv, "
           f"cluster_size_stats.csv to {args.out_dir}")

@@ -303,7 +303,9 @@ def make_windows(series: np.ndarray, window_length: int) -> WindowedDataset:
     """Slide a length-L window over a (T, d) or (T,) series.
 
     Sample s takes observations s .. s+L-2 as input and s+L-1 as target;
-    the range yields T - L + 1 samples.
+    the range yields T - L + 1 samples. inputs is a read-only view of the
+    series (no copy is made), so it changes if the series does; targets is
+    a copy.
     """
     arr = np.asarray(series, dtype=np.float64)
     if arr.ndim == 1:
@@ -319,7 +321,7 @@ def make_windows(series: np.ndarray, window_length: int) -> WindowedDataset:
         )
     n = t - window_length + 1
     hist = window_length - 1
-    inputs = np.stack([arr[s : s + hist] for s in range(n)], axis=0)
+    inputs = np.lib.stride_tricks.sliding_window_view(arr, hist, axis=0)[:n].transpose(0, 2, 1)
     targets = arr[hist : hist + n].copy()
     return WindowedDataset(inputs=inputs, targets=targets, window_length=window_length)
 

@@ -171,7 +171,8 @@ def ari(a, b) -> float:
     sum_a = _comb2(cont.sum(axis=1)).sum()
     sum_b = _comb2(cont.sum(axis=0)).sum()
     total = _comb2(np.array([n]))[0]
-    expected = sum_a * sum_b / total
+    # one item has no pairs: the index cannot deviate from its expectation
+    expected = sum_a * sum_b / total if total else 0.0
     denom = 0.5 * (sum_a + sum_b) - expected
     if denom == 0.0:
         return 1.0

@@ -164,3 +164,26 @@ def test_evaluate_on_truncated_model_is_a_data_error(tmp_path):
         "evaluate", "--trace", trace, "--partition", os.path.join(run_dir, "partition.json"),
         "--models", os.path.join(run_dir, "models"), "--out-dir", str(tmp_path / "eval"),
     ] + TRAIN_FLAGS) == EXIT_DATA
+
+
+def test_represent_config_error_exits_2(tmp_path, capsys):
+    # jsd needs histograms: the same mistake exits 2 on every subcommand
+    assert main([
+        "represent", "--trace", synth_trace(tmp_path), "--representation", "acf",
+        "--metric", "jsd", "--out-dir", str(tmp_path / "represent"),
+    ]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("run", ["--k", "2"]),
+    ("sweep", ["--k-grid", "1,2,3", "--repetitions", "1"]),
+    ("compare", ["--k", "2"]),
+])
+def test_config_warnings_go_to_stderr(tmp_path, capsys, command, flags):
+    trace = synth_trace(tmp_path)
+    capsys.readouterr()
+    argv = [command, "--trace", trace, "--out-dir", str(tmp_path / "out"), *flags,
+            "--profile", "desk", "--hidden-size", "80", "--epochs", "1"]
+    assert main(argv) == EXIT_OK
+    assert "desk profile with hidden_size=80 override will be slow" in capsys.readouterr().err

@@ -1,5 +1,11 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tmcf.dataset import (
     FlowSet,
@@ -14,6 +20,7 @@ from tmcf.dataset import (
     split,
     write_canonical_csv,
 )
+from tmcf.dataset import FlowSet, TmSeries
 from tmcf.errors import ParseError, ValidationError
 
 
@@ -218,6 +225,15 @@ class TestWindows:
         assert np.array_equal(ds.inputs[:, :, 0], [[1, 2], [2, 3], [3, 4]])
         assert np.array_equal(ds.targets[:, 0], [3, 4, 5])
 
+    def test_inputs_are_a_read_only_view_of_the_series(self):
+        series = np.random.default_rng(0).normal(size=(30, 3))
+        ds = make_windows(series, 7)
+        assert np.shares_memory(ds.inputs, series)
+        assert not ds.inputs.flags.writeable
+        expected = np.stack([series[s : s + 6] for s in range(30 - 7 + 1)], axis=0)
+        assert np.array_equal(ds.inputs, expected)
+        assert np.array_equal(ds.targets, series[6:])
+
     def test_exact_length_gives_one_sample(self):
         ds = make_windows(np.arange(4.0), 4)
         assert ds.n_samples == 1
@@ -247,3 +263,39 @@ class TestWindows:
         assert train.inputs.max() < r.train[1]
         assert test.inputs.min() >= r.test[0]
         assert train.targets.max() < test.inputs.min()
+
+
+# nonnegative finite traffic values, subnormals and huge values included
+traffic = st.floats(min_value=0.0, max_value=1e300, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def traces(draw):
+    n = draw(st.integers(1, 3))
+    t = draw(st.integers(2, 8))
+    return TmSeries(n_nodes=n, interval_seconds=draw(st.integers(1, 900)),
+                    values=draw(arrays(np.float64, (t, n, n), elements=traffic)))
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(traces())
+    def test_canonical_csv_round_trips_bit_exactly(self, tm):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.csv")
+            write_canonical_csv(tm, path)
+            back = load_tm_series(path, interval_seconds=tm.interval_seconds)
+        assert back.values.shape == tm.values.shape
+        assert np.array_equal(back.values.view(np.int64), tm.values.view(np.int64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.integers(2, 20).flatmap(
+        lambda t: arrays(np.float64, (n * n, t), elements=st.floats(0.0, 1e12)))))
+    def test_denormalize_inverts_normalize(self, values):
+        n = int(np.sqrt(values.shape[0]))
+        flows = FlowSet(n_nodes=n, interval_seconds=300, values=values)
+        params = fit_scale_params(flows)
+        back = denormalize(normalize(flows, params), params).values
+        # relative to each value; a value whose normalized image (x - min) /
+        # (max - min) is subnormal keeps only an absolute error below 1e-290
+        assert np.allclose(back, values, rtol=1e-12, atol=1e-290)

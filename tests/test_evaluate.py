@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmcf.cluster import naive_partition
 from tmcf.errors import ValidationError
@@ -129,6 +131,10 @@ class TestAri:
         assert ari(labels, labels) == pytest.approx(1.0)
         relabeled = np.array([5, 5, 9, 7, 7, 7])
         assert ari(labels, relabeled) == pytest.approx(1.0)
+
+    def test_one_item_scores_one(self):
+        # no pairs to disagree on; was nan with a divide warning
+        assert ari(np.array([1]), np.array([4])) == 1.0
 
     def test_hand_case_negative(self):
         assert ari([1, 1, 2, 2], [1, 2, 1, 2]) == pytest.approx(-0.5, abs=1e-12)
@@ -301,3 +307,26 @@ class TestSweepCurveType:
     def test_k_values_must_increase(self):
         with pytest.raises(ValidationError):
             SweepCurve([2, 1], [0.5, 0.4], [0.1, 0.2], [1.0, 1.0], 1)
+
+
+@st.composite
+def labelled_pair(draw):
+    """Two labellings of the same items, and a relabelling of each (a
+    bijection of its label values)."""
+    n = draw(st.integers(1, 40))
+    a = np.array(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)))
+    b = np.array(draw(st.lists(st.integers(1, 7), min_size=n, max_size=n)))
+    ra = dict(zip(range(1, 6), draw(st.permutations(range(10, 15)))))
+    rb = dict(zip(range(1, 8), draw(st.permutations(range(1, 8)))))
+    return a, b, np.array([ra[x] for x in a]), np.array([rb[x] for x in b])
+
+
+class TestRelabellingInvariance:
+    @settings(max_examples=150, deadline=None)
+    @given(labelled_pair())
+    def test_ari_and_nmi_ignore_label_names(self, pair):
+        a, b, a2, b2 = pair
+        for score in (ari, nmi):
+            base = score(a, b)
+            for x, y in ((a2, b), (a, b2), (a2, b2), (b, a)):
+                assert score(x, y) == pytest.approx(base, abs=1e-12), score.__name__

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from tmcf import predict
 from tmcf.cluster import Partition
 from tmcf.dataset import ScaleParams, WindowedDataset, make_windows
 from tmcf.errors import NumericalError, ValidationError
@@ -13,17 +14,21 @@ from tmcf.predict import (
     PARAM_ORDER,
     GruConfig,
     GruModel,
-    _Adam,
+    _Scratch,
+    _Stack,
+    _sq_errors_and_grads,
+    _time_major,
     cluster_seed,
     gru_forward,
     init_model,
     load_model,
-    mse_loss_and_grads,
     predict_tm,
     save_model,
     train,
     train_partitioned,
 )
+
+import gru_oracle as oracle
 
 
 def tiny_model(d=1, hidden=2, seed=0):
@@ -95,46 +100,89 @@ class TestForward:
             gru_forward(model, bad)
 
 
+def stacked_loss_and_grads(models, batches, targets):
+    """Sum over the models of each one's MSE, and its gradient as a flat
+    vector in the stack layout, from the stacked core."""
+    stack = _Stack([m.input_size for m in models], models[0].hidden_size)
+    flat = stack.pack([m.params for m in models])
+    grads = np.empty(stack.size)
+    scratch = _Scratch()
+
+    def loss_at(values):
+        sq = _sq_errors_and_grads(stack.views(values), stack.views(grads),
+                                  _time_major(batches, scratch), targets, scratch)
+        return float(np.sum(sq / [y.size for y in targets]))
+
+    return stack, flat, grads, loss_at
+
+
 class TestGradients:
+    def _check_finite_differences(self, models, batches, targets):
+        stack, flat, grads, loss_at = stacked_loss_and_grads(models, batches, targets)
+        loss_at(flat)
+        analytic = grads.copy()
+        eps = 1e-5
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            lp = loss_at(flat)
+            flat[i] = orig - eps
+            lm = loss_at(flat)
+            flat[i] = orig
+            numeric = (lp - lm) / (2 * eps)
+            rel = abs(numeric - analytic[i]) / max(1e-8, abs(numeric) + abs(analytic[i]))
+            assert rel < 1e-4, f"entry {i}: analytic {analytic[i]} vs numeric {numeric}"
+
     def test_bptt_matches_finite_differences(self):
         model = tiny_model(d=2, hidden=3, seed=123)
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(4, 5, 2))
-        y = rng.normal(size=(4, 2))
-        _, grads = mse_loss_and_grads(model, x, y)
+        self._check_finite_differences(
+            [model], [rng.normal(size=(4, 5, 2))], [rng.normal(size=(4, 2))])
 
-        def loss_at():
-            from tmcf.predict import _forward_hidden
+    def test_stacked_bptt_matches_finite_differences(self):
+        # K=3 stack of widths 1, 2 and 4; each model's gradient is its own
+        widths = (1, 2, 4)
+        models = [tiny_model(d=d, hidden=3, seed=10 + d) for d in widths]
+        rng = np.random.default_rng(6)
+        self._check_finite_differences(
+            models,
+            [rng.normal(size=(4, 5, d)) for d in widths],
+            [rng.normal(size=(4, d)) for d in widths],
+        )
 
-            h, _ = _forward_hidden(model.params, x, keep_cache=False)
-            err = h @ model.params["wo"].T + model.params["bo"] - y
-            return float(np.mean(err * err))
+    def test_stacked_gradients_match_the_oracle(self):
+        widths = (1, 3, 2)
+        models = [tiny_model(d=d, hidden=4, seed=20 + d) for d in widths]
+        rng = np.random.default_rng(7)
+        batches = [rng.normal(size=(6, 4, d)) for d in widths]
+        targets = [rng.normal(size=(6, d)) for d in widths]
+        stack, flat, grads, loss_at = stacked_loss_and_grads(models, batches, targets)
+        loss_at(flat)
+        for i, model in enumerate(models):
+            _, expected = oracle.mse_loss_and_grads(model, batches[i], targets[i])
+            got = stack.unpack(grads, i)
+            for name in PARAM_ORDER:
+                assert np.allclose(got[name], expected[name], rtol=0, atol=1e-12), name
 
-        eps = 1e-5
-        for name, tensor in model.params.items():
-            flat = tensor.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                lp = loss_at()
-                flat[i] = orig - eps
-                lm = loss_at()
-                flat[i] = orig
-                numeric = (lp - lm) / (2 * eps)
-                analytic = grads[name].ravel()[i]
-                rel = abs(numeric - analytic) / max(1e-8, abs(numeric) + abs(analytic))
-                assert rel < 1e-4, f"{name}[{i}]: analytic {analytic} vs numeric {numeric}"
+    def test_pack_unpack_round_trip(self):
+        models = [tiny_model(d=d, hidden=3, seed=d) for d in (1, 4, 2)]
+        stack = _Stack([m.input_size for m in models], 3)
+        flat = stack.pack([m.params for m in models])
+        for i, model in enumerate(models):
+            back = stack.unpack(flat, i)
+            assert list(back) == list(PARAM_ORDER)
+            for name in PARAM_ORDER:
+                assert np.array_equal(back[name], model.params[name])
+                assert back[name].flags.c_contiguous
 
     def test_single_adam_step_does_not_increase_loss(self):
-        model = tiny_model(d=2, hidden=4, seed=7)
+        # one batch per epoch and one epoch: exactly one Adam step
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(16, 6, 2))
-        y = rng.normal(size=(16, 2))
-        loss_before, grads = mse_loss_and_grads(model, x, y)
-        adam = _Adam(model.params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
-        adam.step(model.params, grads)
-        loss_after, _ = mse_loss_and_grads(model, x, y)
-        assert loss_after <= loss_before
+        ds = windows_from(rng, 16, 6, 2)
+        cfg = GruConfig(input_size=2, hidden_size=4, epochs=1, batch_size=16, seed=7)
+        model, report = train(cfg, ds, ds)
+        loss_after = float(np.mean((gru_forward(model, ds.inputs) - ds.targets) ** 2))
+        assert loss_after <= report.train_losses[0]
 
 
 class TestTraining:
@@ -334,3 +382,123 @@ class TestLoadModelRejectsMalformedFiles:
         path = tmp_path / "same.bin"
         path.write_bytes(_with_header(_saved_model_bytes(tmp_path), lambda h: h))
         assert load_model(str(path)).hidden_size == 5
+
+
+def noisy_flows(m, t, seed):
+    """Normalized-looking flows: a shared daily-like cycle plus flow noise."""
+    rng = np.random.default_rng(seed)
+    base = 0.5 + 0.3 * np.sin(2 * np.pi * np.arange(t) / 24)
+    return np.clip(base[None, :] + 0.15 * rng.normal(size=(m, t)), 0, 1)
+
+
+ORACLE_TOL = 1e-9
+
+# (labels, epochs, patience) on the 9 flows of a 3-node trace
+ORACLE_CASES = {
+    "uneven_widths_with_width_1": ([1, 2, 2, 3, 3, 3, 3, 2, 3], 4, 5),
+    "entire_matrix_k1": ([1] * 9, 4, 5),
+    "one_model_per_flow_k_eq_m": (list(range(1, 10)), 3, 5),
+    "early_stopping": ([1, 2, 2, 3, 3, 3, 4, 4, 2], 40, 2),
+}
+
+
+def oracle_predictions(models, part, values, test_range, window_length):
+    lo, hi = test_range
+    out = np.empty((hi - lo - window_length + 1, part.n_items))
+    for label in range(1, part.k + 1):
+        rows = part.members(label)
+        ds = make_windows(values[rows, lo:hi].T, window_length)
+        out[:, rows] = oracle.gru_forward(models[label], ds.inputs)
+    return out
+
+
+class TestStackedTrainerMatchesOracle:
+    """The stacked, fused trainer against the former per-cluster loop."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_same_models_curves_and_predictions(self, case):
+        labels, epochs, patience = ORACLE_CASES[case]
+        part = Partition(np.array(labels), max(labels))
+        values = noisy_flows(9, 200, seed=len(case))
+        cfg = GruConfig.for_profile("desk", input_size=1, seed=4, epochs=epochs,
+                                    patience=patience)
+        ranges = ((0, 150), (150, 175), (175, 200))
+        got = train_partitioned(part, values, cfg, ranges[0], ranges[1], 6)
+        expected = oracle.train_partitioned(part, values, cfg, ranges[0], ranges[1], 6)
+        assert set(got) == set(expected)
+        for label in expected:
+            (m_got, r_got), (m_exp, r_exp) = got[label], expected[label]
+            assert (r_got.epochs_run, r_got.best_epoch, r_got.stopped_early) == (
+                r_exp.epochs_run, r_exp.best_epoch, r_exp.stopped_early)
+            for curve in ("train_losses", "val_losses"):
+                assert np.allclose(getattr(r_got, curve), getattr(r_exp, curve),
+                                   rtol=0, atol=ORACLE_TOL)
+            for name in PARAM_ORDER:
+                assert np.allclose(m_got.params[name], m_exp.params[name],
+                                   rtol=0, atol=ORACLE_TOL), (label, name)
+        scale = ScaleParams(per_flow_min=np.zeros(9), per_flow_max=np.ones(9))
+        pred, _ = predict_tm({k: mr[0] for k, mr in got.items()}, part, values, ranges[2],
+                             6, scale, 3, 300)
+        pred_exp = oracle_predictions({k: mr[0] for k, mr in expected.items()}, part,
+                                      values, ranges[2], 6)
+        assert np.allclose(pred, pred_exp, rtol=0, atol=ORACLE_TOL)
+        if case == "early_stopping":
+            # models leave the stack at different epochs
+            runs = [r.epochs_run for _, r in got.values()]
+            assert any(r.stopped_early for _, r in got.values())
+            assert len(set(runs)) > 1
+
+    def test_grouping_does_not_change_results(self, monkeypatch):
+        labels = ORACLE_CASES["early_stopping"][0]
+        part = Partition(np.array(labels), max(labels))
+        values = noisy_flows(9, 200, seed=1)
+        cfg = GruConfig.for_profile("desk", input_size=1, seed=2, epochs=12, patience=2)
+        joint = train_partitioned(part, values, cfg, (0, 150), (150, 175), 6)
+        # room for one model's pass only: every cluster trains in its own group
+        monkeypatch.setattr(predict, "_WORKSPACE_FLOATS", 1)
+        alone = train_partitioned(part, values, cfg, (0, 150), (150, 175), 6)
+        for label in joint:
+            assert joint[label][1].val_losses == alone[label][1].val_losses
+            for name in PARAM_ORDER:
+                assert np.array_equal(joint[label][0].params[name],
+                                      alone[label][0].params[name])
+
+    def test_divergent_cluster_in_stack_raises_at_the_oracle_epoch(self):
+        # flow 3 (cluster 2) jumps to 1e200 inside the validation range, so
+        # its validation loss overflows once training has run one epoch
+        part = Partition(np.array([1, 1, 2, 3]), 3)
+        values = noisy_flows(4, 120, seed=3)
+        values[2, 100] = 1e200
+        cfg = GruConfig.for_profile("desk", input_size=1, seed=0, epochs=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError) as expected:
+                oracle.train_partitioned(part, values, cfg, (0, 90), (90, 120), 6)
+        with pytest.raises(NumericalError) as got:
+            train_partitioned(part, values, cfg, (0, 90), (90, 120), 6)
+        assert str(got.value) == str(expected.value)
+
+    def test_divergent_training_loss_raises_at_the_oracle_epoch(self):
+        part = Partition(np.array([1, 2, 2, 3]), 3)
+        values = noisy_flows(4, 120, seed=3)
+        values[1, 40] = 1e200
+        cfg = GruConfig.for_profile("desk", input_size=1, seed=0, epochs=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError) as expected:
+                oracle.train_partitioned(part, values, cfg, (0, 90), (90, 120), 6)
+        with pytest.raises(NumericalError) as got:
+            train_partitioned(part, values, cfg, (0, 90), (90, 120), 6)
+        assert "non-finite loss at epoch" in str(expected.value)
+        assert str(got.value) == str(expected.value)
+
+    def test_oracle_model_file_loads_and_predicts_alike(self, tmp_path):
+        rng = np.random.default_rng(9)
+        train_ds = windows_from(rng, 40, 5, 3)
+        val_ds = windows_from(rng, 10, 5, 3)
+        cfg = GruConfig(input_size=3, hidden_size=6, epochs=3, seed=5, profile="desk")
+        model, _ = oracle.train(cfg, train_ds, val_ds)
+        path = str(tmp_path / "cluster_1.bin")
+        save_model(model, path)
+        back = load_model(path)
+        x = rng.normal(size=(7, 5, 3))
+        assert np.allclose(gru_forward(back, x), oracle.gru_forward(model, x),
+                           rtol=0, atol=1e-12)
