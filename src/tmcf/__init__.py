@@ -58,17 +58,10 @@ from .predict import (
     train_partitioned,
 )
 from .represent import (
-    AcfRep,
     DissimilarityMatrix,
-    HistogramRep,
-    PsdRep,
     ReprMatrix,
-    acf_rep,
     build_features,
     default_lags,
-    histogram_rep,
-    jsd,
     pairwise_dissimilarity,
-    psd_rep,
 )
 from .synth import GroupSpec, SynthSpec, generate

@@ -137,12 +137,12 @@ def cmd_represent(args) -> int:
     feats, diss = represent(config, tm, flows_norm, ranges)
     os.makedirs(args.out_dir, exist_ok=True)
     _write_matrix_csv(feats.features, os.path.join(args.out_dir, "features.csv"))
-    _write_matrix_csv(diss.d, os.path.join(args.out_dir, "dissimilarity.csv"))
+    np.save(os.path.join(args.out_dir, "dissimilarity.npy"), diss.d)
     dump_json(
         {"representation": feats.kind, "metric": diss.metric, **feats.meta},
         os.path.join(args.out_dir, "features_meta.json"),
     )
-    print(f"wrote features.csv, dissimilarity.csv, features_meta.json to {args.out_dir}")
+    print(f"wrote features.csv, dissimilarity.npy, features_meta.json to {args.out_dir}")
     return EXIT_OK
 
 
@@ -156,8 +156,11 @@ def cmd_cluster(args) -> int:
         part = cluster_mod.naive_partition(args.flows, args.k, seed=args.seed)
     else:
         if args.dissimilarity is None:
-            raise ConfigError("--method hac requires --dissimilarity CSV")
-        d = np.loadtxt(args.dissimilarity, delimiter=",", ndmin=2)
+            raise ConfigError("--method hac requires --dissimilarity (.npy or CSV)")
+        if args.dissimilarity.endswith(".npy"):
+            d = np.load(args.dissimilarity)
+        else:
+            d = np.loadtxt(args.dissimilarity, delimiter=",", ndmin=2)
         dendro = cluster_mod.hac(d, linkage=args.linkage)
         _write_dendrogram_csv(dendro, os.path.join(args.out_dir, "dendrogram.csv"))
         part = cluster_mod.cut(dendro, args.k)
@@ -297,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("represent", help="feature matrix + dissimilarity matrix CSVs")
+    p = sub.add_parser("represent", help="feature matrix CSV + dissimilarity matrix .npy")
     p.add_argument("--trace", required=True)
     p.add_argument("--format", choices=("canonical", "abilene", "geant"), default="canonical")
     p.add_argument("--interval-seconds", dest="interval_seconds", type=int)
@@ -316,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="cut a HAC dendrogram or draw the naive baseline")
     p.add_argument("--method", choices=("hac", "naive"), default="hac")
-    p.add_argument("--dissimilarity", help="M x M CSV (hac)")
+    p.add_argument("--dissimilarity", help="M x M matrix, .npy or CSV (hac)")
     p.add_argument("--linkage", choices=("complete", "average"), default="average")
     p.add_argument("--flows", type=int, help="number of flows (naive)")
     p.add_argument("--seed", type=int, help="naive partition seed")

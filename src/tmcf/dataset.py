@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -230,7 +231,9 @@ def normalize(flows: FlowSet, params: ScaleParams) -> FlowSet:
 
 
 def denormalize(flows: FlowSet, params: ScaleParams) -> FlowSet:
-    """Exact inverse of normalize; constant flows restore the stored value."""
+    """Inverse of normalize, exact up to rounding; constant flows restore the
+    stored value. A value whose normalized image is subnormal loses relative
+    precision."""
     if params.n_flows != flows.n_flows:
         raise ValidationError(
             f"scale params cover {params.n_flows} flows, trace has {flows.n_flows}"
@@ -389,40 +392,21 @@ def _infer_nodes(n_cols: int, source: str) -> int:
 
 def _load_canonical(path: str, interval_seconds: int | None, missing: str) -> TmSeries:
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ParseError("file is empty", line=1) from None
-        header = [h.strip() for h in header]
-        if not header or header[0] != "t":
-            raise ParseError("header must start with column 't'", line=1)
-        m = len(header) - 1
-        expected = [f"f{i}" for i in range(m)]
-        if header[1:] != expected:
-            raise ParseError(
-                f"flow columns must be f0..f{m - 1} in order", line=1
-            )
-        n_nodes = _infer_nodes(m, path)
-        rows = []
-        times = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != m + 1:
-                raise ParseError(
-                    f"expected {m + 1} columns, found {len(row)}", line=line_no
-                )
-            try:
-                times.append(float(row[0]))
-            except ValueError:
-                raise ParseError(
-                    f"cannot parse time value {row[0]!r}", line=line_no
-                ) from None
-            rows.append([_parse_cell(c, line_no, missing) for c in row[1:]])
-    if not rows:
-        raise ValidationError(f"{path}: trace has no data rows")
-    flat = np.asarray(rows, dtype=np.float64)
+    header = [h.strip() for h in header]
+    if not header or header[0] != "t":
+        raise ParseError("header must start with column 't'", line=1)
+    m = len(header) - 1
+    expected = [f"f{i}" for i in range(m)]
+    if header[1:] != expected:
+        raise ParseError(
+            f"flow columns must be f0..f{m - 1} in order", line=1
+        )
+    n_nodes = _infer_nodes(m, path)
+    times, flat = _read_rows(path, m, missing, header_lines=1, timed=True)
     t = flat.shape[0]
     interval = interval_seconds if interval_seconds is not None else _infer_interval(times)
     return TmSeries(
@@ -431,6 +415,55 @@ def _load_canonical(path: str, interval_seconds: int | None, missing: str) -> Tm
         values=flat.reshape(t, n_nodes, n_nodes),
         timestamps=np.asarray(times) if len(set(times)) == len(times) else None,
     )
+
+
+def _read_rows(path: str, m: int, missing: str, header_lines: int, timed: bool):
+    """The data rows of a comma-separated trace after its header lines;
+    returns (times, flows): the first column parsed as times (None unless
+    `timed`) and the (T, m) flow values.
+
+    numpy parses the whole file in one pass. The per-cell parser runs only
+    when numpy cannot parse it, or finds no rows, rows of another width, or
+    a flow value that is not finite or is negative. It then raises the
+    error with its line number, or returns what only it accepts: empty
+    cells under missing=zero and Python-only number syntax such as 1_0.
+    An untimed first column is read and ignored rather than skipped with
+    usecols, so that a row with extra columns is still rejected.
+    """
+    block = None
+    try:
+        with warnings.catch_warnings():
+            # a file without data rows is reported by the per-cell parser
+            warnings.simplefilter("ignore", UserWarning)
+            block = np.loadtxt(path, delimiter=",", skiprows=header_lines, comments=None,
+                               ndmin=2, encoding="utf-8",
+                               converters=None if timed else {0: lambda cell: 0.0})
+    except ValueError:
+        pass
+    if block is not None and block.shape[0] > 0 and block.shape[1] == m + 1:
+        flows = block[:, 1:]
+        if np.isfinite(flows).all() and not (flows < 0).any():
+            return (block[:, 0].tolist() if timed else None), flows
+    times, rows = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for line_no, row in enumerate(csv.reader(fh), start=1):
+            if line_no <= header_lines or not row:
+                continue
+            if len(row) != m + 1:
+                raise ParseError(
+                    f"expected {m + 1} columns, found {len(row)}", line=line_no
+                )
+            if timed:
+                try:
+                    times.append(float(row[0]))
+                except ValueError:
+                    raise ParseError(
+                        f"cannot parse time value {row[0]!r}", line=line_no
+                    ) from None
+            rows.append([_parse_cell(c, line_no, missing) for c in row[1:]])
+    if not rows:
+        raise ValidationError(f"{path}: trace has no data rows")
+    return (times if timed else None), np.asarray(rows, dtype=np.float64)
 
 
 def _infer_interval(times: list[float]) -> int:
@@ -477,20 +510,8 @@ def _load_abilene(path: str) -> TmSeries:
 
 def _load_geant(path: str) -> TmSeries:
     """Flattened archive CSV: timestamp column then 529 flow columns."""
-    m = GEANT_NODES * GEANT_NODES
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if len(row) != m + 1:
-                raise ParseError(
-                    f"expected {m + 1} columns, found {len(row)}", line=line_no
-                )
-            rows.append([_parse_cell(c, line_no, "reject") for c in row[1:]])
-    if not rows:
-        raise ValidationError(f"{path}: trace has no data rows")
-    flat = np.asarray(rows, dtype=np.float64)
+    _, flat = _read_rows(path, GEANT_NODES * GEANT_NODES, "reject", header_lines=0,
+                         timed=False)
     return TmSeries(
         n_nodes=GEANT_NODES,
         interval_seconds=GEANT_INTERVAL_S,

@@ -5,19 +5,32 @@ train and evaluate) calls the same steps, so all compute the same numbers
 from the same prepared trace: prepare (load, split, extract, fit scale,
 normalize), represent, train_models, score and write_report.
 
-A run writes every intermediate artifact plus a manifest (config echo,
-seeds, versions, stage wall times, stage hashes). It keeps no copy of the
-trace or of the normalized flows: the manifest's ingest entry records
-trace_sha256, a hash of the loaded trace's values and interval. Re-running
-with the same config and seeds reproduces byte-identical metric outputs;
-with resume=True, stages whose hash is unchanged are loaded from the run
-directory instead of recomputed. The ingest hash covers the trace hash and
-each later stage hash chains on the one before, so a resume after the
+A run directory holds, by stage:
+
+- ingest: scale.json
+- cluster: partition.json; with HAC also dendrogram.csv, dissimilarity.npy
+  (read back by `tmcf cluster --dissimilarity`), features.csv and
+  features_meta.json
+- train: models/cluster_<id>.bin and train_report.json
+- evaluate: predictions.npz (uncompressed), eval_report.json and
+  per_flow_rmse.csv
+
+plus manifest.json (config echo, seeds, versions, stage wall times, stage
+hashes). It keeps no copy of the trace or of the normalized flows: the
+manifest's ingest entry records trace_sha256, a hash of the loaded trace's
+values and interval. Re-running with the same config and seeds reproduces
+byte-identical metric outputs. A fresh run first removes any previous
+manifest, so a resume never pairs it with a crashed run's artifacts. With
+resume=True, stages whose hash is unchanged are loaded from the run
+directory instead of recomputed, and keep the manifest entry of the run
+that computed them, marked "reused". The ingest hash covers the trace hash
+and each later stage hash chains on the one before, so a resume after the
 trace's contents change recomputes every stage.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -257,6 +270,11 @@ class Manifest:
             **extra,
         }
 
+    def reuse(self, stage: str, previous: dict) -> None:
+        """Carry a reused stage's entry over: what the run that computed it
+        recorded (time and artifacts included), marked as reused."""
+        self.data["stages"][stage] = {**previous, "reused": True}
+
     def write(self) -> None:
         dump_json(self.data, self.path)
 
@@ -406,7 +424,12 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
     model_dir = os.path.join(run_dir, "models")
     os.makedirs(model_dir, exist_ok=True)
     manifest = Manifest(run_dir, config)
-    previous = manifest.load_previous() if resume else {}
+    if resume:
+        previous = manifest.load_previous()
+    else:
+        previous = {}
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(manifest.path)
     cfg = config.to_dict()
 
     def stage(name: str, keys: list[str], upstream: str, artifacts: list[str]):
@@ -461,20 +484,20 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
     )
     if reuse_cluster:
         part = Partition.from_dict(load_json(os.path.join(run_dir, "partition.json")))
-        cluster_artifacts = previous["cluster"]["artifacts"]
+        manifest.reuse("cluster", previous["cluster"])
     else:
         part, dendro, diss, feats = _partition_for(config, tm, flows_norm, ranges)
         dump_json(part.to_dict(), os.path.join(run_dir, "partition.json"))
         cluster_artifacts = ["partition.json"]
         if dendro is not None:
             _write_dendrogram_csv(dendro, os.path.join(run_dir, "dendrogram.csv"))
-            _write_matrix_csv(diss.d, os.path.join(run_dir, "dissimilarity.csv"))
+            np.save(os.path.join(run_dir, "dissimilarity.npy"), diss.d)
             _write_matrix_csv(feats.features, os.path.join(run_dir, "features.csv"))
             dump_json(feats.meta, os.path.join(run_dir, "features_meta.json"))
             cluster_artifacts += [
-                "dendrogram.csv", "dissimilarity.csv", "features.csv", "features_meta.json",
+                "dendrogram.csv", "dissimilarity.npy", "features.csv", "features_meta.json",
             ]
-    manifest.record("cluster", cluster_hash, time.perf_counter() - t0, cluster_artifacts)
+        manifest.record("cluster", cluster_hash, time.perf_counter() - t0, cluster_artifacts)
 
     # --- train ---------------------------------------------------------------
     t0 = time.perf_counter()
@@ -484,17 +507,17 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
     )
     if reuse_train:
         models = load_models(model_dir, part)
-        train_artifacts = previous["train"]["artifacts"]
+        manifest.reuse("train", previous["train"])
     else:
         models = train_models(config, flows_norm, ranges, part, model_dir=model_dir,
                               report_path=os.path.join(run_dir, "train_report.json"))
-        train_artifacts = model_files + ["train_report.json"]
-    manifest.record("train", train_hash, time.perf_counter() - t0, train_artifacts)
+        manifest.record("train", train_hash, time.perf_counter() - t0,
+                        model_files + ["train_report.json"])
 
     # --- predict + evaluate ---------------------------------------------------
     t0 = time.perf_counter()
     report, arrays = score(config, tm, flows_norm, scale, ranges, part, models)
-    np.savez_compressed(os.path.join(run_dir, "predictions.npz"), **arrays)
+    np.savez(os.path.join(run_dir, "predictions.npz"), **arrays)
     write_report(report, run_dir)
     manifest.record(
         "evaluate",

@@ -27,45 +27,6 @@ _ZERO_VAR_EPS = 1e-30
 
 
 @dataclass
-class HistogramRep:
-    """Empirical pmf of one flow over equal-width bins spanning [0, 1]."""
-
-    pmf: np.ndarray
-    bin_edges: np.ndarray
-
-    def __post_init__(self):
-        if abs(self.pmf.sum() - 1.0) > 1e-9:
-            raise ValidationError(f"pmf sums to {self.pmf.sum()}, expected 1")
-        if (self.pmf < 0).any():
-            raise ValidationError("pmf has negative entries")
-
-
-@dataclass
-class AcfRep:
-    """Autocorrelation of one flow at the configured lags.
-
-    degenerate marks constant flows, whose correlations are undefined and
-    reported as zeros.
-    """
-
-    rho: np.ndarray
-    lags: np.ndarray
-    degenerate: bool = False
-
-
-@dataclass
-class PsdRep:
-    """One-sided Welch power spectral density of one flow.
-
-    fs is in samples per hour, so freqs are in cycles per hour.
-    """
-
-    power: np.ndarray
-    freqs: np.ndarray
-    fs: float
-
-
-@dataclass
 class ReprMatrix:
     """Stacked feature vectors for all M flows plus the representation tag."""
 
@@ -107,77 +68,6 @@ class DissimilarityMatrix:
         return self.d.shape[0]
 
 
-def histogram_rep(flow: np.ndarray, bins: int = DEFAULT_BINS) -> HistogramRep:
-    """Empirical pmf over `bins` equal-width bins spanning [0, 1].
-
-    A value at an interior edge is counted in the bin whose lower edge it
-    is; the top bin is closed so 1.0 is counted. Values outside [0, 1]
-    (possible on the test region of a normalized flow) are clipped into the
-    boundary bins so that the pmf always sums to 1.
-    """
-    flow = np.asarray(flow, dtype=np.float64)
-    if flow.ndim != 1 or flow.size == 0:
-        raise ValidationError("flow must be a nonempty 1-D series")
-    if bins < 1:
-        raise ValidationError(f"bins must be >= 1, got {bins}")
-    counts, edges = np.histogram(np.clip(flow, 0.0, 1.0), bins=bins, range=(0.0, 1.0))
-    return HistogramRep(pmf=counts / flow.size, bin_edges=edges)
-
-
-def jsd(p: HistogramRep | np.ndarray, q: HistogramRep | np.ndarray) -> float:
-    """Jensen-Shannon divergence between two pmfs, log base 2, in [0, 1].
-
-    Terms with p(l) = 0 contribute nothing; the midpoint m = (p + q)/2 is
-    zero only where both pmfs are, so no division by zero arises.
-    """
-    pv = p.pmf if isinstance(p, HistogramRep) else np.asarray(p, dtype=np.float64)
-    qv = q.pmf if isinstance(q, HistogramRep) else np.asarray(q, dtype=np.float64)
-    if pv.shape != qv.shape:
-        raise ValidationError(f"pmf bin counts differ: {pv.shape} vs {qv.shape}")
-    mid = 0.5 * (pv + qv)
-    return float(_kl_base2(pv, mid) * 0.5 + _kl_base2(qv, mid) * 0.5)
-
-
-def _kl_base2(p: np.ndarray, q: np.ndarray) -> float:
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log2(p[mask] / q[mask])))
-
-
-def acf_rep(flow: np.ndarray, lags) -> AcfRep:
-    """Sample autocorrelation vector at the given lags.
-
-    Each entry is the Pearson correlation between the flow and its
-    lag-shifted copy over the overlap region. Lags where either segment has
-    zero variance produce 0; a fully constant flow is flagged degenerate.
-    """
-    flow = np.asarray(flow, dtype=np.float64)
-    lags = np.asarray(sorted(set(int(l) for l in lags)), dtype=np.int64)
-    if lags.size == 0:
-        raise ValidationError("lag set must be nonempty")
-    if (lags < 0).any():
-        raise ValidationError("lags must be nonnegative")
-    if lags.max() >= flow.size:
-        raise ValidationError(
-            f"max lag {lags.max()} must be smaller than series length {flow.size}"
-        )
-    degenerate = bool(np.ptp(flow) == 0.0)
-    rho = np.zeros(lags.size, dtype=np.float64)
-    for i, lag in enumerate(lags):
-        if lag == 0:
-            rho[i] = 0.0 if degenerate else 1.0
-            continue
-        a = flow[lag:]
-        b = flow[:-lag]
-        am = a - a.mean()
-        bm = b - b.mean()
-        denom = np.sqrt(np.sum(am * am) * np.sum(bm * bm))
-        if denom <= _ZERO_VAR_EPS:
-            rho[i] = 0.0
-        else:
-            rho[i] = float(np.clip(np.sum(am * bm) / denom, -1.0, 1.0))
-    return AcfRep(rho=rho, lags=lags, degenerate=degenerate)
-
-
 def default_lags(interval_seconds: int) -> list[int]:
     """Lag schedule in steps: every step up to 2 h, hourly from 3 h to 6 h,
     then 12 h and 24 h.
@@ -194,43 +84,6 @@ def default_lags(interval_seconds: int) -> list[int]:
     medium = [h * per_hour for h in (3, 4, 5, 6)]
     long = [12 * per_hour, 24 * per_hour]
     return short + medium + long
-
-
-def psd_rep(
-    flow: np.ndarray,
-    fs: float,
-    segment_length: int | None = None,
-) -> PsdRep:
-    """One-sided Welch PSD estimate with density normalization.
-
-    Segments of min(256, T) samples, 50% overlap, Hann window. The series
-    mean is removed once before segmentation (rather than per segment) so
-    that the spectrum integrates to the series variance even when a period
-    exceeds the segment length. fs is in samples per hour, putting the
-    frequency axis in cycles per hour.
-    """
-    flow = np.asarray(flow, dtype=np.float64)
-    if flow.ndim != 1 or flow.size == 0:
-        raise ValidationError("flow must be a nonempty 1-D series")
-    if fs <= 0:
-        raise ValidationError(f"sampling frequency must be positive, got {fs}")
-    nper = segment_length if segment_length is not None else min(DEFAULT_SEGMENT_LENGTH, flow.size)
-    if flow.size < nper:
-        raise ValidationError(
-            f"series of {flow.size} samples is shorter than one segment ({nper})"
-        )
-    centered = flow - flow.mean()
-    freqs, power = signal.welch(
-        centered,
-        fs=fs,
-        window="hann",
-        nperseg=nper,
-        noverlap=nper // 2,
-        detrend=False,
-        return_onesided=True,
-        scaling="density",
-    )
-    return PsdRep(power=np.maximum(power, 0.0), freqs=freqs, fs=float(fs))
 
 
 def welch_settings(n_steps: int, segment_length: int | None = None) -> dict:
@@ -255,7 +108,7 @@ def build_features(
     normalize_power: bool = True,
     segment_length: int | None = None,
 ) -> ReprMatrix:
-    """Compute one representation for every flow and stack the vectors.
+    """Compute one representation for every flow (row) of the block at once.
 
     ACF lags default to the schedule implied by the sampling interval; the
     PSD sampling frequency defaults to samples-per-hour. With
@@ -269,42 +122,142 @@ def build_features(
         values = np.asarray(flows, dtype=np.float64)
     if values.ndim != 2:
         raise ValidationError("flows must be a 2-D (M x T) array")
-    m = values.shape[0]
 
     if kind == "histogram":
-        reps = [histogram_rep(values[i], bins=bins) for i in range(m)]
-        feats = np.stack([r.pmf for r in reps])
+        feats = _histogram_block(values, bins)
         meta = {"bins": int(bins), "bin_range": [0.0, 1.0]}
     elif kind == "acf":
         if lags is None:
             if interval_seconds is None:
                 raise ValidationError("acf needs explicit lags or an interval to derive them")
             lags = default_lags(interval_seconds)
-        reps = [acf_rep(values[i], lags) for i in range(m)]
-        feats = np.stack([r.rho for r in reps])
+        lags = np.asarray(sorted(set(int(l) for l in lags)), dtype=np.int64)
+        feats, degenerate = _acf_block(values, lags)
         meta = {
-            "lags": [int(l) for l in reps[0].lags],
-            "degenerate_flows": [i for i in range(m) if reps[i].degenerate],
+            "lags": lags.tolist(),
+            "degenerate_flows": np.flatnonzero(degenerate).tolist(),
         }
     elif kind == "psd":
         if fs is None:
             if interval_seconds is None:
                 raise ValidationError("psd needs explicit fs or an interval to derive it")
             fs = 3600.0 / interval_seconds
-        reps = [psd_rep(values[i], fs=fs, segment_length=segment_length) for i in range(m)]
-        feats = np.stack([r.power for r in reps])
+        freqs, feats = _psd_block(values, fs, segment_length)
         if normalize_power:
             mass = feats.sum(axis=1, keepdims=True)
             feats = np.divide(feats, mass, out=np.zeros_like(feats), where=mass > 0)
         meta = {
             "fs_per_hour": float(fs),
-            "freqs": reps[0].freqs.tolist(),
+            "freqs": freqs.tolist(),
             "normalize_power": bool(normalize_power),
         }
         meta.update(welch_settings(values.shape[1], segment_length))
     else:
         raise ValidationError(f"unknown representation {kind!r}; expected {REPRESENTATIONS}")
     return ReprMatrix(features=feats, kind=kind, meta=meta)
+
+
+def _histogram_block(values: np.ndarray, bins: int) -> np.ndarray:
+    """Each flow's empirical pmf over `bins` equal-width bins spanning [0, 1].
+
+    A value at an interior edge is counted in the bin whose lower edge it
+    is; the top bin is closed so 1.0 is counted. Values outside [0, 1]
+    (possible on the test region of a normalized flow) are clipped into the
+    boundary bins so that every pmf sums to 1. Bin indices are computed as
+    np.histogram computes them for uniform bins, edge corrections included,
+    so the counts equal its counts.
+    """
+    m, t = values.shape
+    if t == 0:
+        raise ValidationError("flow must be a nonempty 1-D series")
+    if bins < 1:
+        raise ValidationError(f"bins must be >= 1, got {bins}")
+    if not np.isfinite(values).all():
+        raise ValidationError("flows must be finite to build histograms")
+    x = np.clip(values, 0.0, 1.0)
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    idx = (x * bins).astype(np.intp)
+    idx[idx == bins] -= 1
+    idx -= x < edges[idx]
+    idx += (x >= edges[idx + 1]) & (idx != bins - 1)
+    idx += np.arange(m)[:, None] * bins
+    return np.bincount(idx.ravel(), minlength=m * bins).reshape(m, bins) / t
+
+
+def _acf_block(values: np.ndarray, lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample autocorrelations at sorted, distinct lags; returns (rho, degenerate).
+
+    Each entry is the Pearson correlation between a flow and its lag-shifted
+    copy over the overlap region. Lags where either segment has zero
+    variance produce 0; a fully constant flow is flagged degenerate. Every
+    lag is one pass over the whole block, with the same centring and row
+    sums per flow as a one-flow computation, in three scratch buffers that
+    all lags share.
+    """
+    m, t = values.shape
+    if lags.size == 0:
+        raise ValidationError("lag set must be nonempty")
+    if (lags < 0).any():
+        raise ValidationError("lags must be nonnegative")
+    if lags.max() >= t:
+        raise ValidationError(
+            f"max lag {lags.max()} must be smaller than series length {t}"
+        )
+    degenerate = np.ptp(values, axis=1) == 0.0
+    rho = np.zeros((m, lags.size), dtype=np.float64)
+    am_buf, bm_buf, prod_buf = (np.empty((m, t)) for _ in range(3))
+    for i, lag in enumerate(lags.tolist()):
+        if lag == 0:
+            rho[:, i] = np.where(degenerate, 0.0, 1.0)
+            continue
+        n = t - lag
+        a = values[:, lag:]
+        b = values[:, :n]
+        am = np.subtract(a, a.mean(axis=1, keepdims=True), out=am_buf[:, :n])
+        bm = np.subtract(b, b.mean(axis=1, keepdims=True), out=bm_buf[:, :n])
+        prod = prod_buf[:, :n]
+        denom = np.sqrt(np.multiply(am, am, out=prod).sum(axis=1)
+                        * np.multiply(bm, bm, out=prod).sum(axis=1))
+        cross = np.multiply(am, bm, out=prod).sum(axis=1)
+        valid = ~(denom <= _ZERO_VAR_EPS)  # a NaN denominator gives NaN, not 0
+        rho[valid, i] = np.clip(cross[valid] / denom[valid], -1.0, 1.0)
+    return rho, degenerate
+
+
+def _psd_block(
+    values: np.ndarray, fs: float, segment_length: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided Welch PSD of every flow with density normalization;
+    returns (freqs, power).
+
+    Segments of min(256, T) samples, 50% overlap, Hann window. Each flow's
+    mean is removed once before segmentation (rather than per segment) so
+    that the spectrum integrates to the series variance even when a period
+    exceeds the segment length. fs is in samples per hour, putting the
+    frequency axis in cycles per hour.
+    """
+    t = values.shape[1]
+    if t == 0:
+        raise ValidationError("flow must be a nonempty 1-D series")
+    if fs <= 0:
+        raise ValidationError(f"sampling frequency must be positive, got {fs}")
+    nper = segment_length if segment_length is not None else min(DEFAULT_SEGMENT_LENGTH, t)
+    if t < nper:
+        raise ValidationError(
+            f"series of {t} samples is shorter than one segment ({nper})"
+        )
+    freqs, power = signal.welch(
+        values - values.mean(axis=1, keepdims=True),
+        fs=fs,
+        window="hann",
+        nperseg=nper,
+        noverlap=nper // 2,
+        detrend=False,
+        return_onesided=True,
+        scaling="density",
+        axis=-1,
+    )
+    return freqs, np.maximum(power, 0.0)
 
 
 def pairwise_dissimilarity(reps: ReprMatrix, metric: str | None = None) -> DissimilarityMatrix:

@@ -9,7 +9,7 @@ import pytest
 
 from tmcf.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from tmcf.dataset import load_tm_series
-from tmcf.pipeline import RunConfig, compare
+from tmcf.pipeline import RunConfig, _write_matrix_csv, compare
 
 TRAIN_FLAGS = ["--epochs", "2", "--profile", "desk"]
 
@@ -78,7 +78,7 @@ def test_cluster_reproduces_run_dendrogram(tmp_path):
     ] + TRAIN_FLAGS) == EXIT_OK
 
     assert main([
-        "cluster", "--method", "hac", "--dissimilarity", os.path.join(run_dir, "dissimilarity.csv"),
+        "cluster", "--method", "hac", "--dissimilarity", os.path.join(run_dir, "dissimilarity.npy"),
         "--linkage", "average", "--k", "2", "--out-dir", cluster_dir,
     ]) == EXIT_OK
     for name in ("dendrogram.csv", "partition.json"):
@@ -88,6 +88,17 @@ def test_cluster_reproduces_run_dendrogram(tmp_path):
             # the run tags its partition with the representation, the CLI with "hac"
             want, got = json.loads(want)["labels"], json.loads(got)["labels"]
         assert got == want, name
+
+    # a CSV copy of the matrix is read as the .npy is
+    csv_matrix = str(tmp_path / "dissimilarity.csv")
+    _write_matrix_csv(np.load(os.path.join(run_dir, "dissimilarity.npy")), csv_matrix)
+    csv_dir = str(tmp_path / "cluster_csv")
+    assert main([
+        "cluster", "--method", "hac", "--dissimilarity", csv_matrix,
+        "--linkage", "average", "--k", "2", "--out-dir", csv_dir,
+    ]) == EXIT_OK
+    assert read(os.path.join(csv_dir, "dendrogram.csv")) == read(
+        os.path.join(run_dir, "dendrogram.csv"))
 
 
 def test_train_then_evaluate_reproduces_run(tmp_path):
@@ -120,7 +131,7 @@ def test_represent_writes_the_run_matrices(tmp_path):
     assert main([
         "represent", "--trace", trace, "--representation", "acf", "--out-dir", rep_dir,
     ]) == EXIT_OK
-    for name in ("features.csv", "dissimilarity.csv"):
+    for name in ("features.csv", "dissimilarity.npy"):
         assert read(os.path.join(rep_dir, name)) == read(os.path.join(run_dir, name)), name
 
 

@@ -1,5 +1,6 @@
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from tmcf.dataset import (
     split,
     write_canonical_csv,
 )
-from tmcf.dataset import FlowSet, TmSeries
-from tmcf.errors import ParseError, ValidationError
+from tmcf import dataset
+from tmcf.errors import DataError, ParseError, ValidationError
 
 
 def _tiny_canonical(tmp_path, rows):
@@ -299,3 +300,107 @@ class TestProperties:
         # relative to each value; a value whose normalized image (x - min) /
         # (max - min) is subnormal keeps only an absolute error below 1e-290
         assert np.allclose(back, values, rtol=1e-12, atol=1e-290)
+
+
+# spellings of one flow cell: what numpy and Python both read, what only
+# Python's float() reads, and what the loader must reject
+cell_spellings = st.one_of(
+    st.floats(min_value=0.0, max_value=1e300).map(repr),
+    st.sampled_from([
+        "1e3", " 2.5 ", "+3", "-0.0", "0", "7.", ".5", "1_0", "",
+        "nan", "inf", "-1", "x", "1e", "\"4\"",
+    ]),
+)
+
+
+def load_outcome(path, **kwargs):
+    """The loaded trace, or (error class, line, message) when loading fails."""
+    try:
+        return load_tm_series(path, **kwargs)
+    except DataError as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, TmSeries)
+    assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+    assert got.interval_seconds == want.interval_seconds
+    if want.timestamps is None:
+        assert got.timestamps is None
+    else:
+        assert np.array_equal(got.timestamps, want.timestamps, equal_nan=True)
+
+
+def per_cell_outcome(path, **kwargs):
+    """load_outcome with numpy's parser failing, so the per-cell parser reads."""
+    with mock.patch.object(dataset.np, "loadtxt", side_effect=ValueError):
+        return load_outcome(path, **kwargs)
+
+
+@st.composite
+def canonical_files(draw):
+    """(file text, missing policy): a canonical trace with N in {1, 2},
+    spelled cell by cell, blank lines and CRLF endings included."""
+    m = draw(st.sampled_from([1, 4]))
+    t = draw(st.integers(1, 4))
+    step = draw(st.sampled_from([1, 300]))
+    lines = ["t," + ",".join(f"f{i}" for i in range(m))]
+    for row in range(t):
+        if draw(st.booleans()):
+            time_cell = repr(float(row * step))
+        else:
+            time_cell = draw(st.sampled_from([str(row * step), "", "x", "nan"]))
+        cells = draw(st.lists(cell_spellings, min_size=m, max_size=m))
+        if draw(st.integers(0, 9)) == 0:
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
+        lines.append(",".join([time_cell] + cells))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + eol, draw(st.sampled_from(["reject", "zero"]))
+
+
+class TestIngestPathsAgree:
+    """The numpy parser and the per-cell parser read the same values, or
+    fail with the same error on the same line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(canonical_files())
+    def test_canonical(self, case):
+        text, missing = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            assert_same_outcome(load_outcome(path, missing=missing),
+                                per_cell_outcome(path, missing=missing))
+
+    @pytest.mark.parametrize("bad_cell,extra,error", [
+        (None, False, None),
+        ("1_0", False, None),
+        ("-1", False, ValidationError),
+        ("oops", False, ParseError),
+        (None, True, ParseError),
+    ])
+    def test_geant(self, tmp_path, bad_cell, extra, error):
+        block = np.random.default_rng(2).random((3, 529)) * 1e3
+        lines = [
+            "2005-01-01-00-%02d," % (15 * i) + ",".join(repr(float(v)) for v in row)
+            for i, row in enumerate(block)
+        ]
+        if bad_cell is not None:
+            lines[1] = lines[1].rsplit(",", 1)[0] + "," + bad_cell
+        if extra:
+            lines[2] += ",5.0"
+        path = tmp_path / "geant-flat.csv"
+        path.write_bytes(("\r\n".join(lines[:1] + [""] + lines[1:]) + "\r\n").encode())
+        want = per_cell_outcome(str(path), format="geant")
+        assert_same_outcome(load_outcome(str(path), format="geant"), want)
+        if error is None:
+            assert isinstance(want, TmSeries)
+        else:
+            # line 2 is blank; the bad cell is on line 3, the extra column on 4
+            assert want[0] is error and want[2].startswith(f"line {4 if extra else 3}:")

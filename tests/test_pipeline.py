@@ -101,3 +101,39 @@ def test_sweep_scores_each_k_as_the_run_does(trace, tmp_path):
         run_rmse = json.load(fh)["rmse_normalized"]
     assert curve.k_values == [1, 2, 4]
     assert curve.mean_rmse[1] == run_rmse
+
+
+def test_resume_after_a_crashed_fresh_run_of_another_config(trace, tmp_path, monkeypatch):
+    # a fresh run drops the old manifest before it writes anything, so the
+    # resume cannot match A's hashes against B's partition.json
+    cfg_a = config(trace, tmp_path / "run")
+    run_dir = run_pipeline(cfg_a)
+    cfg_b = replace(cfg_a, k=3)
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("crash in training")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "train_partitioned", crash)
+        with pytest.raises(RuntimeError, match="crash in training"):
+            run_pipeline(cfg_b)
+    assert json.loads(read(os.path.join(run_dir, "partition.json")))["k"] == 3
+
+    run_pipeline(cfg_a, resume=True)
+    assert json.loads(read(os.path.join(run_dir, "partition.json")))["k"] == 2
+    report = json.loads(read(os.path.join(run_dir, "eval_report.json")))
+    assert report["config"]["k"] == 2
+    assert report["partition"]["k"] == 2
+
+
+def test_resume_keeps_the_fresh_run_stage_entries(trace, tmp_path):
+    cfg = config(trace, tmp_path / "run")
+    run_dir = run_pipeline(cfg)
+    fresh = manifest(run_dir)["stages"]
+    run_pipeline(cfg, resume=True)
+    resumed = manifest(run_dir)["stages"]
+    for name in ("cluster", "train"):
+        assert resumed[name] == {**fresh[name], "reused": True}, name
+    for name in ("ingest", "evaluate"):
+        assert "reused" not in resumed[name], name
+    assert not any("reused" in entry for entry in fresh.values())

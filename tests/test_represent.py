@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import represent_oracle as oracle
+from represent_oracle import jsd
 from tmcf.errors import ValidationError
-from tmcf.represent import (
-    acf_rep,
-    build_features,
-    default_lags,
-    histogram_rep,
-    jsd,
-    pairwise_dissimilarity,
-    psd_rep,
-)
+from tmcf.represent import build_features, default_lags, pairwise_dissimilarity
 
 # hand value for jsd([0.5, 0.5], [1, 0]) with base-2 logs:
 #   m = [0.75, 0.25]
@@ -21,35 +18,54 @@ JSD_HAND = 0.5 * (0.5 * np.log2(0.5 / 0.75) + 0.5 * np.log2(0.5 / 0.25)) + 0.5 *
 )
 
 
+def histogram_pmf(flow, bins=50):
+    """build_features on a one-flow block: that flow's pmf."""
+    return build_features(np.asarray(flow, dtype=np.float64)[None, :], "histogram",
+                          bins=bins).features[0]
+
+
+def acf_of(flow, lags):
+    """build_features on a one-flow block: (rho, degenerate)."""
+    reps = build_features(np.asarray(flow, dtype=np.float64)[None, :], "acf", lags=lags)
+    return reps.features[0], reps.meta["degenerate_flows"] == [0]
+
+
+def psd_of(flow, fs, segment_length=None):
+    """build_features on a one-flow block, raw power: (power, freqs)."""
+    reps = build_features(np.asarray(flow, dtype=np.float64)[None, :], "psd", fs=fs,
+                          normalize_power=False, segment_length=segment_length)
+    return reps.features[0], np.asarray(reps.meta["freqs"])
+
+
 class TestHistogram:
     def test_all_zero_flow(self):
-        rep = histogram_rep(np.zeros(100), bins=50)
-        assert rep.pmf[0] == 1.0
-        assert rep.pmf[1:].sum() == 0.0
+        pmf = histogram_pmf(np.zeros(100), bins=50)
+        assert pmf[0] == 1.0
+        assert pmf[1:].sum() == 0.0
 
     def test_hand_count_right_closed_top_bin(self):
-        rep = histogram_rep(np.array([0.0, 0.5, 1.0]), bins=2)
-        assert np.allclose(rep.pmf, [1 / 3, 2 / 3])
+        pmf = histogram_pmf(np.array([0.0, 0.5, 1.0]), bins=2)
+        assert np.allclose(pmf, [1 / 3, 2 / 3])
 
     def test_uniform_grid(self):
-        rep = histogram_rep(np.linspace(0.0, 1.0, 1000), bins=50)
-        assert np.all(np.abs(rep.pmf - 0.02) <= 1e-3 + 1e-12)
+        pmf = histogram_pmf(np.linspace(0.0, 1.0, 1000), bins=50)
+        assert np.all(np.abs(pmf - 0.02) <= 1e-3 + 1e-12)
 
     def test_pmf_sums_to_one_even_out_of_range(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             flow = rng.normal(0.5, 0.6, size=200)  # spills outside [0, 1]
-            rep = histogram_rep(flow, bins=50)
-            assert abs(rep.pmf.sum() - 1.0) < 1e-9
+            pmf = histogram_pmf(flow, bins=50)
+            assert abs(pmf.sum() - 1.0) < 1e-9
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValidationError):
-            histogram_rep(np.array([]))
+            histogram_pmf(np.array([]))
 
 
 class TestJsd:
     def test_identity_is_zero(self):
-        p = histogram_rep(np.linspace(0, 1, 64), bins=8)
+        p = histogram_pmf(np.linspace(0, 1, 64), bins=8)
         assert jsd(p, p) == 0.0
 
     def test_disjoint_one_hot_is_one(self):
@@ -91,36 +107,36 @@ class TestAcf:
         period = 24
         t = np.arange(20 * period)
         flow = np.sin(2 * np.pi * t / period)
-        rep = acf_rep(flow, [period])
-        assert rep.rho[0] == pytest.approx(1.0, abs=0.02)
+        rho, _ = acf_of(flow, [period])
+        assert rho[0] == pytest.approx(1.0, abs=0.02)
 
     def test_lag_zero_is_one(self):
         rng = np.random.default_rng(3)
-        rep = acf_rep(rng.random(50), [0, 1])
-        assert rep.rho[0] == 1.0
+        rho, _ = acf_of(rng.random(50), [0, 1])
+        assert rho[0] == 1.0
 
     def test_white_noise_bound(self):
         rng = np.random.default_rng(42)
         flow = rng.normal(size=10000)
-        rep = acf_rep(flow, default_lags(300))
-        assert np.max(np.abs(rep.rho)) < 0.05
+        rho, _ = acf_of(flow, default_lags(300))
+        assert np.max(np.abs(rho)) < 0.05
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(4)
         flow = rng.random(300)
         lags = [1, 2, 5, 10]
-        base = acf_rep(flow, lags)
-        scaled = acf_rep(3.5 * flow + 11.0, lags)
-        assert np.allclose(base.rho, scaled.rho, atol=1e-9)
+        base, _ = acf_of(flow, lags)
+        scaled, _ = acf_of(3.5 * flow + 11.0, lags)
+        assert np.allclose(base, scaled, atol=1e-9)
 
     def test_constant_flow_degenerate(self):
-        rep = acf_rep(np.full(100, 2.5), [1, 2, 3])
-        assert rep.degenerate
-        assert np.array_equal(rep.rho, np.zeros(3))
+        rho, degenerate = acf_of(np.full(100, 2.5), [1, 2, 3])
+        assert degenerate
+        assert np.array_equal(rho, np.zeros(3))
 
     def test_lag_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
-            acf_rep(np.arange(10.0), [10])
+            acf_of(np.arange(10.0), [10])
 
 
 class TestDefaultLags:
@@ -147,38 +163,38 @@ class TestPsd:
         # 1 cycle/day at 5-minute sampling: 288 steps per period, fs = 12/h
         t = np.arange(4096)
         flow = 2.0 * np.sin(2 * np.pi * t / 288.0) + 3.0
-        rep = psd_rep(flow, fs=12.0)
+        power, freqs = psd_of(flow, fs=12.0)
         target = 1.0 / 24.0
-        nearest = rep.freqs[np.argmin(np.abs(rep.freqs - target))]
-        assert rep.freqs[np.argmax(rep.power)] == nearest
+        nearest = freqs[np.argmin(np.abs(freqs - target))]
+        assert freqs[np.argmax(power)] == nearest
 
     def test_constant_flow_zero_power(self):
-        rep = psd_rep(np.full(512, 9.0), fs=12.0)
-        assert np.max(rep.power) == 0.0
+        power, _ = psd_of(np.full(512, 9.0), fs=12.0)
+        assert np.max(power) == 0.0
 
     def test_parseval(self):
         t = np.arange(4096)
         flow = 2.0 * np.sin(2 * np.pi * t / 288.0) + 3.0
-        rep = psd_rep(flow, fs=12.0)
+        power, freqs = psd_of(flow, fs=12.0)
         variance = np.var(flow)
-        integral = rep.power.sum() * (rep.freqs[1] - rep.freqs[0])
+        integral = power.sum() * (freqs[1] - freqs[0])
         assert abs(integral - variance) / variance < 0.05
 
     def test_constant_offset_invariance(self):
         rng = np.random.default_rng(5)
         flow = rng.random(1024) * 4.0
-        a = psd_rep(flow, fs=12.0)
-        b = psd_rep(flow + 123.456, fs=12.0)
-        assert np.allclose(a.power, b.power, rtol=1e-6, atol=1e-12)
+        a, _ = psd_of(flow, fs=12.0)
+        b, _ = psd_of(flow + 123.456, fs=12.0)
+        assert np.allclose(a, b, rtol=1e-6, atol=1e-12)
 
     def test_power_nonnegative(self):
         rng = np.random.default_rng(6)
-        rep = psd_rep(rng.random(700), fs=4.0)
-        assert (rep.power >= 0).all()
+        power, _ = psd_of(rng.random(700), fs=4.0)
+        assert (power >= 0).all()
 
     def test_short_series_rejected(self):
         with pytest.raises(ValidationError):
-            psd_rep(np.arange(100.0), fs=12.0, segment_length=256)
+            psd_of(np.arange(100.0), fs=12.0, segment_length=256)
 
 
 class TestPairwise:
@@ -222,3 +238,83 @@ class TestPairwise:
         diss = pairwise_dissimilarity(feats)
         assert diss.d.min() >= 0.0
         assert diss.d.max() <= 1.0
+
+
+def feature_corpus():
+    """Blocks that stress the edge cases of each representation."""
+    rng = np.random.default_rng(10)
+    t = 200  # shorter than the default Welch segment
+    block = rng.normal(0.5, 0.6, size=(8, t))  # spills outside [0, 1]
+    block[0] = 0.0
+    block[1] = 0.7
+    block[2, : t - 3] = 0.25  # constant on the overlap of lag 3 only
+    block[3] = np.resize(np.linspace(0.0, 1.0, 51), t)  # every bin edge of 50 bins
+    block[4] = np.resize([0.0, 1.0, -0.0, -0.25, 1.5, 0.5], t)
+    block[5] = np.round(block[5] * 7.0) / 7.0  # on the edges of 7 bins
+    return block
+
+
+ORACLE_CASES = [
+    ("histogram", {}),
+    ("histogram", {"bins": 7}),
+    ("histogram", {"bins": 1}),
+    ("acf", {"lags": [5, 0, 3, 3, 1, 5]}),
+    ("acf", {"lags": [0]}),
+    ("acf", {"interval_seconds": 900}),
+    ("psd", {"fs": 12.0}),
+    ("psd", {"fs": 4.0, "segment_length": 64}),
+    ("psd", {"fs": 12.0, "segment_length": 50, "normalize_power": False}),
+]
+
+
+def assert_matches_oracle(block, kind, kwargs):
+    want = oracle.build_features(block, kind, **kwargs)
+    got = build_features(block, kind, **kwargs)
+    assert np.array_equal(got.features, want.features), kind
+    assert got.meta == want.meta
+
+
+class TestBlockFeaturesMatchPerFlowOracle:
+    @pytest.mark.parametrize("kind,kwargs", ORACLE_CASES)
+    def test_corpus(self, kind, kwargs):
+        assert_matches_oracle(feature_corpus(), kind, kwargs)
+
+    def test_corpus_marks_the_constant_flows_degenerate(self):
+        reps = build_features(feature_corpus(), "acf", lags=[0, 3])
+        assert reps.meta["degenerate_flows"] == [0, 1]
+        assert np.array_equal(reps.features[0], [0.0, 0.0])
+        # lag 3 pairs the constant head with the varying tail
+        assert np.array_equal(reps.features[2], [1.0, 0.0])
+
+    @pytest.mark.parametrize("kind,kwargs,block", [
+        ("histogram", {}, np.zeros((2, 0))),
+        ("psd", {"fs": 12.0}, np.zeros((2, 0))),
+        ("histogram", {"bins": 0}, np.ones((2, 5))),
+        ("acf", {"lags": []}, np.ones((2, 5))),
+        ("acf", {"lags": [2, -1]}, np.ones((2, 5))),
+        ("acf", {"lags": [1, 5]}, np.ones((2, 5))),
+        ("psd", {"fs": 0.0}, np.ones((2, 5))),
+        ("psd", {"fs": 12.0, "segment_length": 256}, np.ones((2, 100))),
+    ])
+    def test_rejects_what_the_oracle_rejects_with_its_message(self, kind, kwargs, block):
+        with pytest.raises(ValidationError) as want:
+            oracle.build_features(block, kind, **kwargs)
+        with pytest.raises(ValidationError) as got:
+            build_features(block, kind, **kwargs)
+        assert str(got.value) == str(want.value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda m: st.integers(2, 40).flatmap(
+        lambda t: arrays(np.float64, (m, t), elements=st.one_of(
+            st.floats(-2.0, 2.0), st.sampled_from([0.0, 0.1, 0.2, 0.5, 0.6, 1.0]))))),
+        st.data())
+    def test_random_blocks(self, block, data):
+        t = block.shape[1]
+        assert_matches_oracle(block, "histogram", {"bins": data.draw(st.integers(1, 60))})
+        lags = data.draw(st.lists(st.integers(0, t - 1), min_size=1, max_size=6))
+        assert_matches_oracle(block, "acf", {"lags": lags})
+        assert_matches_oracle(block, "psd", {
+            "fs": 12.0,
+            "segment_length": data.draw(st.one_of(st.none(), st.integers(2, t))),
+            "normalize_power": data.draw(st.booleans()),
+        })
