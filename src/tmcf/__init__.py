@@ -13,13 +13,11 @@ from .dataset import (
     ScaleParams,
     TmSeries,
     WindowedDataset,
-    denormalize,
     extract_flows,
     fit_scale_params,
     load_tm_series,
     make_windows,
     normalize,
-    reassemble,
     split,
     write_canonical_csv,
 )

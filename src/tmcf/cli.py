@@ -4,9 +4,9 @@ Subcommands: synth, ingest, represent, cluster, train, evaluate, sweep,
 run, compare, validate. All take flags directly; train, evaluate, sweep,
 run, compare and validate also accept a JSON config file whose keys match
 RunConfig, with command-line flags winning over file values. Every
-subcommand that prepares, trains or scores a trace calls the same steps as
-`tmcf run` (see `tmcf.pipeline`), so `train` then `evaluate` reproduces a
-run's scores.
+subcommand that prepares, trains or scores a trace calls the same steps and
+artifact writers as `tmcf run` (see `tmcf.pipeline`), so `represent` ->
+`cluster --linkage` -> `train` -> `evaluate` reproduces a run.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.
@@ -23,14 +23,11 @@ import numpy as np
 
 from . import __version__
 from . import cluster as cluster_mod
-from . import represent as represent_mod
 from .cluster import Partition
 from .dataset import load_tm_series, write_canonical_csv
 from .errors import ConfigError, DataError, NumericalError
 from .pipeline import (
     RunConfig,
-    _write_dendrogram_csv,
-    _write_matrix_csv,
     compare,
     dump_json,
     load_json,
@@ -43,6 +40,8 @@ from .pipeline import (
     sweep,
     train_models,
     validate_config,
+    write_features,
+    write_partition,
     write_report,
     write_sweep_csv,
 )
@@ -52,6 +51,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
+
+# the linkage `tmcf run` uses per representation, for the cluster help and errors
+_RUN_LINKAGES = ", ".join(f"{link} for {rep}" for rep, link in cluster_mod.DEFAULT_LINKAGE.items())
 
 
 def _parse_group(text: str) -> GroupSpec:
@@ -136,18 +138,14 @@ def cmd_represent(args) -> int:
     tm, flows_norm, _, ranges = prepare(config)
     feats, diss = represent(config, tm, flows_norm, ranges)
     os.makedirs(args.out_dir, exist_ok=True)
-    _write_matrix_csv(feats.features, os.path.join(args.out_dir, "features.csv"))
-    np.save(os.path.join(args.out_dir, "dissimilarity.npy"), diss.d)
-    dump_json(
-        {"representation": feats.kind, "metric": diss.metric, **feats.meta},
-        os.path.join(args.out_dir, "features_meta.json"),
-    )
-    print(f"wrote features.csv, dissimilarity.npy, features_meta.json to {args.out_dir}")
+    written = write_features(feats, diss, args.out_dir)
+    print(f"wrote {', '.join(written)} to {args.out_dir}")
     return EXIT_OK
 
 
 def cmd_cluster(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
+    dendro = None
     if args.method == "naive":
         if args.flows is None:
             raise ConfigError("--method naive requires --flows (number of flows)")
@@ -157,15 +155,19 @@ def cmd_cluster(args) -> int:
     else:
         if args.dissimilarity is None:
             raise ConfigError("--method hac requires --dissimilarity (.npy or CSV)")
-        if args.dissimilarity.endswith(".npy"):
-            d = np.load(args.dissimilarity)
-        else:
-            d = np.loadtxt(args.dissimilarity, delimiter=",", ndmin=2)
+        if args.linkage is None:
+            raise ConfigError(f"--method hac requires --linkage; tmcf run uses {_RUN_LINKAGES}")
+        try:
+            if args.dissimilarity.endswith(".npy"):
+                d = np.load(args.dissimilarity)
+            else:
+                d = np.loadtxt(args.dissimilarity, delimiter=",", ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise DataError(f"cannot read {args.dissimilarity}: {exc}") from None
         dendro = cluster_mod.hac(d, linkage=args.linkage)
-        _write_dendrogram_csv(dendro, os.path.join(args.out_dir, "dendrogram.csv"))
         part = cluster_mod.cut(dendro, args.k)
-    dump_json(part.to_dict(), os.path.join(args.out_dir, "partition.json"))
-    print(f"wrote partition.json (k={part.k}) to {args.out_dir}")
+    written = write_partition(part, dendro, args.out_dir)
+    print(f"wrote {', '.join(written)} (k={part.k}) to {args.out_dir}")
     return EXIT_OK
 
 
@@ -302,25 +304,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("represent", help="feature matrix CSV + dissimilarity matrix .npy")
     p.add_argument("--trace", required=True)
-    p.add_argument("--format", choices=("canonical", "abilene", "geant"), default="canonical")
+    p.add_argument("--format", choices=("canonical", "abilene", "geant"))
     p.add_argument("--interval-seconds", dest="interval_seconds", type=int)
     p.add_argument("--representation", choices=("histogram", "acf", "psd"), required=True)
     p.add_argument("--metric", choices=("jsd", "euclidean"))
-    p.add_argument("--bins", type=int, default=represent_mod.DEFAULT_BINS)
+    p.add_argument("--bins", type=int)
     p.add_argument("--lags", type=int, nargs="+")
     p.add_argument("--fs", type=float)
     p.add_argument("--raw-power", action="store_true",
                    help="skip unit-mass normalization of PSD vectors")
-    p.add_argument("--window-length", dest="window_length", type=int, default=11)
-    p.add_argument("--train-frac", dest="train_frac", type=float, default=0.8)
-    p.add_argument("--val-frac", dest="val_frac", type=float, default=0.1)
+    p.add_argument("--window-length", dest="window_length", type=int)
+    p.add_argument("--train-frac", dest="train_frac", type=float)
+    p.add_argument("--val-frac", dest="val_frac", type=float)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_represent)
 
     p = sub.add_parser("cluster", help="cut a HAC dendrogram or draw the naive baseline")
     p.add_argument("--method", choices=("hac", "naive"), default="hac")
     p.add_argument("--dissimilarity", help="M x M matrix, .npy or CSV (hac)")
-    p.add_argument("--linkage", choices=("complete", "average"), default="average")
+    p.add_argument("--linkage", choices=("complete", "average"),
+                   help=f"required by hac; tmcf run uses {_RUN_LINKAGES}")
     p.add_argument("--flows", type=int, help="number of flows (naive)")
     p.add_argument("--seed", type=int, help="naive partition seed")
     p.add_argument("--k", type=int, required=True)

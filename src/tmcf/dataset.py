@@ -12,7 +12,7 @@ import csv
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,13 +102,6 @@ class FlowSet:
     def n_steps(self) -> int:
         return self.values.shape[1]
 
-    def pair_of(self, flow: int) -> tuple[int, int]:
-        """Source-destination pair of a flow index (row-major inverse)."""
-        return flow // self.n_nodes, flow % self.n_nodes
-
-    def flow_of(self, source: int, destination: int) -> int:
-        return source * self.n_nodes + destination
-
 
 @dataclass
 class ScaleParams:
@@ -189,17 +182,6 @@ def extract_flows(tm: TmSeries) -> FlowSet:
     )
 
 
-def reassemble(flows: FlowSet) -> TmSeries:
-    """Inverse of extract_flows; exact round-trip."""
-    t = flows.n_steps
-    n = flows.n_nodes
-    return TmSeries(
-        n_nodes=n,
-        interval_seconds=flows.interval_seconds,
-        values=flows.values.T.reshape(t, n, n).copy(),
-    )
-
-
 def fit_scale_params(flows: FlowSet, fit_range: tuple[int, int] | None = None) -> ScaleParams:
     """Per-flow min/max over fit_range (default: the whole series).
 
@@ -230,22 +212,10 @@ def normalize(flows: FlowSet, params: ScaleParams) -> FlowSet:
     return FlowSet(flows.n_nodes, flows.interval_seconds, out)
 
 
-def denormalize(flows: FlowSet, params: ScaleParams) -> FlowSet:
-    """Inverse of normalize, exact up to rounding; constant flows restore the
-    stored value. A value whose normalized image is subnormal loses relative
-    precision."""
-    if params.n_flows != flows.n_flows:
-        raise ValidationError(
-            f"scale params cover {params.n_flows} flows, trace has {flows.n_flows}"
-        )
-    span = params.per_flow_max - params.per_flow_min
-    out = flows.values * span[:, None] + params.per_flow_min[:, None]
-    out[params.constant_mask] = params.per_flow_min[params.constant_mask, None]
-    return FlowSet(flows.n_nodes, flows.interval_seconds, out)
-
-
 def denormalize_array(values: np.ndarray, params: ScaleParams) -> np.ndarray:
-    """Denormalize an (..., M) array of per-flow values in flow order."""
+    """Inverse of normalize for an (..., M) array of per-flow values in flow
+    order, exact up to rounding; constant flows restore the stored value. A
+    value whose normalized image is subnormal loses relative precision."""
     if values.shape[-1] != params.n_flows:
         raise ValidationError("last axis must match the number of flows")
     span = params.per_flow_max - params.per_flow_min

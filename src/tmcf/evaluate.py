@@ -25,6 +25,10 @@ if TYPE_CHECKING:
 
 BYTES_TO_MEGABITS = 8.0 / 1e6
 
+# Kneedle's S: how far (in mean x steps) the difference curve must fall
+# after a candidate to confirm it as the knee
+KNEEDLE_SENSITIVITY = 1.0
+
 
 @dataclass
 class ClusterStats:
@@ -65,15 +69,6 @@ class SweepCurve:
         if list(self.k_values) != sorted(self.k_values):
             raise ValidationError("k_values must be increasing")
 
-    def to_dict(self) -> dict:
-        return {
-            "k_values": [int(k) for k in self.k_values],
-            "mean_rmse": self.mean_rmse,
-            "rmse_std": self.rmse_std,
-            "mean_runtime_seconds": self.mean_runtime_seconds,
-            "repetitions": self.repetitions,
-        }
-
 
 @dataclass
 class KneeResult:
@@ -98,39 +93,30 @@ class EvalReport:
         return asdict(self)
 
 
-def _as_array(x) -> np.ndarray:
-    """A TmSeries's values, or x itself, as a float64 array."""
-    return np.asarray(getattr(x, "values", x), dtype=np.float64)
-
-
 def rmse(truth, pred) -> float:
     """Root mean squared error pooled over all samples and entries."""
-    t = _as_array(truth)
-    p = _as_array(pred)
+    t = np.asarray(truth, dtype=np.float64)
+    p = np.asarray(pred, dtype=np.float64)
     if t.shape != p.shape:
         raise ValidationError(f"shape mismatch: truth {t.shape} vs pred {p.shape}")
     diff = t - p
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def rmse_physical(truth, pred, interval_seconds: int, units: str = "bytes_per_interval") -> float:
-    """RMSE in Mbps: byte-per-interval errors are converted via
+def rmse_physical(truth, pred, interval_seconds: int) -> float:
+    """RMSE in Mbps of byte-per-interval traffic: errors are converted via
     bytes * 8 / (interval_seconds * 1e6) before squaring."""
-    if units != "bytes_per_interval":
-        raise ValidationError(
-            f"unknown trace units {units!r}; expected 'bytes_per_interval'"
-        )
     if interval_seconds < 1:
         raise ValidationError(f"interval_seconds must be positive, got {interval_seconds}")
     factor = BYTES_TO_MEGABITS / interval_seconds
-    return rmse(_as_array(truth) * factor, _as_array(pred) * factor)
+    return rmse(np.multiply(truth, factor), np.multiply(pred, factor))
 
 
 def per_flow_rmse(truth: np.ndarray, pred: np.ndarray) -> np.ndarray:
     """RMSE per flow over (samples, M) matrices; pooling the squares of this
     vector reproduces the scalar RMSE."""
-    t = _as_array(truth)
-    p = _as_array(pred)
+    t = np.asarray(truth, dtype=np.float64)
+    p = np.asarray(pred, dtype=np.float64)
     if t.shape != p.shape or t.ndim != 2:
         raise ValidationError("per-flow RMSE needs matching (samples, M) matrices")
     diff = t - p
@@ -229,24 +215,19 @@ def error_correlation(e_a: np.ndarray, e_b: np.ndarray) -> float:
     return float(np.sum(xm * ym) / denom)
 
 
-def kneedle(curve, rmse_values=None, sensitivity: float = 1.0) -> KneeResult:
+def kneedle(k_values, rmse_values) -> KneeResult:
     """Knee of a decreasing performance-vs-K curve.
 
-    Accepts a SweepCurve or a pair of arrays (k values, rmse values).
     Normalizes both axes to [0, 1], flips the decreasing curve into
     increasing-concave form, and scans the difference curve y_d = y_n - x_n.
     Interior local maxima are knee candidates; a candidate is confirmed when
-    the difference curve later drops below y_d - sensitivity * mean(dx)
-    before the next candidate. The confirmed candidate with the largest
-    difference value is returned. If nothing is confirmed (e.g. a straight
-    line), the argmin-RMSE K is returned with no_knee set.
+    the difference curve later drops below y_d - KNEEDLE_SENSITIVITY *
+    mean(dx) before the next candidate. The confirmed candidate with the
+    largest difference value is returned. If nothing is confirmed (e.g. a
+    straight line), the argmin-RMSE K is returned with no_knee set.
     """
-    if isinstance(curve, SweepCurve):
-        ks = np.asarray(curve.k_values, dtype=np.float64)
-        ys = np.asarray(curve.mean_rmse, dtype=np.float64)
-    else:
-        ks = np.asarray(curve, dtype=np.float64)
-        ys = np.asarray(rmse_values, dtype=np.float64)
+    ks = np.asarray(k_values, dtype=np.float64)
+    ys = np.asarray(rmse_values, dtype=np.float64)
     if ks.size != ys.size or ks.size < 3:
         raise ValidationError("need at least 3 (k, rmse) points to locate a knee")
     argmin_k = int(ks[int(np.argmin(ys))])
@@ -263,7 +244,7 @@ def kneedle(curve, rmse_values=None, sensitivity: float = 1.0) -> KneeResult:
     mean_dx = float(np.mean(np.diff(x_n)))
     confirmed = []
     for pos, i in enumerate(candidates):
-        threshold = y_d[i] - sensitivity * mean_dx
+        threshold = y_d[i] - KNEEDLE_SENSITIVITY * mean_dx
         stop = candidates[pos + 1] if pos + 1 < len(candidates) else y_d.size
         if np.any(y_d[i + 1 : stop] < threshold):
             confirmed.append(i)

@@ -254,12 +254,10 @@ class Manifest:
         }
 
     def load_previous(self) -> dict:
-        if os.path.exists(self.path):
-            try:
-                return load_json(self.path).get("stages", {})
-            except (json.JSONDecodeError, OSError):
-                return {}
-        return {}
+        try:
+            return load_json(self.path).get("stages", {})
+        except (json.JSONDecodeError, OSError):
+            return {}
 
     def record(self, stage: str, stage_hash: str, wall_time: float, artifacts: list[str],
                **extra):
@@ -294,6 +292,28 @@ def _write_csv(path: str, header: str, rows) -> None:
 def _write_dendrogram_csv(dendro: cluster_mod.Dendrogram, path: str) -> None:
     _write_csv(path, "merge_index,cluster_a,cluster_b,height,new_size",
                ((i, *merge) for i, merge in enumerate(dendro.merges)))
+
+
+def write_features(feats: represent_mod.ReprMatrix, diss: represent_mod.DissimilarityMatrix,
+                   out_dir: str) -> list[str]:
+    """features.csv, dissimilarity.npy and features_meta.json (the
+    representation, the metric and the features' meta); returns their names."""
+    np.save(os.path.join(out_dir, "dissimilarity.npy"), diss.d)
+    _write_matrix_csv(feats.features, os.path.join(out_dir, "features.csv"))
+    dump_json({"representation": feats.kind, "metric": diss.metric, **feats.meta},
+              os.path.join(out_dir, "features_meta.json"))
+    return ["dissimilarity.npy", "features.csv", "features_meta.json"]
+
+
+def write_partition(part: Partition, dendro: cluster_mod.Dendrogram | None,
+                    out_dir: str) -> list[str]:
+    """partition.json and, given a dendrogram, dendrogram.csv; returns the
+    names written."""
+    dump_json(part.to_dict(), os.path.join(out_dir, "partition.json"))
+    if dendro is None:
+        return ["partition.json"]
+    _write_dendrogram_csv(dendro, os.path.join(out_dir, "dendrogram.csv"))
+    return ["partition.json", "dendrogram.csv"]
 
 
 def write_report(report: EvalReport, out_dir: str) -> None:
@@ -487,16 +507,9 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
         manifest.reuse("cluster", previous["cluster"])
     else:
         part, dendro, diss, feats = _partition_for(config, tm, flows_norm, ranges)
-        dump_json(part.to_dict(), os.path.join(run_dir, "partition.json"))
-        cluster_artifacts = ["partition.json"]
-        if dendro is not None:
-            _write_dendrogram_csv(dendro, os.path.join(run_dir, "dendrogram.csv"))
-            np.save(os.path.join(run_dir, "dissimilarity.npy"), diss.d)
-            _write_matrix_csv(feats.features, os.path.join(run_dir, "features.csv"))
-            dump_json(feats.meta, os.path.join(run_dir, "features_meta.json"))
-            cluster_artifacts += [
-                "dendrogram.csv", "dissimilarity.npy", "features.csv", "features_meta.json",
-            ]
+        cluster_artifacts = write_partition(part, dendro, run_dir)
+        if feats is not None:
+            cluster_artifacts += write_features(feats, diss, run_dir)
         manifest.record("cluster", cluster_hash, time.perf_counter() - t0, cluster_artifacts)
 
     # --- train ---------------------------------------------------------------
@@ -617,7 +630,7 @@ def sweep(config: RunConfig) -> tuple[SweepCurve, dict]:
         mean_runtime_seconds=mean_runtime,
         repetitions=config.repetitions,
     )
-    knee = kneedle(curve)
+    knee = kneedle(k_grid, mean_rmse)
     return curve, {"selected_k": knee.k, "no_knee": knee.no_knee}
 
 

@@ -44,6 +44,14 @@ PROFILES = {
     "desk": {"hidden_size": 16, "epochs": 30},
 }
 
+# Adam's step size, decay rates and epsilon, and the least fall in validation
+# loss that early stopping counts as an improvement; every profile uses these
+LEARNING_RATE = 1e-3
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+MIN_DELTA = 1e-5
+
 MODEL_MAGIC = b"TMCF"
 MODEL_FORMAT_VERSION = 1
 
@@ -62,25 +70,16 @@ class GruConfig:
 
     input_size: int
     hidden_size: int = 200
-    learning_rate: float = 1e-3
     epochs: int = 100
     batch_size: int = 32
     patience: int = 5
-    min_delta: float = 1e-5
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     profile: str = "paper"
 
     def __post_init__(self):
         for name in ("input_size", "hidden_size", "epochs", "batch_size", "patience"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.learning_rate <= 0:
-            raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.min_delta < 0:
-            raise ValidationError(f"min_delta must be >= 0, got {self.min_delta}")
 
     @classmethod
     def for_profile(cls, profile: str, input_size: int, seed: int = 0, **overrides) -> "GruConfig":
@@ -101,10 +100,6 @@ class GruModel:
     hidden_size: int
     seed: int
     profile: str = "paper"
-
-    @property
-    def output_size(self) -> int:
-        return self.input_size
 
 
 @dataclass
@@ -457,12 +452,12 @@ def _train_group(
                         f"training diverged: non-finite loss at epoch {epoch + 1}"
                     )
                 adam_t += 1
-                m1 *= cfg.beta1
-                m1 += (1.0 - cfg.beta1) * grads
-                m2 *= cfg.beta2
-                m2 += (1.0 - cfg.beta2) * (grads * grads)
-                params -= (cfg.learning_rate * (m1 / (1.0 - cfg.beta1**adam_t))
-                           / (np.sqrt(m2 / (1.0 - cfg.beta2**adam_t)) + cfg.adam_eps))
+                m1 *= ADAM_BETA1
+                m1 += (1.0 - ADAM_BETA1) * grads
+                m2 *= ADAM_BETA2
+                m2 += (1.0 - ADAM_BETA2) * (grads * grads)
+                params -= (LEARNING_RATE * (m1 / (1.0 - ADAM_BETA1**adam_t))
+                           / (np.sqrt(m2 / (1.0 - ADAM_BETA2**adam_t)) + ADAM_EPS))
                 sq_sum += sq
             train_loss = sq_sum / (n * stack.widths)
 
@@ -475,7 +470,7 @@ def _train_group(
                 p = progress[i]
                 p.train_losses.append(float(train_loss[c]))
                 p.val_losses.append(float(val_loss[c]))
-                if p.best_val - val_loss[c] > cfg.min_delta:
+                if p.best_val - val_loss[c] > MIN_DELTA:
                     p.best_val, p.best_epoch, p.bad_epochs = val_loss[c], epoch, 0
                     p.best_params = stack.unpack(params, c)
                 else:
@@ -518,7 +513,7 @@ def train(
 
     Validation loss is checked once per epoch; training stops early after
     `patience` consecutive epochs whose improvement over the best seen loss
-    is at most min_delta, and the best-validation parameters are restored.
+    is at most MIN_DELTA, and the best-validation parameters are restored.
     """
     if train_ds.n_samples < 1 or val_ds.n_samples < 1:
         raise ValidationError("training and validation sets must be nonempty")
@@ -625,7 +620,7 @@ def save_model(model: GruModel, path: str) -> None:
         "format_version": MODEL_FORMAT_VERSION,
         "input_size": model.input_size,
         "hidden_size": model.hidden_size,
-        "output_size": model.output_size,
+        "output_size": model.input_size,
         "seed": model.seed,
         "profile": model.profile,
         "dtype": "float64",

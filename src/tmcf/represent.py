@@ -43,10 +43,6 @@ class ReprMatrix:
         if self.features.ndim != 2:
             raise ValidationError("feature matrix must be 2-D (flows x features)")
 
-    @property
-    def n_flows(self) -> int:
-        return self.features.shape[0]
-
 
 @dataclass
 class DissimilarityMatrix:
@@ -62,10 +58,6 @@ class DissimilarityMatrix:
         self.d = _validate_dissimilarity(self.d)
         if self.metric == "jsd" and (self.d > 1.0).any():
             raise ValidationError("JSD entries must not exceed 1")
-
-    @property
-    def n_items(self) -> int:
-        return self.d.shape[0]
 
 
 def default_lags(interval_seconds: int) -> list[int]:
@@ -189,7 +181,8 @@ def _acf_block(values: np.ndarray, lags: np.ndarray) -> tuple[np.ndarray, np.nda
 
     Each entry is the Pearson correlation between a flow and its lag-shifted
     copy over the overlap region. Lags where either segment has zero
-    variance produce 0; a fully constant flow is flagged degenerate. Every
+    variance produce 0; a fully constant flow is flagged degenerate and gets
+    0 at every lag, also where rounding leaves its centred copy nonzero. Every
     lag is one pass over the whole block, with the same centring and row
     sums per flow as a one-flow computation, in three scratch buffers that
     all lags share.
@@ -219,7 +212,7 @@ def _acf_block(values: np.ndarray, lags: np.ndarray) -> tuple[np.ndarray, np.nda
         denom = np.sqrt(np.multiply(am, am, out=prod).sum(axis=1)
                         * np.multiply(bm, bm, out=prod).sum(axis=1))
         cross = np.multiply(am, bm, out=prod).sum(axis=1)
-        valid = ~(denom <= _ZERO_VAR_EPS)  # a NaN denominator gives NaN, not 0
+        valid = ~degenerate & ~(denom <= _ZERO_VAR_EPS)  # a NaN denominator gives NaN, not 0
         rho[valid, i] = np.clip(cross[valid] / denom[valid], -1.0, 1.0)
     return rho, degenerate
 

@@ -8,7 +8,7 @@ so clustering quality can be scored against a known ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,17 +67,6 @@ class SynthSpec:
             raise ValidationError(
                 f"group flow counts sum to {total}, expected N^2 = {self.n_nodes ** 2}"
             )
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthSpec":
-        groups = [GroupSpec(**g) for g in d["groups"]]
-        return cls(
-            n_nodes=int(d["n_nodes"]),
-            n_steps=int(d["n_steps"]),
-            groups=groups,
-            seed=int(d.get("seed", 0)),
-            interval_seconds=int(d.get("interval_seconds", 300)),
-        )
 
 
 def _flow_series(group: GroupSpec, n_steps: int, rng: np.random.Generator) -> np.ndarray:

@@ -4,7 +4,8 @@ test oracle.
 Each model is trained alone by its own Python loop: three separate gate
 products per step, per-step gradient accumulation and one Adam state pair
 per tensor. The functions below are the former implementation, unchanged
-but for their imports. The stacked, fused core of tmcf.predict must
+but for their imports and for reading the Adam and early-stopping settings
+from the tmcf.predict constants. The stacked, fused core of tmcf.predict must
 reproduce them to a rounding tolerance.
 """
 
@@ -16,7 +17,19 @@ import numpy as np
 from tmcf.cluster import Partition
 from tmcf.dataset import WindowedDataset, make_windows
 from tmcf.errors import NumericalError, ValidationError
-from tmcf.predict import PARAM_ORDER, GruConfig, GruModel, TrainReport, cluster_seed, init_model
+from tmcf.predict import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    LEARNING_RATE,
+    MIN_DELTA,
+    PARAM_ORDER,
+    GruConfig,
+    GruModel,
+    TrainReport,
+    cluster_seed,
+    init_model,
+)
 
 _PREDICT_CHUNK = 2048
 
@@ -143,7 +156,7 @@ def train(
 
     Validation loss is checked once per epoch; training stops early after
     `patience` consecutive epochs whose improvement over the best seen loss
-    is at most min_delta, and the best-validation parameters are restored.
+    is at most MIN_DELTA, and the best-validation parameters are restored.
     """
     if train_ds.n_samples < 1 or val_ds.n_samples < 1:
         raise ValidationError("training and validation sets must be nonempty")
@@ -154,7 +167,7 @@ def train(
         )
     start = time.perf_counter()
     model = init_model(config)
-    adam = _Adam(model.params, config.learning_rate, config.beta1, config.beta2, config.adam_eps)
+    adam = _Adam(model.params, LEARNING_RATE, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
     rng = np.random.default_rng(config.seed)
 
     train_losses: list[float] = []
@@ -186,7 +199,7 @@ def train(
             raise NumericalError(f"validation loss non-finite at epoch {epoch + 1}")
         val_losses.append(val_loss)
 
-        if best_val - val_loss > config.min_delta:
+        if best_val - val_loss > MIN_DELTA:
             best_val = val_loss
             best_epoch = epoch
             best_params = {k: v.copy() for k, v in model.params.items()}

@@ -4,7 +4,8 @@ test oracle.
 Each flow is mapped by its own call: histogram_rep, acf_rep and psd_rep
 build one feature vector, and build_features stacks them. jsd is the scalar
 divergence of two pmfs. The functions below are the former implementation,
-unchanged but for their imports. The whole-block features of
+unchanged but for their imports and for acf_rep giving a constant flow 0 at
+every lag, as its docstring always stated. The whole-block features of
 tmcf.represent.build_features must equal them bit for bit.
 """
 
@@ -106,7 +107,8 @@ def acf_rep(flow: np.ndarray, lags) -> AcfRep:
 
     Each entry is the Pearson correlation between the flow and its
     lag-shifted copy over the overlap region. Lags where either segment has
-    zero variance produce 0; a fully constant flow is flagged degenerate.
+    zero variance produce 0; a fully constant flow is flagged degenerate and
+    gets 0 at every lag.
     """
     flow = np.asarray(flow, dtype=np.float64)
     lags = np.asarray(sorted(set(int(l) for l in lags)), dtype=np.int64)
@@ -129,7 +131,7 @@ def acf_rep(flow: np.ndarray, lags) -> AcfRep:
         am = a - a.mean()
         bm = b - b.mean()
         denom = np.sqrt(np.sum(am * am) * np.sum(bm * bm))
-        if denom <= _ZERO_VAR_EPS:
+        if degenerate or denom <= _ZERO_VAR_EPS:
             rho[i] = 0.0
         else:
             rho[i] = float(np.clip(np.sum(am * bm) / denom, -1.0, 1.0))

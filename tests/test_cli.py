@@ -131,7 +131,7 @@ def test_represent_writes_the_run_matrices(tmp_path):
     assert main([
         "represent", "--trace", trace, "--representation", "acf", "--out-dir", rep_dir,
     ]) == EXIT_OK
-    for name in ("features.csv", "dissimilarity.npy"):
+    for name in ("features.csv", "dissimilarity.npy", "features_meta.json"):
         assert read(os.path.join(rep_dir, name)) == read(os.path.join(run_dir, name)), name
 
 
@@ -198,3 +198,67 @@ def test_config_warnings_go_to_stderr(tmp_path, capsys, command, flags):
             "--profile", "desk", "--hidden-size", "80", "--epochs", "1"]
     assert main(argv) == EXIT_OK
     assert "desk profile with hidden_size=80 override will be slow" in capsys.readouterr().err
+
+
+def test_cluster_hac_without_linkage_names_the_run_defaults(tmp_path, capsys):
+    matrix = str(tmp_path / "dissimilarity.npy")
+    np.save(matrix, np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]]))
+    assert main([
+        "cluster", "--method", "hac", "--dissimilarity", matrix,
+        "--k", "2", "--out-dir", str(tmp_path / "cluster"),
+    ]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--linkage" in err
+    assert "complete for histogram" in err and "average for acf" in err
+
+
+@pytest.mark.parametrize("name,content", [
+    ("missing.npy", None),
+    ("missing.csv", None),
+    ("malformed.csv", "0,1\n1,zero\n"),
+])
+def test_cluster_on_an_unreadable_matrix_is_a_data_error(tmp_path, capsys, name, content):
+    path = tmp_path / name
+    if content is not None:
+        path.write_text(content)
+    assert main([
+        "cluster", "--method", "hac", "--dissimilarity", str(path), "--linkage", "average",
+        "--k", "2", "--out-dir", str(tmp_path / "cluster"),
+    ]) == EXIT_DATA
+    assert str(path) in capsys.readouterr().err
+
+
+def write_config(tmp_path, **keys) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(keys))
+    return str(path)
+
+
+def test_validate_accepts_a_valid_config(tmp_path, capsys):
+    config = write_config(tmp_path, trace=synth_trace(tmp_path), k=2, profile="desk")
+    capsys.readouterr()
+    assert main(["validate", "--config", config]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "config ok" in out and "error" not in out and "warning" not in out
+
+
+def test_validate_prints_every_error(tmp_path, capsys):
+    config = write_config(tmp_path, trace=str(tmp_path / "absent.csv"), k=0, bins=0)
+    assert main(["validate", "--config", config]) == EXIT_CONFIG
+    errors = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("error: ")]
+    assert len(errors) == 3
+    for text in ("trace path does not exist", "k must be >= 1", "bins must be >= 1"):
+        assert any(text in line for line in errors), text
+
+
+@pytest.mark.parametrize("keys,flags,warning", [
+    ({"units": "packets"}, [], "physical RMSE assumes bytes per interval"),
+    ({"profile": "desk"}, ["--hidden-size", "80"], "hidden_size=80 override will be slow"),
+])
+def test_validate_prints_warnings_and_passes(tmp_path, capsys, keys, flags, warning):
+    config = write_config(tmp_path, trace=synth_trace(tmp_path), **keys)
+    capsys.readouterr()
+    assert main(["validate", "--config", config, *flags]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "warning: " in out and warning in out and "config ok" in out

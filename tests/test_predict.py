@@ -10,6 +10,7 @@ from tmcf.cluster import Partition
 from tmcf.dataset import ScaleParams, WindowedDataset, make_windows
 from tmcf.errors import NumericalError, ValidationError
 from tmcf.predict import (
+    MIN_DELTA,
     MODEL_MAGIC,
     PARAM_ORDER,
     GruConfig,
@@ -207,7 +208,7 @@ class TestTraining:
         assert report.epochs_run < 100
         best = report.val_losses[report.best_epoch]
         for later in report.val_losses[report.best_epoch + 1 :]:
-            assert best <= later + cfg.min_delta + 1e-15
+            assert best <= later + MIN_DELTA + 1e-15
 
     def test_identical_seeds_identical_curves(self):
         rng = np.random.default_rng(4)

@@ -134,6 +134,14 @@ class TestAcf:
         assert degenerate
         assert np.array_equal(rho, np.zeros(3))
 
+    @pytest.mark.parametrize("value", [0.7, 1.0 / 3.0])
+    def test_constant_flow_off_its_computed_mean_is_zero(self, value):
+        # the centred copy holds rounding residue that alone would give rho = 1
+        for t in (100, 200):
+            rho, degenerate = acf_of(np.full(t, value), [0, 1, 2, 3])
+            assert degenerate
+            assert np.array_equal(rho, np.zeros(4))
+
     def test_lag_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             acf_of(np.arange(10.0), [10])
@@ -244,13 +252,14 @@ def feature_corpus():
     """Blocks that stress the edge cases of each representation."""
     rng = np.random.default_rng(10)
     t = 200  # shorter than the default Welch segment
-    block = rng.normal(0.5, 0.6, size=(8, t))  # spills outside [0, 1]
+    block = rng.normal(0.5, 0.6, size=(9, t))  # spills outside [0, 1]
     block[0] = 0.0
-    block[1] = 0.7
+    block[1] = 0.7  # a constant that is not its own computed mean
     block[2, : t - 3] = 0.25  # constant on the overlap of lag 3 only
     block[3] = np.resize(np.linspace(0.0, 1.0, 51), t)  # every bin edge of 50 bins
     block[4] = np.resize([0.0, 1.0, -0.0, -0.25, 1.5, 0.5], t)
     block[5] = np.round(block[5] * 7.0) / 7.0  # on the edges of 7 bins
+    block[8] = 1.0 / 3.0  # as row 1
     return block
 
 
@@ -280,11 +289,12 @@ class TestBlockFeaturesMatchPerFlowOracle:
         assert_matches_oracle(feature_corpus(), kind, kwargs)
 
     def test_corpus_marks_the_constant_flows_degenerate(self):
-        reps = build_features(feature_corpus(), "acf", lags=[0, 3])
-        assert reps.meta["degenerate_flows"] == [0, 1]
-        assert np.array_equal(reps.features[0], [0.0, 0.0])
+        reps = build_features(feature_corpus(), "acf", lags=[0, 2, 3])
+        assert reps.meta["degenerate_flows"] == [0, 1, 8]
+        for row in (0, 1, 8):
+            assert np.array_equal(reps.features[row], [0.0, 0.0, 0.0])
         # lag 3 pairs the constant head with the varying tail
-        assert np.array_equal(reps.features[2], [1.0, 0.0])
+        assert reps.features[2, 0] == 1.0 and reps.features[2, 2] == 0.0
 
     @pytest.mark.parametrize("kind,kwargs,block", [
         ("histogram", {}, np.zeros((2, 0))),
