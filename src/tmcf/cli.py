@@ -1,12 +1,12 @@
 """Command-line interface.
 
 Subcommands: synth, ingest, represent, cluster, train, evaluate, sweep,
-run, compare, validate. All take flags directly; train, evaluate, sweep,
-run, compare and validate also accept a JSON config file whose keys match
-RunConfig, with command-line flags winning over file values. Every
-subcommand that prepares, trains or scores a trace calls the same steps and
-artifact writers as `tmcf run` (see `tmcf.pipeline`), so `represent` ->
-`cluster --linkage` -> `train` -> `evaluate` reproduces a run.
+run, compare, validate. Every subcommand backed by a RunConfig (represent,
+train, evaluate, sweep, run, compare and validate) takes the same run-config
+flags and --config, a JSON file whose keys match RunConfig, with flags
+winning over file values. They call the same steps and artifact writers as
+`tmcf run` (see `tmcf.pipeline`), so `represent` -> `cluster --linkage` ->
+`train` -> `evaluate` with the run's config reproduces a run.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.
@@ -17,21 +17,21 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from . import cluster as cluster_mod
-from .cluster import Partition
 from .dataset import load_tm_series, write_canonical_csv
 from .errors import ConfigError, DataError, NumericalError
 from .pipeline import (
+    CHOICES,
     RunConfig,
     compare,
     dump_json,
     load_json,
     load_models,
+    load_partition,
     prepare,
     represent,
     require_valid,
@@ -134,7 +134,10 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_represent(args) -> int:
-    config = _checked(replace(_build_run_config(args), normalize_power=not args.raw_power))
+    config = _checked(_build_run_config(args))
+    if config.representation == "naive":
+        raise ConfigError("the naive baseline has no features; draw its partition "
+                          "with tmcf cluster --method naive")
     tm, flows_norm, _, ranges = prepare(config)
     feats, diss = represent(config, tm, flows_norm, ranges)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -174,7 +177,7 @@ def cmd_cluster(args) -> int:
 def cmd_train(args) -> int:
     config = _checked(_build_run_config(args))
     _, flows_norm, _, ranges = prepare(config)
-    part = Partition.from_dict(load_json(args.partition))
+    part = load_partition(args.partition)
     train_models(config, flows_norm, ranges, part, model_dir=args.out_dir)
     print(f"trained {part.k} model(s); wrote models and train_report.json to {args.out_dir}")
     return EXIT_OK
@@ -183,7 +186,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _checked(_build_run_config(args))
     tm, flows_norm, scale, ranges = prepare(config)
-    part = Partition.from_dict(load_json(args.partition))
+    part = load_partition(args.partition)
     models = load_models(args.models, part)
     report, _ = score(config, tm, flows_norm, scale, ranges, part, models)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -217,6 +220,8 @@ def _parse_grid(spec: str) -> list[int]:
                 start, stop, step = parts
             else:
                 raise ValueError("expected start:stop[:step]")
+            if step < 1:
+                raise ValueError(f"step must be >= 1, got {step}")
             return list(range(start, stop + 1, step))
         return [int(p) for p in spec.split(",")]
     except ValueError as exc:
@@ -257,20 +262,23 @@ def cmd_validate(args) -> int:
 def _add_run_config_flags(p: argparse.ArgumentParser, with_k: bool = True) -> None:
     p.add_argument("--config", help="JSON config file; flags override its keys")
     p.add_argument("--trace", help="trace file or directory")
-    p.add_argument("--format", choices=("canonical", "abilene", "geant"))
+    p.add_argument("--format", choices=CHOICES["format"])
     p.add_argument("--interval-seconds", dest="interval_seconds", type=int)
-    p.add_argument("--missing", choices=("reject", "zero"))
-    p.add_argument("--representation", choices=("histogram", "acf", "psd", "naive"))
-    p.add_argument("--metric", choices=("jsd", "euclidean"))
-    p.add_argument("--linkage", choices=("complete", "average"))
+    p.add_argument("--missing", choices=CHOICES["missing"])
+    p.add_argument("--representation", choices=CHOICES["representation"])
+    p.add_argument("--metric", choices=CHOICES["metric"])
+    p.add_argument("--linkage", choices=CHOICES["linkage"])
     if with_k:
         p.add_argument("--k", type=int)
     p.add_argument("--bins", type=int)
+    p.add_argument("--lags", type=int, nargs="+")
     p.add_argument("--fs", type=float)
+    p.add_argument("--raw-power", dest="normalize_power", action="store_const", const=False,
+                   help="skip unit-mass normalization of PSD vectors")
     p.add_argument("--window-length", dest="window_length", type=int)
     p.add_argument("--train-frac", dest="train_frac", type=float)
     p.add_argument("--val-frac", dest="val_frac", type=float)
-    p.add_argument("--profile", choices=("paper", "desk"))
+    p.add_argument("--profile", choices=CHOICES["profile"])
     p.add_argument("--hidden-size", dest="hidden_size", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
@@ -296,33 +304,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="convert a trace to the canonical CSV format")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=("canonical", "abilene", "geant"), required=True)
+    p.add_argument("--format", choices=CHOICES["format"], required=True)
     p.add_argument("--interval-seconds", dest="interval_seconds", type=int)
-    p.add_argument("--missing", choices=("reject", "zero"), default="reject")
+    p.add_argument("--missing", choices=CHOICES["missing"], default="reject")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("represent", help="feature matrix CSV + dissimilarity matrix .npy")
-    p.add_argument("--trace", required=True)
-    p.add_argument("--format", choices=("canonical", "abilene", "geant"))
-    p.add_argument("--interval-seconds", dest="interval_seconds", type=int)
-    p.add_argument("--representation", choices=("histogram", "acf", "psd"), required=True)
-    p.add_argument("--metric", choices=("jsd", "euclidean"))
-    p.add_argument("--bins", type=int)
-    p.add_argument("--lags", type=int, nargs="+")
-    p.add_argument("--fs", type=float)
-    p.add_argument("--raw-power", action="store_true",
-                   help="skip unit-mass normalization of PSD vectors")
-    p.add_argument("--window-length", dest="window_length", type=int)
-    p.add_argument("--train-frac", dest="train_frac", type=float)
-    p.add_argument("--val-frac", dest="val_frac", type=float)
+    _add_run_config_flags(p, with_k=False)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_represent)
 
     p = sub.add_parser("cluster", help="cut a HAC dendrogram or draw the naive baseline")
     p.add_argument("--method", choices=("hac", "naive"), default="hac")
     p.add_argument("--dissimilarity", help="M x M matrix, .npy or CSV (hac)")
-    p.add_argument("--linkage", choices=("complete", "average"),
+    p.add_argument("--linkage", choices=CHOICES["linkage"],
                    help=f"required by hac; tmcf run uses {_RUN_LINKAGES}")
     p.add_argument("--flows", type=int, help="number of flows (naive)")
     p.add_argument("--seed", type=int, help="naive partition seed")

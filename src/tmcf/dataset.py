@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 TRACE_FORMATS = ("canonical", "abilene", "geant")
+MISSING_POLICIES = ("reject", "zero")
 
 ABILENE_NODES = 12
 ABILENE_INTERVAL_S = 300
@@ -226,10 +227,7 @@ def denormalize_array(values: np.ndarray, params: ScaleParams) -> np.ndarray:
 
 
 def split(
-    n_obs: int,
-    train_frac: float = 0.8,
-    val_frac_of_train: float = 0.1,
-    window_length: int | None = None,
+    n_obs: int, train_frac: float, val_frac_of_train: float, window_length: int | None = None
 ) -> SplitRanges:
     """Chronological train/val/test observation ranges.
 
@@ -323,8 +321,8 @@ def load_tm_series(
     """
     if format not in TRACE_FORMATS:
         raise ValidationError(f"unknown trace format {format!r}; expected {TRACE_FORMATS}")
-    if missing not in ("reject", "zero"):
-        raise ValidationError(f"missing policy must be 'reject' or 'zero', got {missing!r}")
+    if missing not in MISSING_POLICIES:
+        raise ValidationError(f"missing policy must be one of {MISSING_POLICIES}, got {missing!r}")
     if not os.path.exists(path):
         raise ValidationError(f"trace path does not exist: {path}")
     if format == "canonical":

@@ -37,6 +37,8 @@ import os
 import platform
 import time
 from dataclasses import asdict, astuple, dataclass, replace
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import scipy
@@ -46,6 +48,8 @@ from . import cluster as cluster_mod
 from . import represent as represent_mod
 from .cluster import Partition
 from .dataset import (
+    MISSING_POLICIES,
+    TRACE_FORMATS,
     FlowSet,
     TmSeries,
     extract_flows,
@@ -55,7 +59,7 @@ from .dataset import (
     normalize,
     split,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .evaluate import (
     EvalReport,
     SweepCurve,
@@ -68,10 +72,20 @@ from .evaluate import (
     rmse_physical,
 )
 from .evaluate import ari as ari_score
-from .predict import GruConfig, load_model, predict_tm, save_model, train_partitioned
+from .predict import PROFILES, GruConfig, load_model, predict_tm, save_model, train_partitioned
 
-METHODS = ("histogram", "acf", "psd", "naive")
-PROFILE_NAMES = ("paper", "desk")
+METHODS = (*represent_mod.REPRESENTATIONS, "naive")
+
+# RunConfig field -> its allowed values, each set declared by the module that
+# implements it; validate_config and the CLI's choices read them here
+CHOICES = {
+    "representation": METHODS,
+    "format": TRACE_FORMATS,
+    "missing": MISSING_POLICIES,
+    "metric": represent_mod.METRICS,
+    "linkage": cluster_mod.LINKAGES,
+    "profile": tuple(PROFILES),
+}
 
 # traces above this many flow-observations trigger a paper-profile warning
 _PAPER_PROFILE_BUDGET = 2_000_000
@@ -111,10 +125,14 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        hints = get_type_hints(cls)
+        unknown = set(d) - set(hints)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        mistyped = [f"{key}={value!r} (expected {cls.__dataclass_fields__[key].type})"
+                    for key, value in d.items() if not _fits(value, hints[key])]
+        if mistyped:
+            raise ConfigError(f"config values of the wrong type: {', '.join(mistyped)}")
         return cls(**d)
 
     @classmethod
@@ -139,30 +157,35 @@ class RunConfig:
         )
 
 
+def _fits(value, hint) -> bool:
+    """Whether a value fits a RunConfig annotation: an int fits a float, a
+    bool fits only a bool, and a list fits if every item does."""
+    if get_origin(hint) in (Union, UnionType):
+        return any(_fits(value, h) for h in get_args(hint))
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, get_args(hint)[0]) for v in value)
+    if hint is float:
+        return type(value) in (int, float)
+    return type(value) is hint
+
+
 def validate_config(config: RunConfig, trace_required: bool = True) -> tuple[list[str], list[str]]:
     """Collect configuration errors and warnings without raising."""
-    errors: list[str] = []
     warnings: list[str] = []
-    if config.representation not in METHODS:
-        errors.append(
-            f"representation must be one of {METHODS}, got {config.representation!r}"
-        )
-    if config.format not in ("canonical", "abilene", "geant"):
-        errors.append(f"unknown trace format {config.format!r}")
-    if config.missing not in ("reject", "zero"):
-        errors.append(f"missing policy must be 'reject' or 'zero', got {config.missing!r}")
+    errors = [
+        f"{name} must be one of {choices}, got {value!r}"
+        for name, choices in CHOICES.items()
+        if (value := getattr(config, name)) not in choices
+        # None, the default of metric and linkage, means the representation's own
+        and not (value is None and RunConfig.__dataclass_fields__[name].default is None)
+    ]
     if trace_required and not os.path.exists(config.trace):
         errors.append(f"trace path does not exist: {config.trace}")
-    if config.metric is not None:
-        if config.metric not in represent_mod.METRICS:
-            errors.append(f"metric must be one of {represent_mod.METRICS}")
-        elif config.metric == "jsd" and config.representation != "histogram":
-            errors.append(
-                f"metric 'jsd' is only compatible with the histogram representation, "
-                f"not {config.representation!r}"
-            )
-    if config.linkage is not None and config.linkage not in cluster_mod.LINKAGES:
-        errors.append(f"linkage must be one of {cluster_mod.LINKAGES}")
+    if config.metric == "jsd" and config.representation != "histogram":
+        errors.append(
+            f"metric 'jsd' is only compatible with the histogram representation, "
+            f"not {config.representation!r}"
+        )
     if config.representation == "naive":
         if config.seed is None:
             errors.append("the naive representation requires an explicit seed")
@@ -184,21 +207,18 @@ def validate_config(config: RunConfig, trace_required: bool = True) -> tuple[lis
         errors.append(f"window_length must be >= 2, got {config.window_length}")
     if config.bins < 1:
         errors.append(f"bins must be >= 1, got {config.bins}")
-    if config.profile not in PROFILE_NAMES:
-        errors.append(f"profile must be one of {PROFILE_NAMES}, got {config.profile!r}")
-    else:
-        if config.profile == "desk" and (config.hidden_size or 0) > 64:
+    if config.profile == "desk" and (config.hidden_size or 0) > 64:
+        warnings.append(
+            f"desk profile with hidden_size={config.hidden_size} override will be slow; "
+            "use profile=paper if full-scale settings are intended"
+        )
+    if config.profile == "paper" and trace_required and os.path.exists(config.trace):
+        size = os.path.getsize(config.trace)
+        if size > 8 * _PAPER_PROFILE_BUDGET:
             warnings.append(
-                f"desk profile with hidden_size={config.hidden_size} override will be slow; "
-                "use profile=paper if full-scale settings are intended"
+                "paper profile on a large trace: expect hours of training "
+                "(hidden 200, 100 epochs per cluster)"
             )
-        if config.profile == "paper" and trace_required and os.path.exists(config.trace):
-            size = os.path.getsize(config.trace)
-            if size > 8 * _PAPER_PROFILE_BUDGET:
-                warnings.append(
-                    "paper profile on a large trace: expect hours of training "
-                    "(hidden 200, 100 epochs per cluster)"
-                )
     if config.units != "bytes_per_interval":
         warnings.append(
             f"trace units {config.units!r}: physical RMSE assumes bytes per interval "
@@ -228,6 +248,14 @@ def dump_json(obj, path: str) -> None:
 def load_json(path: str):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def load_partition(path: str) -> Partition:
+    """A partition.json; a missing or malformed file raises DataError."""
+    try:
+        return Partition.from_dict(load_json(path))
+    except (OSError, ValueError, KeyError, TypeError, DataError) as exc:
+        raise DataError(f"cannot read partition {path}: {exc!r}") from None
 
 
 def config_hash(payload) -> str:
@@ -377,18 +405,25 @@ def _check_k(k, m: int) -> None:
         raise ConfigError(f"k must lie in [1, {m}], got {k}")
 
 
-def _partition_for(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, ranges):
-    """Representation + clustering stages; returns (partition, dendro, diss, feats)."""
-    _check_k(config.k, tm.n_flows)
+def build_dendrogram(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, ranges):
+    """Represent the training block and build its HAC dendrogram; returns
+    (dendro, feats, diss), all None for the naive baseline."""
     if config.representation == "naive":
-        part = cluster_mod.naive_partition(tm.n_flows, config.k, seed=config.seed)
-        return part, None, None, None
+        return None, None, None
     feats, diss = represent(config, tm, flows_norm, ranges)
     linkage = config.linkage or cluster_mod.DEFAULT_LINKAGE[config.representation]
-    dendro = cluster_mod.hac(diss.d, linkage)
+    return cluster_mod.hac(diss.d, linkage), feats, diss
+
+
+def make_partition(config: RunConfig, dendro, n_flows: int) -> Partition:
+    """The dendrogram cut into config.k clusters or, without a dendrogram,
+    the naive baseline drawn with config.seed."""
+    _check_k(config.k, n_flows)
+    if dendro is None:
+        return cluster_mod.naive_partition(n_flows, config.k, seed=config.seed)
     part = cluster_mod.cut(dendro, config.k)
     part.method = config.representation
-    return part, dendro, diss, feats
+    return part
 
 
 def train_models(config: RunConfig, flows_norm: FlowSet, ranges, part: Partition,
@@ -412,10 +447,15 @@ def train_models(config: RunConfig, flows_norm: FlowSet, ranges, part: Partition
 
 
 def load_models(model_dir: str, part: Partition) -> dict:
-    return {
-        label: load_model(os.path.join(model_dir, f"cluster_{label}.bin"))
-        for label in range(1, part.k + 1)
-    }
+    """{cluster id: model} from model_dir; a missing model file raises DataError."""
+    models = {}
+    for label in range(1, part.k + 1):
+        path = os.path.join(model_dir, f"cluster_{label}.bin")
+        try:
+            models[label] = load_model(path)
+        except OSError as exc:
+            raise DataError(f"cannot read model {path}: {exc!r}") from None
+    return models
 
 
 def score(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, scale, ranges,
@@ -503,10 +543,11 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
         ["partition.json"],
     )
     if reuse_cluster:
-        part = Partition.from_dict(load_json(os.path.join(run_dir, "partition.json")))
+        part = load_partition(os.path.join(run_dir, "partition.json"))
         manifest.reuse("cluster", previous["cluster"])
     else:
-        part, dendro, diss, feats = _partition_for(config, tm, flows_norm, ranges)
+        dendro, feats, diss = build_dendrogram(config, tm, flows_norm, ranges)
+        part = make_partition(config, dendro, tm.n_flows)
         cluster_artifacts = write_partition(part, dendro, run_dir)
         if feats is not None:
             cluster_artifacts += write_features(feats, diss, run_dir)
@@ -602,7 +643,7 @@ def sweep(config: RunConfig) -> tuple[SweepCurve, dict]:
         _check_k(k, tm.n_flows)
     seed = config.seed or 0
     # the dendrogram (None for naive) is cut at every K below
-    _, dendro, _, _ = _partition_for(replace(config, k=k_grid[0]), tm, flows_norm, ranges)
+    dendro, _, _ = build_dendrogram(config, tm, flows_norm, ranges)
 
     mean_rmse, rmse_std, mean_runtime = [], [], []
     for k in k_grid:
@@ -611,10 +652,7 @@ def sweep(config: RunConfig) -> tuple[SweepCurve, dict]:
         for rep in range(config.repetitions):
             t0 = time.perf_counter()
             rep_cfg = replace(config, k=k, seed=seed + rep)
-            if dendro is None:
-                part = cluster_mod.naive_partition(tm.n_flows, k, seed=rep_cfg.seed)
-            else:
-                part = cluster_mod.cut(dendro, k)
+            part = make_partition(rep_cfg, dendro, tm.n_flows)
             models = train_models(rep_cfg, flows_norm, ranges, part)
             report, _ = score(rep_cfg, tm, flows_norm, scale, ranges, part, models)
             vals.append(report.rmse_normalized)
@@ -638,8 +676,6 @@ def compare(config: RunConfig, out_dir: str) -> dict:
     """Cross-method comparison at matched K: pairwise ARI/NMI, per-flow error
     correlations, and cluster-size statistics, written as three CSVs."""
     require_valid(config)
-    if config.k is None:
-        raise ConfigError("compare requires k")
     if config.seed is None:
         raise ConfigError("compare requires a seed (naive baseline is included)")
     os.makedirs(out_dir, exist_ok=True)
@@ -649,7 +685,8 @@ def compare(config: RunConfig, out_dir: str) -> dict:
     flow_errs: dict[str, list[float]] = {}
     for method in METHODS:
         mcfg = replace(config, representation=method, metric=None, linkage=None)
-        part, _, _, _ = _partition_for(mcfg, tm, flows_norm, ranges)
+        dendro, _, _ = build_dendrogram(mcfg, tm, flows_norm, ranges)
+        part = make_partition(mcfg, dendro, tm.n_flows)
         models = train_models(mcfg, flows_norm, ranges, part)
         report, _ = score(mcfg, tm, flows_norm, scale, ranges, part, models)
         partitions[method] = part

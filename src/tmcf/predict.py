@@ -69,8 +69,8 @@ class GruConfig:
     """Hyperparameters of one recurrent forecaster."""
 
     input_size: int
-    hidden_size: int = 200
-    epochs: int = 100
+    hidden_size: int = PROFILES["paper"]["hidden_size"]
+    epochs: int = PROFILES["paper"]["epochs"]
     batch_size: int = 32
     patience: int = 5
     seed: int = 0

@@ -7,9 +7,10 @@ import os
 import numpy as np
 import pytest
 
-from tmcf.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from tmcf.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, _parse_grid, main
 from tmcf.dataset import load_tm_series
-from tmcf.pipeline import RunConfig, _write_matrix_csv, compare
+from tmcf.errors import ConfigError
+from tmcf.pipeline import CHOICES, RunConfig, _write_matrix_csv, compare
 
 TRAIN_FLAGS = ["--epochs", "2", "--profile", "desk"]
 
@@ -262,3 +263,138 @@ def test_validate_prints_warnings_and_passes(tmp_path, capsys, keys, flags, warn
     assert main(["validate", "--config", config, *flags]) == EXIT_OK
     out = capsys.readouterr().out
     assert "warning: " in out and warning in out and "config ok" in out
+
+
+def blank_one_cell(trace: str) -> str:
+    """A copy of trace whose second row has an empty last cell."""
+    lines = read(trace).decode("utf-8").splitlines(keepends=True)
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",\n"
+    path = trace.replace("trace.csv", "gappy.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    return path
+
+
+def test_config_backed_steps_reproduce_a_run(tmp_path):
+    # psd settings that only a config file or the shared run-config flags carry
+    trace = blank_one_cell(synth_trace(tmp_path))
+    run_dir, rep_dir, flag_dir = (str(tmp_path / d) for d in ("run", "rep", "flags"))
+    cluster_dir, models_dir, eval_dir = (str(tmp_path / d) for d in ("cl", "models", "eval"))
+    config = write_config(tmp_path, trace=trace, representation="psd", missing="zero",
+                          segment_length=128, normalize_power=False, k=2, epochs=2,
+                          profile="desk")
+    assert main(["run", "--config", config, "--out-dir", run_dir]) == EXIT_OK
+    assert main(["represent", "--config", config, "--out-dir", rep_dir]) == EXIT_OK
+    flag_config = str(tmp_path / "flags.json")
+    with open(flag_config, "w", encoding="utf-8") as fh:
+        json.dump({"trace": trace, "representation": "psd", "segment_length": 128}, fh)
+    assert main(["represent", "--config", flag_config, "--missing", "zero", "--raw-power",
+                 "--out-dir", flag_dir]) == EXIT_OK
+    for name in ("dissimilarity.npy", "features.csv", "features_meta.json"):
+        assert read(os.path.join(rep_dir, name)) == read(os.path.join(run_dir, name)), name
+        assert read(os.path.join(flag_dir, name)) == read(os.path.join(run_dir, name)), name
+
+    assert main([
+        "cluster", "--dissimilarity", os.path.join(rep_dir, "dissimilarity.npy"),
+        "--linkage", "average", "--k", "2", "--out-dir", cluster_dir,
+    ]) == EXIT_OK
+    partition = os.path.join(cluster_dir, "partition.json")
+    assert main(["train", "--config", config, "--partition", partition,
+                 "--out-dir", models_dir]) == EXIT_OK
+    assert main(["evaluate", "--config", config, "--partition", partition,
+                 "--models", models_dir, "--out-dir", eval_dir]) == EXIT_OK
+    run_report = json.loads(read(os.path.join(run_dir, "eval_report.json")))
+    eval_report = json.loads(read(os.path.join(eval_dir, "eval_report.json")))
+    assert eval_report["rmse_normalized"] == run_report["rmse_normalized"]
+
+
+def test_represent_naive_points_to_cluster(tmp_path, capsys):
+    assert main([
+        "represent", "--trace", synth_trace(tmp_path), "--representation", "naive",
+        "--out-dir", str(tmp_path / "represent"),
+    ]) == EXIT_CONFIG
+    assert "tmcf cluster --method naive" in capsys.readouterr().err
+
+
+def valid_partition(tmp_path) -> str:
+    path = tmp_path / "partition.json"
+    path.write_text(json.dumps({"labels": [1] * 8 + [2] * 8, "k": 2}))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["missing", "malformed", "without_k", "missing_models"])
+def test_unreadable_partition_or_models_is_a_data_error(tmp_path, capsys, case):
+    trace = synth_trace(tmp_path)
+    partition = str(tmp_path / "partition.json")
+    models = str(tmp_path / "models")
+    named = partition
+    if case == "malformed":
+        (tmp_path / "partition.json").write_text('{"k": 2, "labels": [1, 2')
+    elif case == "without_k":
+        (tmp_path / "partition.json").write_text(json.dumps({"labels": [1] * 16}))
+    elif case == "missing_models":
+        partition, named = valid_partition(tmp_path), models
+    capsys.readouterr()
+    assert main([
+        "evaluate", "--trace", trace, "--partition", partition, "--models", models,
+        "--out-dir", str(tmp_path / "eval"),
+    ] + TRAIN_FLAGS) == EXIT_DATA
+    assert named in capsys.readouterr().err
+    if case != "missing_models":
+        assert main([
+            "train", "--trace", trace, "--partition", partition,
+            "--out-dir", str(tmp_path / "train"),
+        ] + TRAIN_FLAGS) == EXIT_DATA
+        assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("keys,mistyped", [
+    ({"k": "2"}, ["k"]),
+    ({"train_frac": "0.8"}, ["train_frac"]),
+    ({"representation": "acf", "lags": "1,2"}, ["lags"]),
+    ({"representation": "acf", "lags": "12"}, ["lags"]),
+    ({"normalize_power": "no"}, ["normalize_power"]),
+    ({"k": True}, ["k"]),
+    ({"k_grid": [1, "2"]}, ["k_grid"]),
+    # an int fits a float field; every mistyped key is named
+    ({"fs": 2, "k": "2", "train_frac": "0.8"}, ["k", "train_frac"]),
+])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, keys, mistyped, command):
+    config = write_config(tmp_path, trace=synth_trace(tmp_path), **{"k": 2, **keys})
+    capsys.readouterr()
+    argv = [command, "--config", config, "--out-dir", str(tmp_path / "out")]
+    assert main(argv + TRAIN_FLAGS) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "wrong type" in err
+    assert [key for key in keys if f"{key}=" in err] == mistyped
+
+
+@pytest.mark.parametrize("field", ["representation", "format", "missing", "metric",
+                                   "linkage", "profile"])
+def test_validate_checks_every_choice(tmp_path, capsys, field):
+    config = write_config(tmp_path, trace=synth_trace(tmp_path), **{field: "bogus"})
+    capsys.readouterr()
+    assert main(["validate", "--config", config]) == EXIT_CONFIG
+    errors = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith(f"error: {field} must be one of")]
+    assert len(errors) == 1
+    assert "'bogus'" in errors[0]
+    for value in CHOICES[field]:
+        assert repr(value) in errors[0], value
+
+
+@pytest.mark.parametrize("spec,grid", [
+    ("1,11,21", [1, 11, 21]),
+    ("2:4", [2, 3, 4]),
+    ("1:5:2", [1, 3, 5]),
+    ("1:6:2", [1, 3, 5]),
+])
+def test_parse_grid(spec, grid):
+    assert _parse_grid(spec) == grid
+
+
+@pytest.mark.parametrize("spec", ["5:1:-1", "1:5:0", "1:2:3:4", "1,two"])
+def test_parse_grid_rejects_bad_specs(spec):
+    with pytest.raises(ConfigError, match="bad k grid"):
+        _parse_grid(spec)

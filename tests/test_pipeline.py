@@ -69,7 +69,7 @@ def test_resume_on_same_trace_reuses_cluster_and_train(trace, tmp_path, monkeypa
     def must_not_run(*args, **kwargs):
         raise AssertionError("stage recomputed on resume")
 
-    monkeypatch.setattr(pipeline, "_partition_for", must_not_run)
+    monkeypatch.setattr(pipeline, "build_dendrogram", must_not_run)
     monkeypatch.setattr(pipeline, "train_partitioned", must_not_run)
     run_pipeline(cfg, resume=True)
     assert os.stat(partition).st_mtime_ns == mtime
