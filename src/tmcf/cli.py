@@ -33,6 +33,7 @@ from .pipeline import (
     load_models,
     load_partition,
     prepare,
+    read_config,
     represent,
     require_valid,
     run_pipeline,
@@ -76,16 +77,14 @@ def _parse_group(text: str) -> GroupSpec:
 
 
 def _build_run_config(args, require_trace: bool = True) -> RunConfig:
-    base = {}
-    if getattr(args, "config", None):
-        base = RunConfig.from_json(args.config).to_dict()
-    overrides = {
+    """The config file's keys with the flags given on top, checked once."""
+    base = read_config(args.config) if getattr(args, "config", None) else {}
+    base.update({
         key: getattr(args, key)
         for key in RunConfig.__dataclass_fields__
-        if hasattr(args, key) and getattr(args, key) is not None
-    }
-    base.update(overrides)
-    if "trace" not in base or base["trace"] is None:
+        if getattr(args, key, None) is not None
+    })
+    if base.get("trace") is None:
         if require_trace:
             raise ConfigError("a trace path is required (flag --trace or config key)")
         base["trace"] = ""
@@ -351,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_config_flags(p)
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--resume", action="store_true",
-                   help="reuse unchanged stage artifacts from the run directory")
+                   help="reuse stages whose hash and artifact contents match")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="cross-method agreement tables at matched K")

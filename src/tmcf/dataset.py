@@ -325,10 +325,11 @@ def load_tm_series(
         raise ValidationError(f"missing policy must be one of {MISSING_POLICIES}, got {missing!r}")
     if not os.path.exists(path):
         raise ValidationError(f"trace path does not exist: {path}")
+    files = trace_files(path, format)
     if format == "canonical":
         return _load_canonical(path, interval_seconds, missing)
     if format == "abilene":
-        return _load_abilene(path)
+        return _load_abilene(path, files)
     return _load_geant(path)
 
 
@@ -443,19 +444,28 @@ def _infer_interval(times: list[float]) -> int:
     return 1
 
 
-def _load_abilene(path: str) -> TmSeries:
-    """Abilene archive layout: whitespace matrices, first 144 columns real OD traffic."""
+def trace_files(path: str, format: str) -> list[str]:
+    """The files a trace is read from, in the order the loader reads them: the
+    sorted visible files of an abilene directory, else the path itself. Only
+    the abilene format reads a directory."""
+    if not os.path.isdir(path):
+        return [path]
+    if format != "abilene":
+        raise ValidationError(f"{path}: a {format} trace is one file, not a directory")
+    files = sorted(
+        os.path.join(path, f)
+        for f in os.listdir(path)
+        if not f.startswith(".") and os.path.isfile(os.path.join(path, f))
+    )
+    if not files:
+        raise ValidationError(f"{path}: no trace files in directory")
+    return files
+
+
+def _load_abilene(path: str, files: list[str]) -> TmSeries:
+    """Abilene archive layout: whitespace matrices, first 144 columns real OD
+    traffic; `files` are the trace_files of path."""
     m = ABILENE_NODES * ABILENE_NODES
-    if os.path.isdir(path):
-        files = sorted(
-            os.path.join(path, f)
-            for f in os.listdir(path)
-            if not f.startswith(".") and os.path.isfile(os.path.join(path, f))
-        )
-        if not files:
-            raise ValidationError(f"{path}: no trace files in directory")
-    else:
-        files = [path]
     blocks = []
     for fname in files:
         try:

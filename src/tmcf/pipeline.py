@@ -15,17 +15,25 @@ A run directory holds, by stage:
 - evaluate: predictions.npz (uncompressed), eval_report.json and
   per_flow_rmse.csv
 
-plus manifest.json (config echo, seeds, versions, stage wall times, stage
-hashes). It keeps no copy of the trace or of the normalized flows: the
-manifest's ingest entry records trace_sha256, a hash of the loaded trace's
-values and interval. Re-running with the same config and seeds reproduces
-byte-identical metric outputs. A fresh run first removes any previous
-manifest, so a resume never pairs it with a crashed run's artifacts. With
-resume=True, stages whose hash is unchanged are loaded from the run
-directory instead of recomputed, and keep the manifest entry of the run
-that computed them, marked "reused". The ingest hash covers the trace hash
-and each later stage hash chains on the one before, so a resume after the
-trace's contents change recomputes every stage.
+plus manifest.json (config echo, seeds, versions, and per stage its hash,
+wall time, artifacts and their sha256). It keeps no copy of the trace or of
+the normalized flows: the manifest's ingest entry records trace_sha256, a
+hash of the loaded trace's values and interval. Re-running with the same
+config and seeds reproduces byte-identical metric outputs.
+
+Every stage hash is computed before the trace is parsed. The ingest hash
+covers the ingest config keys and the sha256 of the trace file's bytes (of
+each file's name and bytes for an abilene directory); each later stage hash
+chains on the one before, and evaluate's covers the whole config. The
+manifest is rewritten (through a temporary file) after every stage, so a
+crashed run shows how far it got, and a fresh run first removes any previous
+manifest. With resume=True a stage is reused when its hash matches, every
+artifact it lists still has the recorded sha256, and every stage before it
+verifies too; it keeps the manifest entry of the run that computed it,
+marked "reused". When all four stages verify, the run returns at once: it
+parses, predicts and writes nothing. Otherwise it parses the trace once,
+rewrites the ingest entry and recomputes the first stage that fails and
+every stage after it.
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ from .dataset import (
     make_windows,
     normalize,
     split,
+    trace_files,
 )
 from .errors import ConfigError, DataError
 from .evaluate import (
@@ -135,17 +144,6 @@ class RunConfig:
             raise ConfigError(f"config values of the wrong type: {', '.join(mistyped)}")
         return cls(**d)
 
-    @classmethod
-    def from_json(cls, path: str) -> "RunConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-        return cls.from_dict(data)
-
     def gru_config(self, input_size: int) -> GruConfig:
         overrides = {}
         if self.hidden_size is not None:
@@ -155,6 +153,21 @@ class RunConfig:
         return GruConfig.for_profile(
             self.profile, input_size=input_size, seed=self.seed or 0, **overrides
         )
+
+
+def read_config(path: str) -> dict:
+    """The keys of a JSON config file, unchecked: callers merge them with
+    other values before RunConfig.from_dict checks them."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return data
 
 
 def _fits(value, hint) -> bool:
@@ -264,10 +277,30 @@ def config_hash(payload) -> str:
     ).hexdigest()
 
 
+def file_sha256(path: str) -> str:
+    """sha256 of a file's bytes, read in 1 MiB blocks."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            h.update(block)
+    return h.hexdigest()
+
+
+def trace_file_sha256(path: str, format: str) -> str:
+    """Content hash of a trace on disk, computed without parsing it: the
+    sha256 of the file or, for an abilene directory, of each file's name and
+    bytes in the order the loader reads them."""
+    files = trace_files(path, format)
+    if files == [path]:
+        return file_sha256(path)
+    return config_hash([[os.path.basename(f), file_sha256(f)] for f in files])
+
+
 class Manifest:
-    """Stage ledger of one run directory."""
+    """Stage ledger of one run directory, written after every stage."""
 
     def __init__(self, run_dir: str, config: RunConfig):
+        self.run_dir = run_dir
         self.path = os.path.join(run_dir, "manifest.json")
         self.data = {
             "config": config.to_dict(),
@@ -282,10 +315,32 @@ class Manifest:
         }
 
     def load_previous(self) -> dict:
+        """The stage entries of the manifest on disk; {} when it is missing,
+        unreadable or not shaped like a manifest."""
         try:
-            return load_json(self.path).get("stages", {})
-        except (json.JSONDecodeError, OSError):
+            data = load_json(self.path)
+        except (ValueError, OSError):
             return {}
+        stages = data.get("stages") if isinstance(data, dict) else None
+        return stages if isinstance(stages, dict) else {}
+
+    def verified(self, entry, stage_hash: str) -> bool:
+        """Whether a previous stage entry has this hash and every artifact it
+        lists still has the recorded content hash."""
+        if not isinstance(entry, dict) or entry.get("hash") != stage_hash:
+            return False
+        names, digests = entry.get("artifacts"), entry.get("artifact_sha256")
+        return isinstance(names, list) and isinstance(digests, dict) and all(
+            isinstance(name, str) and isinstance(digests.get(name), str)
+            and self._sha256(name) == digests[name]
+            for name in names
+        )
+
+    def _sha256(self, name: str) -> str | None:
+        try:
+            return file_sha256(os.path.join(self.run_dir, name))
+        except OSError:
+            return None
 
     def record(self, stage: str, stage_hash: str, wall_time: float, artifacts: list[str],
                **extra):
@@ -293,16 +348,23 @@ class Manifest:
             "hash": stage_hash,
             "wall_time_seconds": wall_time,
             "artifacts": artifacts,
+            "artifact_sha256": {a: file_sha256(os.path.join(self.run_dir, a))
+                                for a in artifacts},
             **extra,
         }
+        self.write()
 
     def reuse(self, stage: str, previous: dict) -> None:
         """Carry a reused stage's entry over: what the run that computed it
         recorded (time and artifacts included), marked as reused."""
         self.data["stages"][stage] = {**previous, "reused": True}
+        self.write()
 
     def write(self) -> None:
-        dump_json(self.data, self.path)
+        """Replace manifest.json at once, so that it is never half written."""
+        tmp = self.path + ".tmp"
+        dump_json(self.data, tmp)
+        os.replace(tmp, self.path)
 
 
 def _write_matrix_csv(matrix: np.ndarray, path: str) -> None:
@@ -477,45 +539,58 @@ def score(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, scale, ranges,
                         truth_norm=truth_norm, truth_bytes=truth_bytes)
 
 
+# Config keys of each stage before evaluate, in stage order. Each stage hash
+# also chains on the one before it, and the ingest hash on the trace's bytes.
+_STAGE_KEYS = {
+    "ingest": ("trace", "format", "interval_seconds", "missing", "train_frac", "val_frac",
+               "window_length"),
+    "cluster": ("representation", "metric", "linkage", "k", "bins", "lags", "fs",
+                "normalize_power", "segment_length", "seed"),
+    "train": ("profile", "hidden_size", "epochs", "seed"),
+}
+
+
+def _stage_hashes(config: RunConfig) -> dict[str, str]:
+    """{stage: hash} of the four stages, computed without parsing the trace.
+    eval_report.json echoes the whole config, so evaluate keys on all of it."""
+    cfg = config.to_dict()
+    hashes = {}
+    upstream = trace_file_sha256(config.trace, config.format)
+    for name, keys in _STAGE_KEYS.items():
+        payload = {"stage": name, "upstream": upstream, **{k: cfg[k] for k in keys}}
+        upstream = hashes[name] = config_hash(payload)
+    hashes["evaluate"] = config_hash(
+        {"stage": "evaluate", "upstream": upstream, "config_hash": config_hash(cfg)})
+    return hashes
+
+
 def run_pipeline(config: RunConfig, resume: bool = False) -> str:
     """Execute the full pipeline; returns the run directory path."""
     warnings = require_valid(config)
     run_dir = config.out_dir
     model_dir = os.path.join(run_dir, "models")
-    os.makedirs(model_dir, exist_ok=True)
     manifest = Manifest(run_dir, config)
+    hashes = _stage_hashes(config)
     if resume:
         previous = manifest.load_previous()
     else:
         previous = {}
         with contextlib.suppress(FileNotFoundError):
             os.remove(manifest.path)
-    cfg = config.to_dict()
-
-    def stage(name: str, keys: list[str], upstream: str, artifacts: list[str]):
-        payload = {"stage": name, "upstream": upstream}
-        payload.update({k: cfg[k] for k in keys})
-        h = config_hash(payload)
-        prev = previous.get(name)
-        reusable = (
-            resume
-            and prev is not None
-            and prev.get("hash") == h
-            and all(os.path.exists(os.path.join(run_dir, a)) for a in artifacts)
-        )
-        return h, reusable
+    # a stage is reused only when it and every stage before it verify
+    reuse, verified = {}, resume
+    for name, stage_hash in hashes.items():
+        verified = verified and manifest.verified(previous.get(name), stage_hash)
+        reuse[name] = verified
+    if reuse["evaluate"]:
+        return run_dir
+    os.makedirs(model_dir, exist_ok=True)
+    if warnings:
+        manifest.data["warnings"] = warnings
 
     # --- ingest + extract + normalize -------------------------------------
     t0 = time.perf_counter()
     tm, flows_norm, scale, ranges = prepare(config)
-    trace_digest = trace_sha256(tm)
-    ingest_hash, _ = stage(
-        "ingest",
-        ["trace", "format", "interval_seconds", "missing", "train_frac", "val_frac",
-         "window_length"],
-        trace_digest,
-        [],
-    )
     dump_json(
         {
             "n_nodes": tm.n_nodes,
@@ -529,20 +604,13 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
         os.path.join(run_dir, "scale.json"),
     )
     manifest.record(
-        "ingest", ingest_hash, time.perf_counter() - t0,
-        ["scale.json"], trace_sha256=trace_digest,
+        "ingest", hashes["ingest"], time.perf_counter() - t0,
+        ["scale.json"], trace_sha256=trace_sha256(tm),
     )
 
     # --- represent + cluster ----------------------------------------------
     t0 = time.perf_counter()
-    cluster_hash, reuse_cluster = stage(
-        "cluster",
-        ["representation", "metric", "linkage", "k", "bins", "lags", "fs",
-         "normalize_power", "segment_length", "seed"],
-        ingest_hash,
-        ["partition.json"],
-    )
-    if reuse_cluster:
+    if reuse["cluster"]:
         part = load_partition(os.path.join(run_dir, "partition.json"))
         manifest.reuse("cluster", previous["cluster"])
     else:
@@ -551,37 +619,28 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
         cluster_artifacts = write_partition(part, dendro, run_dir)
         if feats is not None:
             cluster_artifacts += write_features(feats, diss, run_dir)
-        manifest.record("cluster", cluster_hash, time.perf_counter() - t0, cluster_artifacts)
+        manifest.record("cluster", hashes["cluster"], time.perf_counter() - t0,
+                        cluster_artifacts)
 
     # --- train ---------------------------------------------------------------
     t0 = time.perf_counter()
-    model_files = [f"models/cluster_{label}.bin" for label in range(1, part.k + 1)]
-    train_hash, reuse_train = stage(
-        "train", ["profile", "hidden_size", "epochs", "seed"], cluster_hash, model_files,
-    )
-    if reuse_train:
+    if reuse["train"]:
         models = load_models(model_dir, part)
         manifest.reuse("train", previous["train"])
     else:
         models = train_models(config, flows_norm, ranges, part, model_dir=model_dir,
                               report_path=os.path.join(run_dir, "train_report.json"))
-        manifest.record("train", train_hash, time.perf_counter() - t0,
-                        model_files + ["train_report.json"])
+        manifest.record("train", hashes["train"], time.perf_counter() - t0,
+                        [f"models/cluster_{label}.bin" for label in range(1, part.k + 1)]
+                        + ["train_report.json"])
 
     # --- predict + evaluate ---------------------------------------------------
     t0 = time.perf_counter()
     report, arrays = score(config, tm, flows_norm, scale, ranges, part, models)
     np.savez(os.path.join(run_dir, "predictions.npz"), **arrays)
     write_report(report, run_dir)
-    manifest.record(
-        "evaluate",
-        config_hash({"stage": "evaluate", "upstream": train_hash}),
-        time.perf_counter() - t0,
-        ["predictions.npz", "eval_report.json", "per_flow_rmse.csv"],
-    )
-    if warnings:
-        manifest.data["warnings"] = warnings
-    manifest.write()
+    manifest.record("evaluate", hashes["evaluate"], time.perf_counter() - t0,
+                    ["predictions.npz", "eval_report.json", "per_flow_rmse.csv"])
     return run_dir
 
 

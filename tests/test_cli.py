@@ -265,6 +265,39 @@ def test_validate_prints_warnings_and_passes(tmp_path, capsys, keys, flags, warn
     assert "warning: " in out and warning in out and "config ok" in out
 
 
+def test_config_file_without_trace_takes_the_trace_flag(tmp_path, capsys):
+    trace = synth_trace(tmp_path)
+    complete = write_config(tmp_path, trace=trace, k=2)
+    capsys.readouterr()
+    assert main(["validate", "--config", complete]) == EXIT_OK
+    expected = capsys.readouterr()
+    without_trace = write_config(tmp_path, k=2)
+    assert main(["validate", "--config", without_trace, "--trace", trace]) == EXIT_OK
+    assert capsys.readouterr() == expected
+    assert main(["run", "--config", without_trace, "--out-dir", str(tmp_path / "run")]) \
+        == EXIT_CONFIG
+    assert "a trace path is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["run", "--k", "2"], ["represent"],
+                                  ["train", "--partition", "p.json"]])
+def test_a_directory_in_a_one_file_format_is_a_data_error(tmp_path, capsys, argv):
+    trace_dir = tmp_path / "traces"
+    trace_dir.mkdir()
+    argv = [*argv, "--trace", str(trace_dir), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_DATA
+    assert "one file, not a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["3", "[1]", '"k"'])
+def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    path.write_text(content)
+    assert main(["validate", "--config", str(path), "--trace", synth_trace(tmp_path)]) \
+        == EXIT_CONFIG
+    assert "must hold a JSON object" in capsys.readouterr().err
+
+
 def blank_one_cell(trace: str) -> str:
     """A copy of trace whose second row has an empty last cell."""
     lines = read(trace).decode("utf-8").splitlines(keepends=True)

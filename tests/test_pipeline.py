@@ -1,9 +1,11 @@
 """run_pipeline and sweep at tiny size: the run directory records the trace's
-hash, not a copy, a resume reuses stages only while the trace's contents
-match, and a sweep scores each K as the run at that K does."""
+hash, not a copy, a resume reuses stages only while the trace's and the
+artifacts' contents match and finishes a crashed run, a resume with nothing
+changed does no work, and a sweep scores each K as the run at that K does."""
 
 import json
 import os
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -39,6 +41,34 @@ def read(path):
 def manifest(run_dir):
     with open(os.path.join(run_dir, "manifest.json"), encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def crash(*args, **kwargs):
+    raise RuntimeError("crash")
+
+
+def without_wall_times(obj):
+    # the manifest's digest of train_report.json covers the report's wall times
+    if isinstance(obj, dict):
+        return {key: without_wall_times(value) for key, value in obj.items()
+                if key not in ("wall_time_seconds", "reused", "train_report.json")}
+    if isinstance(obj, list):
+        return [without_wall_times(value) for value in obj]
+    return obj
+
+
+def outputs(run_dir):
+    """{path: content} of every file in a run directory: its bytes or, for the
+    two files that hold wall times, its JSON without them and reuse marks."""
+    out = {}
+    for root, _, files in os.walk(run_dir):
+        for name in files:
+            path = os.path.join(root, name)
+            out[os.path.relpath(path, run_dir)] = (
+                without_wall_times(json.loads(read(path)))
+                if name in ("manifest.json", "train_report.json") else read(path)
+            )
+    return out
 
 
 def permute_flows_in_place(path, perm):
@@ -109,13 +139,9 @@ def test_resume_after_a_crashed_fresh_run_of_another_config(trace, tmp_path, mon
     cfg_a = config(trace, tmp_path / "run")
     run_dir = run_pipeline(cfg_a)
     cfg_b = replace(cfg_a, k=3)
-
-    def crash(*args, **kwargs):
-        raise RuntimeError("crash in training")
-
     with monkeypatch.context() as patch:
         patch.setattr(pipeline, "train_partitioned", crash)
-        with pytest.raises(RuntimeError, match="crash in training"):
+        with pytest.raises(RuntimeError, match="crash"):
             run_pipeline(cfg_b)
     assert json.loads(read(os.path.join(run_dir, "partition.json")))["k"] == 3
 
@@ -130,6 +156,8 @@ def test_resume_keeps_the_fresh_run_stage_entries(trace, tmp_path):
     cfg = config(trace, tmp_path / "run")
     run_dir = run_pipeline(cfg)
     fresh = manifest(run_dir)["stages"]
+    # a full hit writes nothing; without eval_report.json the resume re-parses
+    os.remove(os.path.join(run_dir, "eval_report.json"))
     run_pipeline(cfg, resume=True)
     resumed = manifest(run_dir)["stages"]
     for name in ("cluster", "train"):
@@ -137,3 +165,148 @@ def test_resume_keeps_the_fresh_run_stage_entries(trace, tmp_path):
     for name in ("ingest", "evaluate"):
         assert "reused" not in resumed[name], name
     assert not any("reused" in entry for entry in fresh.values())
+
+
+@pytest.mark.parametrize("step,finished", [
+    ("build_dendrogram", ["ingest"]),
+    ("train_partitioned", ["ingest", "cluster"]),
+    ("predict_tm", ["ingest", "cluster", "train"]),
+])
+def test_resume_after_a_crash_in_each_stage_finishes_the_run(trace, tmp_path, monkeypatch,
+                                                             step, finished):
+    cfg = config(trace, tmp_path / "run")
+    run_dir = run_pipeline(cfg)
+    uninterrupted = outputs(run_dir)
+    shutil.rmtree(run_dir)
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, step, crash)
+        with pytest.raises(RuntimeError, match="crash"):
+            run_pipeline(cfg)
+    # the manifest written after each stage shows how far the run got
+    assert sorted(manifest(run_dir)["stages"]) == sorted(finished)
+
+    run_pipeline(cfg, resume=True)
+    assert outputs(run_dir) == uninterrupted
+    stages = manifest(run_dir)["stages"]
+    assert [name for name in stages if stages[name].get("reused")] == sorted(finished[1:])
+
+
+def edit_partition(run_dir):
+    path = os.path.join(run_dir, "partition.json")
+    part = json.loads(read(path))
+    part["labels"] = [3 - label for label in part["labels"]]  # still a valid k=2 partition
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(part, fh)
+
+
+def truncate_model(run_dir):
+    path = os.path.join(run_dir, "models", "cluster_1.bin")
+    data = read(path)
+    with open(path, "wb") as fh:
+        fh.write(data[: len(data) // 2])
+
+
+def delete_report(run_dir):
+    os.remove(os.path.join(run_dir, "eval_report.json"))
+
+
+@pytest.mark.parametrize("tamper,recomputed", [
+    (edit_partition, ["cluster", "train", "evaluate"]),
+    (truncate_model, ["train", "evaluate"]),
+    (delete_report, ["evaluate"]),
+])
+def test_resume_recomputes_from_the_stage_whose_artifact_changed(trace, tmp_path, tamper,
+                                                                 recomputed):
+    cfg = config(trace, tmp_path / "run")
+    run_dir = run_pipeline(cfg)
+    fresh = outputs(run_dir)
+    tamper(run_dir)
+    run_pipeline(cfg, resume=True)
+    assert outputs(run_dir) == fresh
+    stages = manifest(run_dir)["stages"]
+    assert [name for name in ("cluster", "train", "evaluate")
+            if not stages[name].get("reused")] == recomputed
+
+
+@pytest.mark.parametrize("content", ["[]", '{"stages": []}', '{"stages": {"cluster": "x"}}'])
+def test_resume_over_a_malformed_manifest_recomputes_every_stage(trace, tmp_path, content):
+    cfg = config(trace, tmp_path / "run")
+    run_dir = run_pipeline(cfg)
+    fresh = outputs(run_dir)
+    with open(os.path.join(run_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+        fh.write(content)
+    run_pipeline(cfg, resume=True)
+    assert outputs(run_dir) == fresh
+    assert not any("reused" in entry for entry in manifest(run_dir)["stages"].values())
+
+
+def bytes_and_mtimes(run_dir):
+    """{path: (bytes or None for a directory, st_mtime_ns)} under run_dir."""
+    out = {}
+    for root, dirs, files in os.walk(run_dir):
+        for name in dirs:
+            path = os.path.join(root, name)
+            out[path] = (None, os.stat(path).st_mtime_ns)
+        for name in files:
+            path = os.path.join(root, name)
+            out[path] = (read(path), os.stat(path).st_mtime_ns)
+    out[run_dir] = (None, os.stat(run_dir).st_mtime_ns)
+    return out
+
+
+def test_resume_with_nothing_changed_parses_predicts_and_writes_nothing(trace, tmp_path,
+                                                                        monkeypatch):
+    cfg = config(trace, tmp_path / "run")
+    run_dir = run_pipeline(cfg)
+    before = bytes_and_mtimes(run_dir)
+    for name in ("load_tm_series", "predict_tm", "load_model"):
+        monkeypatch.setattr(pipeline, name, crash)
+    assert run_pipeline(cfg, resume=True) == run_dir
+    assert bytes_and_mtimes(run_dir) == before
+
+
+def test_resume_with_other_units_rewrites_the_report(trace, tmp_path):
+    cfg = config(trace, tmp_path / "run")
+    run_dir = run_pipeline(cfg)
+    run_pipeline(replace(cfg, units="packets"), resume=True)
+    report = json.loads(read(os.path.join(run_dir, "eval_report.json")))
+    assert report["config"]["units"] == report["metadata"]["units"] == "packets"
+    stages = manifest(run_dir)["stages"]
+    assert stages["cluster"]["reused"] and stages["train"]["reused"]
+
+
+def write_abilene_dir(path):
+    """Two whitespace matrix files of a 12-node trace with two planted groups."""
+    spec = SynthSpec(
+        n_nodes=12, n_steps=300, seed=3,
+        groups=[GroupSpec(72, 24, 1.0, 0.1, "sine"), GroupSpec(72, 7, 1.0, 0.1, "square")],
+    )
+    flat = generate(spec)[0].values.reshape(300, 144)
+    os.makedirs(path)
+    np.savetxt(os.path.join(path, "a.txt"), flat[:150])
+    np.savetxt(os.path.join(path, "b.txt"), flat[150:])
+
+
+def scale_last_row(path):
+    rows = np.loadtxt(path, ndmin=2)
+    rows[-1] *= 2.0
+    np.savetxt(path, rows)
+
+
+@pytest.mark.parametrize("change", [
+    lambda d: scale_last_row(os.path.join(d, "b.txt")),
+    # the loader reads the files in name order, so this reorders the steps
+    lambda d: os.rename(os.path.join(d, "a.txt"), os.path.join(d, "c.txt")),
+], ids=["edit", "rename"])
+def test_changing_one_file_of_an_abilene_directory_invalidates_the_run(tmp_path, change):
+    trace_dir = str(tmp_path / "abilene")
+    write_abilene_dir(trace_dir)
+    cfg = replace(config(trace_dir, tmp_path / "run"), format="abilene")
+    run_dir = run_pipeline(cfg)
+    old = manifest(run_dir)["stages"]
+    change(trace_dir)
+    run_pipeline(cfg, resume=True)
+    new = manifest(run_dir)["stages"]
+    assert new["ingest"]["hash"] != old["ingest"]["hash"]
+    assert new["ingest"]["trace_sha256"] == trace_sha256(load_tm_series(trace_dir, "abilene"))
+    assert not any("reused" in entry for entry in new.values())
