@@ -27,6 +27,7 @@ from .errors import ConfigError, DataError, NumericalError
 from .pipeline import (
     CHOICES,
     RunConfig,
+    _check_k,
     compare,
     dump_json,
     load_json,
@@ -153,6 +154,7 @@ def cmd_cluster(args) -> int:
             raise ConfigError("--method naive requires --flows (number of flows)")
         if args.seed is None:
             raise ConfigError("--method naive requires --seed")
+        _check_k(args.k, args.flows)
         part = cluster_mod.naive_partition(args.flows, args.k, seed=args.seed)
     else:
         if args.dissimilarity is None:
@@ -167,6 +169,7 @@ def cmd_cluster(args) -> int:
         except (OSError, ValueError) as exc:
             raise DataError(f"cannot read {args.dissimilarity}: {exc}") from None
         dendro = cluster_mod.hac(d, linkage=args.linkage)
+        _check_k(args.k, dendro.n_leaves)
         part = cluster_mod.cut(dendro, args.k)
     written = write_partition(part, dendro, args.out_dir)
     print(f"wrote {', '.join(written)} (k={part.k}) to {args.out_dir}")

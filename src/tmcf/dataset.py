@@ -234,14 +234,13 @@ def split(
     The first floor(train_frac * T) observations form the training block;
     its chronological tail of floor(val_frac_of_train * block) observations
     becomes validation; everything after the block is test. When
-    window_length is given, every nonempty range must fit at least one
-    window.
+    window_length is given, every range must fit at least one window.
     """
     if not 0.0 < train_frac < 1.0:
         raise ValidationError(f"train_frac must be in (0, 1), got {train_frac}")
-    if not 0.0 <= val_frac_of_train < 1.0:
+    if not 0.0 < val_frac_of_train < 1.0:
         raise ValidationError(
-            f"val_frac_of_train must be in [0, 1), got {val_frac_of_train}"
+            f"val_frac_of_train must be in (0, 1), got {val_frac_of_train}"
         )
     block = math.floor(train_frac * n_obs)
     val_len = math.floor(val_frac_of_train * block)
@@ -251,20 +250,10 @@ def split(
         test=(block, n_obs),
     )
     if window_length is not None:
-        for name, (lo, hi) in (
-            ("train", ranges.train),
-            ("val", ranges.val),
-            ("test", ranges.test),
-        ):
-            length = hi - lo
-            if name in ("train", "test") and length < window_length:
+        for name, (lo, hi) in ranges.as_dict().items():
+            if hi - lo < window_length:
                 raise ValidationError(
-                    f"{name} range has {length} observations; "
-                    f"window length {window_length} does not fit"
-                )
-            if name == "val" and 0 < length < window_length:
-                raise ValidationError(
-                    f"val range has {length} observations; "
+                    f"{name} range has {hi - lo} observations; "
                     f"window length {window_length} does not fit"
                 )
     return ranges

@@ -11,29 +11,33 @@ A run directory holds, by stage:
 - cluster: partition.json; with HAC also dendrogram.csv, dissimilarity.npy
   (read back by `tmcf cluster --dissimilarity`), features.csv and
   features_meta.json
-- train: models/cluster_<id>.bin and train_report.json
-- evaluate: predictions.npz (uncompressed), eval_report.json and
-  per_flow_rmse.csv
+- train: models/cluster_<id>.bin and train_report.json (loss curves and
+  early stopping per cluster)
+- evaluate: predictions.npz (uncompressed: pred_norm and pred_bytes; the
+  truths are the trace's test block, recomputed from the trace and
+  scale.json), eval_report.json and per_flow_rmse.csv
 
-plus manifest.json (config echo, seeds, versions, and per stage its hash,
-wall time, artifacts and their sha256). It keeps no copy of the trace or of
-the normalized flows: the manifest's ingest entry records trace_sha256, a
-hash of the loaded trace's values and interval. Re-running with the same
-config and seeds reproduces byte-identical metric outputs.
+plus manifest.json: the config echo, versions and, per stage, its hash,
+wall_time_seconds and artifacts, a {name: sha256} map; the ingest entry also
+records trace_sha256, the hash of the trace's bytes that the stage hashes
+chain on, and a reused stage is marked "reused". The manifest is the only
+file that holds times, hashes or reuse marks, and the run directory keeps no
+copy of the trace or of the normalized flows: every other file is a function
+of the trace and the config, so two runs with the same config write them
+byte-identical.
 
 Every stage hash is computed before the trace is parsed. The ingest hash
 covers the ingest config keys and the sha256 of the trace file's bytes (of
 each file's name and bytes for an abilene directory); each later stage hash
 chains on the one before, and evaluate's covers the whole config. The
-manifest is rewritten (through a temporary file) after every stage, so a
-crashed run shows how far it got, and a fresh run first removes any previous
-manifest. With resume=True a stage is reused when its hash matches, every
-artifact it lists still has the recorded sha256, and every stage before it
-verifies too; it keeps the manifest entry of the run that computed it,
-marked "reused". When all four stages verify, the run returns at once: it
-parses, predicts and writes nothing. Otherwise it parses the trace once,
-rewrites the ingest entry and recomputes the first stage that fails and
-every stage after it.
+manifest is replaced (through a temporary file) after every stage, so a
+crashed run shows how far it got. With resume=True a stage is reused when
+its hash matches, every artifact it lists still has the recorded sha256, and
+every stage before it verifies too; it keeps the manifest entry of the run
+that computed it, marked "reused". When all four stages verify, the run
+returns at once: it parses, predicts and writes nothing. Otherwise it parses
+the trace once, rewrites the ingest entry and recomputes the first stage
+that fails and every stage after it.
 """
 
 from __future__ import annotations
@@ -125,7 +129,7 @@ class RunConfig:
     profile: str = "desk"
     hidden_size: int | None = None
     epochs: int | None = None
-    seed: int | None = 0
+    seed: int = 0
     out_dir: str = "runs/run"
     units: str = "bytes_per_interval"
 
@@ -151,7 +155,7 @@ class RunConfig:
         if self.epochs is not None:
             overrides["epochs"] = self.epochs
         return GruConfig.for_profile(
-            self.profile, input_size=input_size, seed=self.seed or 0, **overrides
+            self.profile, input_size=input_size, seed=self.seed, **overrides
         )
 
 
@@ -199,39 +203,44 @@ def validate_config(config: RunConfig, trace_required: bool = True) -> tuple[lis
             f"metric 'jsd' is only compatible with the histogram representation, "
             f"not {config.representation!r}"
         )
-    if config.representation == "naive":
-        if config.seed is None:
-            errors.append("the naive representation requires an explicit seed")
-        if config.linkage is not None or config.metric is not None:
-            warnings.append("linkage/metric are ignored by the naive representation")
-    if config.k is not None and config.k < 1:
-        errors.append(f"k must be >= 1, got {config.k}")
+    if (config.representation == "naive"
+            and (config.linkage is not None or config.metric is not None)):
+        warnings.append("linkage/metric are ignored by the naive representation")
+    errors += [
+        f"{name} must be >= 1, got {value}"
+        for name in ("k", "repetitions", "bins", "interval_seconds", "segment_length",
+                     "hidden_size", "epochs")
+        if (value := getattr(config, name)) is not None and value < 1
+    ]
     if config.k_grid is not None and (
         not config.k_grid or any(k < 1 for k in config.k_grid)
     ):
         errors.append("k_grid must be a nonempty list of integers >= 1")
-    if config.repetitions < 1:
-        errors.append(f"repetitions must be >= 1, got {config.repetitions}")
+    if config.lags is not None and (not config.lags or min(config.lags) < 0):
+        errors.append("lags must be a nonempty list of integers >= 0")
+    if config.fs is not None and not config.fs > 0:
+        errors.append(f"fs must be > 0, got {config.fs}")
     if not 0.0 < config.train_frac < 1.0:
         errors.append(f"train_frac must be in (0, 1), got {config.train_frac}")
-    if not 0.0 <= config.val_frac < 1.0:
-        errors.append(f"val_frac must be in [0, 1), got {config.val_frac}")
+    # training stops early on the validation range, so it must not be empty
+    if not 0.0 < config.val_frac < 1.0:
+        errors.append(f"val_frac must be in (0, 1), got {config.val_frac}")
     if config.window_length < 2:
         errors.append(f"window_length must be >= 2, got {config.window_length}")
-    if config.bins < 1:
-        errors.append(f"bins must be >= 1, got {config.bins}")
     if config.profile == "desk" and (config.hidden_size or 0) > 64:
         warnings.append(
             f"desk profile with hidden_size={config.hidden_size} override will be slow; "
             "use profile=paper if full-scale settings are intended"
         )
     if config.profile == "paper" and trace_required and os.path.exists(config.trace):
-        size = os.path.getsize(config.trace)
-        if size > 8 * _PAPER_PROFILE_BUDGET:
-            warnings.append(
-                "paper profile on a large trace: expect hours of training "
-                "(hidden 200, 100 epochs per cluster)"
-            )
+        # a trace the loader cannot read is reported when it is loaded
+        with contextlib.suppress(DataError):
+            size = sum(map(os.path.getsize, trace_files(config.trace, config.format)))
+            if size > 8 * _PAPER_PROFILE_BUDGET:
+                warnings.append(
+                    "paper profile on a large trace: expect hours of training "
+                    "(hidden 200, 100 epochs per cluster)"
+                )
     if config.units != "bytes_per_interval":
         warnings.append(
             f"trace units {config.units!r}: physical RMSE assumes bytes per interval "
@@ -325,15 +334,14 @@ class Manifest:
         return stages if isinstance(stages, dict) else {}
 
     def verified(self, entry, stage_hash: str) -> bool:
-        """Whether a previous stage entry has this hash and every artifact it
-        lists still has the recorded content hash."""
+        """Whether a previous stage entry has this hash and every artifact in
+        its {name: sha256} map still has the recorded content hash."""
         if not isinstance(entry, dict) or entry.get("hash") != stage_hash:
             return False
-        names, digests = entry.get("artifacts"), entry.get("artifact_sha256")
-        return isinstance(names, list) and isinstance(digests, dict) and all(
-            isinstance(name, str) and isinstance(digests.get(name), str)
-            and self._sha256(name) == digests[name]
-            for name in names
+        artifacts = entry.get("artifacts")
+        return isinstance(artifacts, dict) and all(
+            isinstance(digest, str) and self._sha256(name) == digest
+            for name, digest in artifacts.items()
         )
 
     def _sha256(self, name: str) -> str | None:
@@ -347,9 +355,7 @@ class Manifest:
         self.data["stages"][stage] = {
             "hash": stage_hash,
             "wall_time_seconds": wall_time,
-            "artifacts": artifacts,
-            "artifact_sha256": {a: file_sha256(os.path.join(self.run_dir, a))
-                                for a in artifacts},
+            "artifacts": {a: file_sha256(os.path.join(self.run_dir, a)) for a in artifacts},
             **extra,
         }
         self.write()
@@ -421,14 +427,6 @@ def write_sweep_csv(curve: SweepCurve, path: str) -> None:
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
-
-
-def trace_sha256(tm: TmSeries) -> str:
-    """Content hash of a loaded trace: its shape, values and interval."""
-    h = hashlib.sha256(repr(tm.values.shape).encode("utf-8"))
-    h.update(tm.values.tobytes())
-    h.update(str(tm.interval_seconds).encode("utf-8"))
-    return h.hexdigest()
 
 
 def prepare(config: RunConfig):
@@ -523,7 +521,7 @@ def load_models(model_dir: str, part: Partition) -> dict:
 def score(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, scale, ranges,
           part: Partition, models: dict) -> tuple[EvalReport, dict]:
     """Predict the test region and score it; returns the report and the
-    arrays of predictions.npz (predictions and truths, normalized and bytes)."""
+    arrays of predictions.npz (the predictions, normalized and in bytes)."""
     pred_norm, tm_pred = predict_tm(
         models, part, flows_norm.values, ranges.test, config.window_length,
         scale, tm.n_nodes, tm.interval_seconds,
@@ -535,8 +533,7 @@ def score(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, scale, ranges,
     report = build_eval_report(config, part, truth_norm, pred_norm, truth_bytes,
                                tm_pred.values, tm.interval_seconds,
                                train_block_len=ranges.val[1])
-    return report, dict(pred_norm=pred_norm, pred_bytes=tm_pred.values,
-                        truth_norm=truth_norm, truth_bytes=truth_bytes)
+    return report, dict(pred_norm=pred_norm, pred_bytes=tm_pred.values)
 
 
 # Config keys of each stage before evaluate, in stage order. Each stage hash
@@ -550,12 +547,13 @@ _STAGE_KEYS = {
 }
 
 
-def _stage_hashes(config: RunConfig) -> dict[str, str]:
-    """{stage: hash} of the four stages, computed without parsing the trace.
-    eval_report.json echoes the whole config, so evaluate keys on all of it."""
+def _stage_hashes(config: RunConfig, trace_hash: str) -> dict[str, str]:
+    """{stage: hash} of the four stages, chained on trace_hash, the trace
+    file's trace_file_sha256. eval_report.json echoes the whole config, so
+    evaluate keys on all of it."""
     cfg = config.to_dict()
     hashes = {}
-    upstream = trace_file_sha256(config.trace, config.format)
+    upstream = trace_hash
     for name, keys in _STAGE_KEYS.items():
         payload = {"stage": name, "upstream": upstream, **{k: cfg[k] for k in keys}}
         upstream = hashes[name] = config_hash(payload)
@@ -570,13 +568,9 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
     run_dir = config.out_dir
     model_dir = os.path.join(run_dir, "models")
     manifest = Manifest(run_dir, config)
-    hashes = _stage_hashes(config)
-    if resume:
-        previous = manifest.load_previous()
-    else:
-        previous = {}
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(manifest.path)
+    trace_hash = trace_file_sha256(config.trace, config.format)
+    hashes = _stage_hashes(config, trace_hash)
+    previous = manifest.load_previous() if resume else {}
     # a stage is reused only when it and every stage before it verify
     reuse, verified = {}, resume
     for name, stage_hash in hashes.items():
@@ -605,7 +599,7 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
     )
     manifest.record(
         "ingest", hashes["ingest"], time.perf_counter() - t0,
-        ["scale.json"], trace_sha256=trace_sha256(tm),
+        ["scale.json"], trace_sha256=trace_hash,
     )
 
     # --- represent + cluster ----------------------------------------------
@@ -690,7 +684,7 @@ def build_eval_report(
 
 def sweep(config: RunConfig) -> tuple[SweepCurve, dict]:
     """RMSE-versus-K curve plus Kneedle knee selection; returns (curve, knee
-    payload). Each repetition scores replace(config, k=k, seed=seed + rep).
+    payload). Each repetition scores replace(config, k=k, seed=config.seed + rep).
     The dendrogram does not depend on K or the seed and is built once; the
     naive baseline draws a new random partition per repetition."""
     require_valid(config)
@@ -700,7 +694,6 @@ def sweep(config: RunConfig) -> tuple[SweepCurve, dict]:
     k_grid = sorted(set(int(k) for k in config.k_grid))
     for k in k_grid:
         _check_k(k, tm.n_flows)
-    seed = config.seed or 0
     # the dendrogram (None for naive) is cut at every K below
     dendro, _, _ = build_dendrogram(config, tm, flows_norm, ranges)
 
@@ -710,7 +703,7 @@ def sweep(config: RunConfig) -> tuple[SweepCurve, dict]:
         times = []
         for rep in range(config.repetitions):
             t0 = time.perf_counter()
-            rep_cfg = replace(config, k=k, seed=seed + rep)
+            rep_cfg = replace(config, k=k, seed=config.seed + rep)
             part = make_partition(rep_cfg, dendro, tm.n_flows)
             models = train_models(rep_cfg, flows_norm, ranges, part)
             report, _ = score(rep_cfg, tm, flows_norm, scale, ranges, part, models)
@@ -735,8 +728,6 @@ def compare(config: RunConfig, out_dir: str) -> dict:
     """Cross-method comparison at matched K: pairwise ARI/NMI, per-flow error
     correlations, and cluster-size statistics, written as three CSVs."""
     require_valid(config)
-    if config.seed is None:
-        raise ConfigError("compare requires a seed (naive baseline is included)")
     os.makedirs(out_dir, exist_ok=True)
     tm, flows_norm, scale, ranges = prepare(config)
 

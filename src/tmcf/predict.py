@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
@@ -104,19 +103,15 @@ class GruModel:
 
 @dataclass
 class TrainReport:
-    """Per-epoch loss curves and the early-stopping outcome of one model.
-
-    Models are trained in groups by one joint call, so wall_time_seconds is
-    the wall time of that call, the same for every model of the group.
-    """
+    """Per-epoch loss curves and the early-stopping outcome of one model: a
+    function of the data, the config and the seed, with no wall time (a run
+    directory keeps its times in manifest.json)."""
 
     epochs_run: int
     train_losses: list[float]
     val_losses: list[float]
     stopped_early: bool
-    wall_time_seconds: float
     best_epoch: int
-    init_scheme: str = "uniform(-1/sqrt(hidden), 1/sqrt(hidden))"
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -424,7 +419,6 @@ def _train_group(
     steps. A model that stops early leaves the stack after that epoch: its
     parameters and Adam moments are packed out, and it is not computed on.
     """
-    start = time.perf_counter()
     cfg = configs[0]
     models = [init_model(c) for c in configs]
     rngs = [np.random.default_rng(c.seed) for c in configs]
@@ -489,7 +483,6 @@ def _train_group(
             if not live:
                 break
 
-    wall_time = time.perf_counter() - start
     results = []
     for i, (model, p) in enumerate(zip(models, progress)):
         model.params = final[i]
@@ -498,7 +491,6 @@ def _train_group(
             train_losses=p.train_losses,
             val_losses=p.val_losses,
             stopped_early=p.stopped_early,
-            wall_time_seconds=wall_time,
             best_epoch=p.best_epoch,
         )))
     return results

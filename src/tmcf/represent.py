@@ -235,6 +235,8 @@ def _psd_block(
     if fs <= 0:
         raise ValidationError(f"sampling frequency must be positive, got {fs}")
     nper = segment_length if segment_length is not None else min(DEFAULT_SEGMENT_LENGTH, t)
+    if nper < 1:
+        raise ValidationError(f"segment length must be >= 1, got {nper}")
     if t < nper:
         raise ValidationError(
             f"series of {t} samples is shorter than one segment ({nper})"

@@ -9,7 +9,6 @@ from the tmcf.predict constants. The stacked, fused core of tmcf.predict must
 reproduce them to a rounding tolerance.
 """
 
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -165,7 +164,6 @@ def train(
             f"dataset width {train_ds.n_dims} does not match config input_size "
             f"{config.input_size}"
         )
-    start = time.perf_counter()
     model = init_model(config)
     adam = _Adam(model.params, LEARNING_RATE, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
     rng = np.random.default_rng(config.seed)
@@ -217,7 +215,6 @@ def train(
         train_losses=train_losses,
         val_losses=val_losses,
         stopped_early=stopped_early,
-        wall_time_seconds=time.perf_counter() - start,
         best_epoch=best_epoch,
     )
     return model, report

@@ -155,14 +155,23 @@ def test_compare_tables_and_per_flow_errors(tmp_path):
     assert result["per_flow_rmse"]["histogram"] == run_report["per_flow_rmse"]
 
 
-@pytest.mark.parametrize("command,k_flags", [
-    ("run", ["--k", "99"]),
-    ("sweep", ["--k-grid", "1,2,99"]),
-    ("compare", ["--k", "99"]),
-])
-def test_out_of_range_k_is_a_config_error(tmp_path, command, k_flags):
-    argv = [command, "--trace", synth_trace(tmp_path), "--out-dir", str(tmp_path / "out")]
-    assert main(argv + k_flags + TRAIN_FLAGS) == EXIT_CONFIG
+THREE_POINTS = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("run", ["--k", "99", *TRAIN_FLAGS]),
+    ("sweep", ["--k-grid", "1,2,99", *TRAIN_FLAGS]),
+    ("compare", ["--k", "99", *TRAIN_FLAGS]),
+    ("cluster", ["--method", "hac", "--linkage", "average", "--k", "4"]),
+    ("cluster", ["--method", "naive", "--flows", "3", "--seed", "0", "--k", "0"]),
+], ids=["run", "sweep", "compare", "cluster-hac", "cluster-naive"])
+def test_out_of_range_k_is_a_config_error(tmp_path, command, flags):
+    if command == "cluster":
+        source = ["--dissimilarity", str(tmp_path / "dissimilarity.npy")]
+        np.save(source[1], THREE_POINTS)
+    else:
+        source = ["--trace", synth_trace(tmp_path)]
+    assert main([command, *source, "--out-dir", str(tmp_path / "out"), *flags]) == EXIT_CONFIG
 
 
 def test_evaluate_on_truncated_model_is_a_data_error(tmp_path):
@@ -203,7 +212,7 @@ def test_config_warnings_go_to_stderr(tmp_path, capsys, command, flags):
 
 def test_cluster_hac_without_linkage_names_the_run_defaults(tmp_path, capsys):
     matrix = str(tmp_path / "dissimilarity.npy")
-    np.save(matrix, np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]]))
+    np.save(matrix, THREE_POINTS)
     assert main([
         "cluster", "--method", "hac", "--dissimilarity", matrix,
         "--k", "2", "--out-dir", str(tmp_path / "cluster"),
@@ -389,6 +398,7 @@ def test_unreadable_partition_or_models_is_a_data_error(tmp_path, capsys, case):
     ({"normalize_power": "no"}, ["normalize_power"]),
     ({"k": True}, ["k"]),
     ({"k_grid": [1, "2"]}, ["k_grid"]),
+    ({"seed": None}, ["seed"]),
     # an int fits a float field; every mistyped key is named
     ({"fs": 2, "k": "2", "train_frac": "0.8"}, ["k", "train_frac"]),
 ])
@@ -401,6 +411,27 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, keys, mistyped
     err = capsys.readouterr().err
     assert "wrong type" in err
     assert [key for key in keys if f"{key}=" in err] == mistyped
+
+
+@pytest.mark.parametrize("flags,keys", [
+    (["--val-frac", "0"], {}),
+    (["--hidden-size", "0"], {}),
+    (["--epochs", "0"], {}),
+    (["--interval-seconds", "0"], {}),
+    (["--representation", "psd", "--fs", "0"], {}),
+    (["--representation", "acf", "--lags", "-1", "2"], {}),
+    ([], {"representation": "psd", "segment_length": 0}),
+], ids=["val_frac", "hidden_size", "epochs", "interval_seconds", "fs", "lags",
+        "segment_length"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_config_that_cannot_run_does_not_validate(tmp_path, capsys, command, flags, keys):
+    # each would fail the run only after the parse, so validate rejects it
+    config = write_config(tmp_path, trace=synth_trace(tmp_path), k=2, **keys)
+    run_dir = tmp_path / "run"
+    capsys.readouterr()
+    assert main([command, "--config", config, "--out-dir", str(run_dir), *flags]) == EXIT_CONFIG
+    assert "config ok" not in capsys.readouterr().out
+    assert not run_dir.exists()
 
 
 @pytest.mark.parametrize("field", ["representation", "format", "missing", "metric",

@@ -198,6 +198,14 @@ class TestSplit:
         with pytest.raises(ValidationError):
             split(10, 0.8, 0.1, window_length=10)
 
+    def test_validation_range_must_fit_a_window(self):
+        # training stops early on it, so an empty one is no exception:
+        # floor(0.01 * 80) leaves 0 validation observations
+        with pytest.raises(ValidationError, match="val range has 0 observations"):
+            split(100, 0.8, 0.01, window_length=11)
+        with pytest.raises(ValidationError, match="val_frac_of_train"):
+            split(100, 0.8, 0.0)
+
     def test_T1000_test_size(self):
         r = split(1000, 0.8, 0.1)
         assert r.test[1] - r.test[0] == 200

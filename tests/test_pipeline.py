@@ -1,7 +1,8 @@
 """run_pipeline and sweep at tiny size: the run directory records the trace's
-hash, not a copy, a resume reuses stages only while the trace's and the
-artifacts' contents match and finishes a crashed run, a resume with nothing
-changed does no work, and a sweep scores each K as the run at that K does."""
+hash, not a copy, and only its manifest differs between two runs of one
+config; a resume reuses stages only while the trace's and the artifacts'
+contents match and finishes a crashed run, a resume with nothing changed does
+no work, and a sweep scores each K as the run at that K does."""
 
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 
 from tmcf import pipeline
 from tmcf.dataset import TmSeries, load_tm_series, write_canonical_csv
-from tmcf.pipeline import RunConfig, run_pipeline, sweep, trace_sha256
+from tmcf.pipeline import RunConfig, run_pipeline, sweep, trace_file_sha256
 from tmcf.synth import GroupSpec, SynthSpec, generate
 
 
@@ -48,10 +49,9 @@ def crash(*args, **kwargs):
 
 
 def without_wall_times(obj):
-    # the manifest's digest of train_report.json covers the report's wall times
     if isinstance(obj, dict):
         return {key: without_wall_times(value) for key, value in obj.items()
-                if key not in ("wall_time_seconds", "reused", "train_report.json")}
+                if key not in ("wall_time_seconds", "reused")}
     if isinstance(obj, list):
         return [without_wall_times(value) for value in obj]
     return obj
@@ -59,14 +59,15 @@ def without_wall_times(obj):
 
 def outputs(run_dir):
     """{path: content} of every file in a run directory: its bytes or, for the
-    two files that hold wall times, its JSON without them and reuse marks."""
+    manifest, the one file that holds wall times, its JSON without them and
+    reuse marks."""
     out = {}
     for root, _, files in os.walk(run_dir):
         for name in files:
             path = os.path.join(root, name)
             out[os.path.relpath(path, run_dir)] = (
                 without_wall_times(json.loads(read(path)))
-                if name in ("manifest.json", "train_report.json") else read(path)
+                if name == "manifest.json" else read(path)
             )
     return out
 
@@ -84,9 +85,20 @@ def test_fresh_run_records_trace_hash_not_copy(trace, tmp_path):
     run_dir = run_pipeline(config(trace, tmp_path / "run"))
     assert not os.path.exists(os.path.join(run_dir, "trace.csv"))
     ingest = manifest(run_dir)["stages"]["ingest"]
-    assert ingest["trace_sha256"] == trace_sha256(load_tm_series(trace))
-    assert ingest["artifacts"] == ["scale.json"]
+    assert ingest["trace_sha256"] == trace_file_sha256(trace, "canonical")
+    assert list(ingest["artifacts"]) == ["scale.json"]
     assert not os.path.exists(os.path.join(run_dir, "flows_norm.npz"))
+    # the truths are the trace's test block; predictions.npz holds no copy
+    with np.load(os.path.join(run_dir, "predictions.npz")) as predictions:
+        assert sorted(predictions.files) == ["pred_bytes", "pred_norm"]
+
+
+@pytest.mark.parametrize("representation", pipeline.METHODS)
+def test_two_fresh_runs_differ_only_in_the_manifest(trace, tmp_path, representation):
+    cfg = replace(config(trace, tmp_path / "run"), representation=representation)
+    first = outputs(run_pipeline(cfg))
+    # outputs compares every file but the manifest byte for byte
+    assert outputs(run_pipeline(cfg)) == first
 
 
 def test_resume_on_same_trace_reuses_cluster_and_train(trace, tmp_path, monkeypatch):
@@ -134,8 +146,9 @@ def test_sweep_scores_each_k_as_the_run_does(trace, tmp_path):
 
 
 def test_resume_after_a_crashed_fresh_run_of_another_config(trace, tmp_path, monkeypatch):
-    # a fresh run drops the old manifest before it writes anything, so the
-    # resume cannot match A's hashes against B's partition.json
+    # no fresh run deletes the old manifest; content verification protects the
+    # resume: a stage is reused only when its hash and every artifact's sha256
+    # match the manifest on disk, so A's hashes never meet B's partition.json
     cfg_a = config(trace, tmp_path / "run")
     run_dir = run_pipeline(cfg_a)
     cfg_b = replace(cfg_a, k=3)
@@ -287,6 +300,19 @@ def write_abilene_dir(path):
     np.savetxt(os.path.join(path, "b.txt"), flat[150:])
 
 
+def test_paper_profile_warning_sums_the_files_of_an_abilene_directory(tmp_path, monkeypatch):
+    trace_dir = str(tmp_path / "abilene")
+    write_abilene_dir(trace_dir)
+    files_bytes = sum(os.path.getsize(os.path.join(trace_dir, f)) for f in os.listdir(trace_dir))
+    # the warning fires above 8 bytes per budgeted observation; the directory's
+    # own size stays below that, its files' total does not
+    monkeypatch.setattr(pipeline, "_PAPER_PROFILE_BUDGET", files_bytes // 16)
+    assert os.path.getsize(trace_dir) <= 8 * pipeline._PAPER_PROFILE_BUDGET
+    cfg = RunConfig(trace=trace_dir, format="abilene", profile="paper")
+    _, warnings = pipeline.validate_config(cfg)
+    assert any("paper profile on a large trace" in w for w in warnings)
+
+
 def scale_last_row(path):
     rows = np.loadtxt(path, ndmin=2)
     rows[-1] *= 2.0
@@ -308,5 +334,5 @@ def test_changing_one_file_of_an_abilene_directory_invalidates_the_run(tmp_path,
     run_pipeline(cfg, resume=True)
     new = manifest(run_dir)["stages"]
     assert new["ingest"]["hash"] != old["ingest"]["hash"]
-    assert new["ingest"]["trace_sha256"] == trace_sha256(load_tm_series(trace_dir, "abilene"))
+    assert new["ingest"]["trace_sha256"] == trace_file_sha256(trace_dir, "abilene")
     assert not any("reused" in entry for entry in new.values())

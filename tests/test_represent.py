@@ -204,6 +204,12 @@ class TestPsd:
         with pytest.raises(ValidationError):
             psd_of(np.arange(100.0), fs=12.0, segment_length=256)
 
+    @pytest.mark.parametrize("segment_length", [0, -4])
+    def test_segment_length_below_one_rejected(self, segment_length):
+        # scipy's welch would raise a ValueError, which no exit code covers
+        with pytest.raises(ValidationError, match="segment length must be >= 1"):
+            psd_of(np.arange(100.0), fs=12.0, segment_length=segment_length)
+
 
 class TestPairwise:
     def test_zero_diagonal_and_identical_vectors(self):
