@@ -537,9 +537,11 @@ def score(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, scale, ranges,
 
 
 # Config keys of each stage before evaluate, in stage order. Each stage hash
-# also chains on the one before it, and the ingest hash on the trace's bytes.
+# also chains on the one before it, and the ingest hash on the trace's bytes,
+# not its path, so the same bytes at another path reuse every stage but
+# evaluate (eval_report.json echoes the path).
 _STAGE_KEYS = {
-    "ingest": ("trace", "format", "interval_seconds", "missing", "train_frac", "val_frac",
+    "ingest": ("format", "interval_seconds", "missing", "train_frac", "val_frac",
                "window_length"),
     "cluster": ("representation", "metric", "linkage", "k", "bins", "lags", "fs",
                 "normalize_power", "segment_length", "seed"),

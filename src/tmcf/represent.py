@@ -4,6 +4,14 @@ Each representation maps a flow onto a fixed-length feature vector;
 flows are then compared with Jensen-Shannon divergence (histograms) or
 Euclidean distance (ACF/PSD vectors) to build the symmetric M x M
 dissimilarity matrix consumed by the clustering stage.
+
+Each representation pays only for its own work. scipy.signal is imported
+inside the PSD code, so importing tmcf and running histogram or ACF
+features never load it (nor the scipy.stats and scipy.interpolate it
+pulls in). The ACF reads every lag from one FFT autocorrelation per
+row slab, recomputing with the direct formula only the entries where that
+closed form is ill-conditioned. JSD uses the entropy form, with each
+row's entropy computed once.
 """
 
 from __future__ import annotations
@@ -11,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal
 
 from .cluster import _validate_dissimilarity
 from .dataset import FlowSet
@@ -24,6 +31,8 @@ DEFAULT_BINS = 50
 DEFAULT_SEGMENT_LENGTH = 256
 
 _ZERO_VAR_EPS = 1e-30
+_ACF_SLAB_ROWS = 64
+_ACF_TAU = 1e-3
 
 
 @dataclass
@@ -182,10 +191,21 @@ def _acf_block(values: np.ndarray, lags: np.ndarray) -> tuple[np.ndarray, np.nda
     Each entry is the Pearson correlation between a flow and its lag-shifted
     copy over the overlap region. Lags where either segment has zero
     variance produce 0; a fully constant flow is flagged degenerate and gets
-    0 at every lag, also where rounding leaves its centred copy nonzero. Every
-    lag is one pass over the whole block, with the same centring and row
-    sums per flow as a one-flow computation, in three scratch buffers that
-    all lags share.
+    0 at every lag, also where rounding leaves its centred copy nonzero.
+
+    The block is processed in slabs of _ACF_SLAB_ROWS rows, so no temporary
+    spans the whole block. Each flow is centred once on its mean, which
+    leaves every correlation unchanged. For lag l and overlap n = T - l,
+    the cross term sum(x[t+l] * x[t]) of every lag comes from one
+    rfft/irfft autocorrelation (|F|^2 with n_fft >= 2T - 1, so nothing
+    wraps), and each segment's sum and sum of squares from prefix sums
+    (for [0, n)) and suffix sums (for [l, T)). That closed form subtracts
+    nearly equal sums where a segment is almost constant, so an entry is
+    recomputed with the direct formula of _acf_at_lag when a segment's
+    variance is <= _ACF_TAU times its sum of squares, or the denominator
+    is <= _ACF_TAU times the flow's energy (sum of x^2) or within a factor
+    1 / _ACF_TAU of the direct formula's zero-variance cut-off. Elsewhere it
+    agrees with the direct formula to about 1e-13 or better.
     """
     m, t = values.shape
     if lags.size == 0:
@@ -198,23 +218,50 @@ def _acf_block(values: np.ndarray, lags: np.ndarray) -> tuple[np.ndarray, np.nda
         )
     degenerate = np.ptp(values, axis=1) == 0.0
     rho = np.zeros((m, lags.size), dtype=np.float64)
-    am_buf, bm_buf, prod_buf = (np.empty((m, t)) for _ in range(3))
-    for i, lag in enumerate(lags.tolist()):
-        if lag == 0:
-            rho[:, i] = np.where(degenerate, 0.0, 1.0)
-            continue
-        n = t - lag
-        a = values[:, lag:]
-        b = values[:, :n]
-        am = np.subtract(a, a.mean(axis=1, keepdims=True), out=am_buf[:, :n])
-        bm = np.subtract(b, b.mean(axis=1, keepdims=True), out=bm_buf[:, :n])
-        prod = prod_buf[:, :n]
-        denom = np.sqrt(np.multiply(am, am, out=prod).sum(axis=1)
-                        * np.multiply(bm, bm, out=prod).sum(axis=1))
-        cross = np.multiply(am, bm, out=prod).sum(axis=1)
-        valid = ~degenerate & ~(denom <= _ZERO_VAR_EPS)  # a NaN denominator gives NaN, not 0
-        rho[valid, i] = np.clip(cross[valid] / denom[valid], -1.0, 1.0)
+    n = t - lags
+    n_fft = 1 << (2 * t - 2).bit_length()  # a power of two >= 2T - 1
+    lagged = lags != 0
+    for start in range(0, m, _ACF_SLAB_ROWS):
+        rows = slice(start, start + _ACF_SLAB_ROWS)
+        x = values[rows] - values[rows].mean(axis=1, keepdims=True)
+        spectrum = np.fft.rfft(x, n=n_fft)
+        cross = np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, n=n_fft)[:, lags]
+        sq = x * x
+        head, head_sq = np.cumsum(x, axis=1), np.cumsum(sq, axis=1)
+        tail, tail_sq = np.cumsum(x[:, ::-1], axis=1), np.cumsum(sq[:, ::-1], axis=1)
+        sum_b, sq_b = head[:, n - 1], head_sq[:, n - 1]  # segment [0, n)
+        sum_a, sq_a = tail[:, n - 1], tail_sq[:, n - 1]  # segment [l, T)
+        var_a = sq_a - sum_a * sum_a / n
+        var_b = sq_b - sum_b * sum_b / n
+        denom = np.sqrt(np.maximum(var_a * var_b, 0.0))
+        shaky = ((var_a <= _ACF_TAU * sq_a) | (var_b <= _ACF_TAU * sq_b)
+                 | (denom <= _ACF_TAU * head_sq[:, -1:]) | (denom <= _ZERO_VAR_EPS / _ACF_TAU))
+        slab = np.divide(cross - sum_a * sum_b / n, denom,
+                         out=np.zeros_like(denom), where=~shaky)
+        np.clip(slab, -1.0, 1.0, out=slab)
+        shaky &= lagged & ~degenerate[rows, None]
+        for i in np.flatnonzero(shaky.any(axis=0)):
+            redo = np.flatnonzero(shaky[:, i])
+            slab[redo, i] = _acf_at_lag(values[start + redo], int(lags[i]))
+        rho[rows] = slab
+    rho[:, ~lagged] = 1.0
+    rho[degenerate] = 0.0
     return rho, degenerate
+
+
+def _acf_at_lag(values: np.ndarray, lag: int) -> np.ndarray:
+    """Pearson correlation of each row with its lag-shifted copy, each
+    segment centred on its own mean; 0 where the denominator is <=
+    _ZERO_VAR_EPS, NaN where it is NaN."""
+    n = values.shape[1] - lag
+    am = values[:, lag:] - values[:, lag:].mean(axis=1, keepdims=True)
+    bm = values[:, :n] - values[:, :n].mean(axis=1, keepdims=True)
+    denom = np.sqrt((am * am).sum(axis=1) * (bm * bm).sum(axis=1))
+    cross = (am * bm).sum(axis=1)
+    rho = np.zeros(values.shape[0], dtype=np.float64)
+    valid = ~(denom <= _ZERO_VAR_EPS)  # a NaN denominator gives NaN, not 0
+    rho[valid] = np.clip(cross[valid] / denom[valid], -1.0, 1.0)
+    return rho
 
 
 def _psd_block(
@@ -228,7 +275,13 @@ def _psd_block(
     that the spectrum integrates to the series variance even when a period
     exceeds the segment length. fs is in samples per hour, putting the
     frequency axis in cycles per hour.
+
+    scipy.signal is imported here, on the first PSD call: it loads
+    scipy.stats and scipy.interpolate as well, which importing tmcf and
+    every other representation then never pay for.
     """
+    from scipy import signal
+
     t = values.shape[1]
     if t == 0:
         raise ValidationError("flow must be a nonempty 1-D series")
@@ -277,24 +330,21 @@ def pairwise_dissimilarity(reps: ReprMatrix, metric: str | None = None) -> Dissi
             diff = feats[i + 1 :] - feats[i]
             d[i, i + 1 :] = np.sqrt(np.sum(diff * diff, axis=1))
     else:
+        # JSD(p, q) = H((p + q) / 2) - (H(p) + H(q)) / 2, base-2 entropies
+        entropy = _entropy_rows(feats)
         for i in range(m - 1):
-            d[i, i + 1 :] = _jsd_row(feats[i], feats[i + 1 :])
+            mid = 0.5 * (feats[i] + feats[i + 1 :])
+            d[i, i + 1 :] = _entropy_rows(mid) - 0.5 * (entropy[i] + entropy[i + 1 :])
     d = d + d.T
     if metric == "jsd":
         np.clip(d, 0.0, 1.0, out=d)
     return DissimilarityMatrix(d=d, metric=metric)
 
 
-def _jsd_row(p: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Vectorized JSD of one pmf against a block of pmfs."""
-    mid = 0.5 * (p[None, :] + others)
-    pm = p[None, :] > 0
-    qm = others > 0
-    kl_p = np.where(pm, p[None, :] * _safe_log2(p[None, :], mid), 0.0).sum(axis=1)
-    kl_q = np.where(qm, others * _safe_log2(others, mid), 0.0).sum(axis=1)
-    return 0.5 * kl_p + 0.5 * kl_q
-
-
-def _safe_log2(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    ratio = np.divide(num, den, out=np.ones_like(num + den), where=den > 0)
-    return np.log2(np.maximum(ratio, 1e-300))
+def _entropy_rows(pmfs: np.ndarray) -> np.ndarray:
+    """Base-2 Shannon entropy of each row. Zeros are raised to the smallest
+    normal float before the log, so that 0 * log2(0) counts as 0 without a
+    masked log."""
+    terms = np.log2(np.maximum(pmfs, np.finfo(np.float64).tiny))
+    terms *= pmfs
+    return -terms.sum(axis=1)

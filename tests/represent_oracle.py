@@ -3,10 +3,13 @@ test oracle.
 
 Each flow is mapped by its own call: histogram_rep, acf_rep and psd_rep
 build one feature vector, and build_features stacks them. jsd is the scalar
-divergence of two pmfs. The functions below are the former implementation,
+divergence of two pmfs, and pairwise_jsd the former KL-form JSD matrix
+(_jsd_row, _safe_log2). The functions below are the former implementation,
 unchanged but for their imports and for acf_rep giving a constant flow 0 at
-every lag, as its docstring always stated. The whole-block features of
-tmcf.represent.build_features must equal them bit for bit.
+every lag, as its docstring always stated. The whole-block histogram and PSD
+features of tmcf.represent.build_features must equal them bit for bit; the
+FFT-based ACF features and the entropy-form JSD matrix must agree within
+1e-12.
 """
 
 from dataclasses import dataclass
@@ -235,3 +238,29 @@ def build_features(
     else:
         raise ValidationError(f"unknown representation {kind!r}; expected {REPRESENTATIONS}")
     return ReprMatrix(features=feats, kind=kind, meta=meta)
+
+
+def pairwise_jsd(pmfs: np.ndarray) -> np.ndarray:
+    """The M x M JSD matrix of the rows of pmfs, row by row in the KL form."""
+    m = pmfs.shape[0]
+    d = np.zeros((m, m), dtype=np.float64)
+    for i in range(m - 1):
+        d[i, i + 1 :] = _jsd_row(pmfs[i], pmfs[i + 1 :])
+    d = d + d.T
+    np.clip(d, 0.0, 1.0, out=d)
+    return d
+
+
+def _jsd_row(p: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Vectorized JSD of one pmf against a block of pmfs."""
+    mid = 0.5 * (p[None, :] + others)
+    pm = p[None, :] > 0
+    qm = others > 0
+    kl_p = np.where(pm, p[None, :] * _safe_log2(p[None, :], mid), 0.0).sum(axis=1)
+    kl_q = np.where(qm, others * _safe_log2(others, mid), 0.0).sum(axis=1)
+    return 0.5 * kl_p + 0.5 * kl_q
+
+
+def _safe_log2(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    ratio = np.divide(num, den, out=np.ones_like(num + den), where=den > 0)
+    return np.log2(np.maximum(ratio, 1e-300))

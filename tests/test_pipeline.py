@@ -118,6 +118,29 @@ def test_resume_on_same_trace_reuses_cluster_and_train(trace, tmp_path, monkeypa
     assert read(os.path.join(run_dir, "eval_report.json")) == report
 
 
+def test_resume_on_the_same_bytes_at_another_path_recomputes_only_evaluate(
+        trace, tmp_path, monkeypatch):
+    os.makedirs(tmp_path / "a")
+    os.makedirs(tmp_path / "b")
+    first, second = str(tmp_path / "a" / "trace.csv"), str(tmp_path / "b" / "trace.csv")
+    shutil.copyfile(trace, first)
+    shutil.copyfile(trace, second)
+    cfg = config(first, tmp_path / "run")
+    run_dir = run_pipeline(cfg)
+    old = manifest(run_dir)["stages"]
+    monkeypatch.setattr(pipeline, "build_dendrogram", crash)
+    monkeypatch.setattr(pipeline, "train_partitioned", crash)
+    run_pipeline(replace(cfg, trace=second), resume=True)
+    new = manifest(run_dir)["stages"]
+    assert new["ingest"]["hash"] == old["ingest"]["hash"]
+    assert new["cluster"] == {**old["cluster"], "reused": True}
+    assert new["train"] == {**old["train"], "reused": True}
+    assert new["evaluate"]["hash"] != old["evaluate"]["hash"]
+    assert "reused" not in new["evaluate"]
+    report = json.loads(read(os.path.join(run_dir, "eval_report.json")))
+    assert report["config"]["trace"] == second
+
+
 def test_resume_after_trace_content_change_recomputes(trace, tmp_path):
     cfg = config(trace, tmp_path / "run")
     run_dir = run_pipeline(cfg)

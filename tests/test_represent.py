@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +12,8 @@ from hypothesis.extra.numpy import arrays
 
 import represent_oracle as oracle
 from represent_oracle import jsd
+from tmcf import represent
+from tmcf.cluster import LINKAGES, hac
 from tmcf.errors import ValidationError
 from tmcf.represent import build_features, default_lags, pairwise_dissimilarity
 
@@ -283,10 +291,73 @@ ORACLE_CASES = [
 
 
 def assert_matches_oracle(block, kind, kwargs):
+    """Histogram and PSD features equal the oracle's bit for bit. The ACF
+    reads its lags from an FFT, so it agrees within 1e-12 (NaN where the
+    oracle gives NaN)."""
     want = oracle.build_features(block, kind, **kwargs)
     got = build_features(block, kind, **kwargs)
-    assert np.array_equal(got.features, want.features), kind
+    if kind == "acf":
+        np.testing.assert_allclose(got.features, want.features, rtol=0, atol=1e-12)
+    else:
+        assert np.array_equal(got.features, want.features), kind
     assert got.meta == want.meta
+
+
+def jsd_corpus(kind):
+    """Histogram blocks of 2 to 40 flows: random, drawn from a few distinct
+    flows (many zero distances and ties), or with runs of all-zero flows."""
+    rng = np.random.default_rng(12)
+    for _ in range(25):
+        m = int(rng.integers(2, 41))
+        flows = rng.random((m, 120)) ** 3
+        if kind == "duplicated":
+            flows = flows[rng.integers(0, 4, size=m)]
+        elif kind == "zero":
+            flows[rng.random(m) < 0.5] = 0.0
+        yield build_features(flows, "histogram", bins=int(rng.integers(1, 60)))
+
+
+class TestJsdMatrixMatchesKlOracle:
+    """The entropy-form JSD matrix against the former KL-form row loop."""
+
+    @pytest.mark.parametrize("kind", ["random", "duplicated", "zero"])
+    def test_within_1e12_and_same_merges(self, kind):
+        for feats in jsd_corpus(kind):
+            got = pairwise_dissimilarity(feats).d
+            want = oracle.pairwise_jsd(feats.features)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert np.array_equal(got == 0.0, want == 0.0)  # equal pmfs stay at 0
+            for linkage in LINKAGES:
+                pairs = [merge[:2] for merge in hac(got, linkage).merges]
+                assert pairs == [merge[:2] for merge in hac(want, linkage).merges]
+
+
+def test_import_and_help_leave_scipy_signal_unloaded():
+    # scipy.signal pulls in scipy.stats and scipy.interpolate; only the PSD
+    # representation needs it
+    code = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import numpy as np
+        import tmcf
+        from tmcf import cli
+        from tmcf.represent import build_features
+        with contextlib.redirect_stdout(io.StringIO()):
+            try:
+                cli.main(["--help"])
+            except SystemExit:
+                pass
+        heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate")
+        loaded = [name for name in heavy if name in sys.modules]
+        feats = build_features(np.random.default_rng(0).random((3, 64)), "psd", fs=12.0)
+        print(json.dumps({"loaded": loaded, "psd_shape": list(feats.features.shape)}))
+    """)
+    src = os.path.dirname(os.path.dirname(represent.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"loaded": [], "psd_shape": [3, 33]}
 
 
 class TestBlockFeaturesMatchPerFlowOracle:
@@ -301,6 +372,33 @@ class TestBlockFeaturesMatchPerFlowOracle:
             assert np.array_equal(reps.features[row], [0.0, 0.0, 0.0])
         # lag 3 pairs the constant head with the varying tail
         assert reps.features[2, 0] == 1.0 and reps.features[2, 2] == 0.0
+
+    def test_ill_conditioned_acf_entries_fall_back_to_the_direct_formula(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        t = 806
+        block = rng.random((136, t))  # the adversarial rows sit in the third slab
+        block[130] = 0.3 + 1e-8 * rng.standard_normal(t)
+        block[130, 3] = 5.0  # flat with an early spike
+        block[131] = 0.3 + 1e-8 * rng.standard_normal(t)
+        block[131, -4] = 5.0  # the same with a late spike
+        block[132] = 1e-3 * np.arange(t) + 1e-7 * rng.standard_normal(t)
+        block[133, 100] = np.nan
+        block[134, : t - 288] = 0.25  # constant on the overlap of the longest lag
+        lags = default_lags(300)
+        at_lag, redone = represent._acf_at_lag, []
+
+        def spy(values, lag):
+            redone.append(values.copy())
+            return at_lag(values, lag)
+
+        monkeypatch.setattr(represent, "_acf_at_lag", spy)
+        assert_matches_oracle(block, "acf", {"lags": lags})
+        rho = build_features(block, "acf", lags=lags).features
+        assert np.isnan(rho[133]).all()
+        assert rho[134, -1] == 0.0
+        recomputed = {int(np.flatnonzero((block == row).all(axis=1))[0])
+                      for values in redone for row in values}
+        assert {130, 131, 134} <= recomputed
 
     @pytest.mark.parametrize("kind,kwargs,block", [
         ("histogram", {}, np.zeros((2, 0))),
