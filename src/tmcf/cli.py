@@ -5,8 +5,8 @@ run, compare, validate. Every subcommand backed by a RunConfig (represent,
 train, evaluate, sweep, run, compare and validate) takes the same run-config
 flags and --config, a JSON file whose keys match RunConfig, with flags
 winning over file values. They call the same steps and artifact writers as
-`tmcf run` (see `tmcf.pipeline`), so `represent` -> `cluster --linkage` ->
-`train` -> `evaluate` with the run's config reproduces a run.
+`tmcf run` (see `tmcf.pipeline`), so `represent` -> `cluster --features
+--linkage` -> `train` -> `evaluate` with the run's config reproduces a run.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.
@@ -47,6 +47,7 @@ from .pipeline import (
     write_report,
     write_sweep_csv,
 )
+from .represent import ReprMatrix, pairwise_dissimilarity
 from .synth import GroupSpec, SynthSpec, generate
 
 EXIT_OK = 0
@@ -139,9 +140,9 @@ def cmd_represent(args) -> int:
         raise ConfigError("the naive baseline has no features; draw its partition "
                           "with tmcf cluster --method naive")
     tm, flows_norm, _, ranges = prepare(config)
-    feats, diss = represent(config, tm, flows_norm, ranges)
+    feats = represent(config, tm, flows_norm, ranges)
     os.makedirs(args.out_dir, exist_ok=True)
-    written = write_features(feats, diss, args.out_dir)
+    written = write_features(feats, config.metric, args.out_dir)
     print(f"wrote {', '.join(written)} to {args.out_dir}")
     return EXIT_OK
 
@@ -157,17 +158,20 @@ def cmd_cluster(args) -> int:
         _check_k(args.k, args.flows)
         part = cluster_mod.naive_partition(args.flows, args.k, seed=args.seed)
     else:
-        if args.dissimilarity is None:
-            raise ConfigError("--method hac requires --dissimilarity (.npy or CSV)")
+        if (args.features is None) == (args.dissimilarity is None):
+            raise ConfigError("--method hac requires exactly one of --features, --dissimilarity")
         if args.linkage is None:
             raise ConfigError(f"--method hac requires --linkage; tmcf run uses {_RUN_LINKAGES}")
         try:
-            if args.dissimilarity.endswith(".npy"):
+            if args.dissimilarity is not None:
                 d = np.load(args.dissimilarity)
             else:
-                d = np.loadtxt(args.dissimilarity, delimiter=",", ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise DataError(f"cannot read {args.dissimilarity}: {exc}") from None
+                meta = load_json(os.path.join(args.features, "features_meta.json"))
+                feats = ReprMatrix(np.loadtxt(os.path.join(args.features, "features.csv"),
+                                              delimiter=",", ndmin=2), meta["representation"])
+                d = pairwise_dissimilarity(feats, meta["metric"]).d
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"cannot read {args.dissimilarity or args.features}: {exc}") from None
         dendro = cluster_mod.hac(d, linkage=args.linkage)
         _check_k(args.k, dendro.n_leaves)
         part = cluster_mod.cut(dendro, args.k)
@@ -312,14 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("represent", help="feature matrix CSV + dissimilarity matrix .npy")
+    p = sub.add_parser("represent", help="feature matrix CSV + features_meta.json")
     _add_run_config_flags(p, with_k=False)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_represent)
 
     p = sub.add_parser("cluster", help="cut a HAC dendrogram or draw the naive baseline")
     p.add_argument("--method", choices=("hac", "naive"), default="hac")
-    p.add_argument("--dissimilarity", help="M x M matrix, .npy or CSV (hac)")
+    p.add_argument("--features", help="directory of features.csv + features_meta.json (hac)")
+    p.add_argument("--dissimilarity", help="M x M matrix .npy from outside tmcf (hac)")
     p.add_argument("--linkage", choices=CHOICES["linkage"],
                    help=f"required by hac; tmcf run uses {_RUN_LINKAGES}")
     p.add_argument("--flows", type=int, help="number of flows (naive)")

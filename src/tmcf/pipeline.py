@@ -8,14 +8,14 @@ normalize), represent, train_models, score and write_report.
 A run directory holds, by stage:
 
 - ingest: scale.json
-- cluster: partition.json; with HAC also dendrogram.csv, dissimilarity.npy
-  (read back by `tmcf cluster --dissimilarity`), features.csv and
-  features_meta.json
+- cluster: partition.json; with HAC also dendrogram.csv, features.csv and
+  features_meta.json (`tmcf cluster --features` recomputes the dissimilarity
+  matrix from these two)
 - train: models/cluster_<id>.bin and train_report.json (loss curves and
   early stopping per cluster)
-- evaluate: predictions.npz (uncompressed: pred_norm and pred_bytes; the
-  truths are the trace's test block, recomputed from the trace and
-  scale.json), eval_report.json and per_flow_rmse.csv
+- evaluate: predictions.npz (uncompressed pred_norm; the predictions in
+  bytes and the truths are recomputed from it, the trace and scale.json),
+  eval_report.json and per_flow_rmse.csv
 
 plus manifest.json: the config echo, versions and, per stage, its hash,
 wall_time_seconds and artifacts, a {name: sha256} map; the ingest entry also
@@ -47,6 +47,7 @@ import hashlib
 import json
 import os
 import platform
+import threading
 import time
 from dataclasses import asdict, astuple, dataclass, replace
 from types import UnionType
@@ -102,6 +103,10 @@ CHOICES = {
 
 # traces above this many flow-observations trigger a paper-profile warning
 _PAPER_PROFILE_BUDGET = 2_000_000
+# file_sha256 reads every file through this one buffer, which the lock guards
+_HASH_BLOCK = 1 << 18
+_HASH_BUFFER = memoryview(bytearray(_HASH_BLOCK))
+_HASH_LOCK = threading.Lock()
 
 
 @dataclass
@@ -287,11 +292,11 @@ def config_hash(payload) -> str:
 
 
 def file_sha256(path: str) -> str:
-    """sha256 of a file's bytes, read in 1 MiB blocks."""
+    """sha256 of a file's bytes, read in blocks through one reused buffer."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while block := fh.read(1 << 20):
-            h.update(block)
+    with _HASH_LOCK, open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(_HASH_BUFFER):
+            h.update(_HASH_BUFFER[:n])
     return h.hexdigest()
 
 
@@ -308,12 +313,12 @@ def trace_file_sha256(path: str, format: str) -> str:
 class Manifest:
     """Stage ledger of one run directory, written after every stage."""
 
-    def __init__(self, run_dir: str, config: RunConfig):
+    def __init__(self, run_dir: str, cfg: dict, cfg_hash: str):
         self.run_dir = run_dir
         self.path = os.path.join(run_dir, "manifest.json")
         self.data = {
-            "config": config.to_dict(),
-            "config_hash": config_hash(config.to_dict()),
+            "config": cfg,
+            "config_hash": cfg_hash,
             "versions": {
                 "tmcf": __version__,
                 "numpy": np.__version__,
@@ -390,15 +395,17 @@ def _write_dendrogram_csv(dendro: cluster_mod.Dendrogram, path: str) -> None:
                ((i, *merge) for i, merge in enumerate(dendro.merges)))
 
 
-def write_features(feats: represent_mod.ReprMatrix, diss: represent_mod.DissimilarityMatrix,
+def write_features(feats: represent_mod.ReprMatrix, metric: str | None,
                    out_dir: str) -> list[str]:
-    """features.csv, dissimilarity.npy and features_meta.json (the
-    representation, the metric and the features' meta); returns their names."""
-    np.save(os.path.join(out_dir, "dissimilarity.npy"), diss.d)
+    """features.csv (floats in %.17g, which read back exactly) and
+    features_meta.json (the representation, its metric and the features'
+    meta), from which `tmcf cluster --features` recomputes the dissimilarity
+    matrix; returns their names."""
     _write_matrix_csv(feats.features, os.path.join(out_dir, "features.csv"))
-    dump_json({"representation": feats.kind, "metric": diss.metric, **feats.meta},
+    dump_json({"representation": feats.kind,
+               "metric": metric or represent_mod.DEFAULT_METRIC[feats.kind], **feats.meta},
               os.path.join(out_dir, "features_meta.json"))
-    return ["dissimilarity.npy", "features.csv", "features_meta.json"]
+    return ["features.csv", "features_meta.json"]
 
 
 def write_partition(part: Partition, dendro: cluster_mod.Dendrogram | None,
@@ -446,9 +453,9 @@ def prepare(config: RunConfig):
 
 
 def represent(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, ranges):
-    """Features and dissimilarities of the training block; returns (feats, diss)."""
+    """Features of the training block, a ReprMatrix."""
     train_block = flows_norm.values[:, : ranges.val[1]]
-    feats = represent_mod.build_features(
+    return represent_mod.build_features(
         FlowSet(tm.n_nodes, tm.interval_seconds, train_block),
         config.representation,
         bins=config.bins,
@@ -457,7 +464,6 @@ def represent(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, ranges):
         normalize_power=config.normalize_power,
         segment_length=config.segment_length,
     )
-    return feats, represent_mod.pairwise_dissimilarity(feats, config.metric)
 
 
 def _check_k(k, m: int) -> None:
@@ -467,12 +473,13 @@ def _check_k(k, m: int) -> None:
 
 def build_dendrogram(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, ranges):
     """Represent the training block and build its HAC dendrogram; returns
-    (dendro, feats, diss), all None for the naive baseline."""
+    (dendro, feats), both None for the naive baseline."""
     if config.representation == "naive":
-        return None, None, None
-    feats, diss = represent(config, tm, flows_norm, ranges)
+        return None, None
+    feats = represent(config, tm, flows_norm, ranges)
+    diss = represent_mod.pairwise_dissimilarity(feats, config.metric)
     linkage = config.linkage or cluster_mod.DEFAULT_LINKAGE[config.representation]
-    return cluster_mod.hac(diss.d, linkage), feats, diss
+    return cluster_mod.hac(diss.d, linkage), feats
 
 
 def make_partition(config: RunConfig, dendro, n_flows: int) -> Partition:
@@ -519,9 +526,9 @@ def load_models(model_dir: str, part: Partition) -> dict:
 
 
 def score(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, scale, ranges,
-          part: Partition, models: dict) -> tuple[EvalReport, dict]:
+          part: Partition, models: dict) -> tuple[EvalReport, np.ndarray]:
     """Predict the test region and score it; returns the report and the
-    arrays of predictions.npz (the predictions, normalized and in bytes)."""
+    normalized predictions, the one array that predictions.npz keeps."""
     pred_norm, tm_pred = predict_tm(
         models, part, flows_norm.values, ranges.test, config.window_length,
         scale, tm.n_nodes, tm.interval_seconds,
@@ -533,7 +540,7 @@ def score(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, scale, ranges,
     report = build_eval_report(config, part, truth_norm, pred_norm, truth_bytes,
                                tm_pred.values, tm.interval_seconds,
                                train_block_len=ranges.val[1])
-    return report, dict(pred_norm=pred_norm, pred_bytes=tm_pred.values)
+    return report, pred_norm
 
 
 # Config keys of each stage before evaluate, in stage order. Each stage hash
@@ -549,18 +556,17 @@ _STAGE_KEYS = {
 }
 
 
-def _stage_hashes(config: RunConfig, trace_hash: str) -> dict[str, str]:
-    """{stage: hash} of the four stages, chained on trace_hash, the trace
-    file's trace_file_sha256. eval_report.json echoes the whole config, so
-    evaluate keys on all of it."""
-    cfg = config.to_dict()
+def _stage_hashes(cfg: dict, cfg_hash: str, trace_hash: str) -> dict[str, str]:
+    """{stage: hash} of the four stages of the config dict cfg, chained on
+    trace_hash, the trace file's trace_file_sha256. eval_report.json echoes
+    the whole config, so evaluate keys on all of it, through cfg_hash."""
     hashes = {}
     upstream = trace_hash
     for name, keys in _STAGE_KEYS.items():
         payload = {"stage": name, "upstream": upstream, **{k: cfg[k] for k in keys}}
         upstream = hashes[name] = config_hash(payload)
     hashes["evaluate"] = config_hash(
-        {"stage": "evaluate", "upstream": upstream, "config_hash": config_hash(cfg)})
+        {"stage": "evaluate", "upstream": upstream, "config_hash": cfg_hash})
     return hashes
 
 
@@ -569,9 +575,11 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
     warnings = require_valid(config)
     run_dir = config.out_dir
     model_dir = os.path.join(run_dir, "models")
-    manifest = Manifest(run_dir, config)
+    cfg = config.to_dict()
+    cfg_hash = config_hash(cfg)
+    manifest = Manifest(run_dir, cfg, cfg_hash)
     trace_hash = trace_file_sha256(config.trace, config.format)
-    hashes = _stage_hashes(config, trace_hash)
+    hashes = _stage_hashes(cfg, cfg_hash, trace_hash)
     previous = manifest.load_previous() if resume else {}
     # a stage is reused only when it and every stage before it verify
     reuse, verified = {}, resume
@@ -610,11 +618,11 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
         part = load_partition(os.path.join(run_dir, "partition.json"))
         manifest.reuse("cluster", previous["cluster"])
     else:
-        dendro, feats, diss = build_dendrogram(config, tm, flows_norm, ranges)
+        dendro, feats = build_dendrogram(config, tm, flows_norm, ranges)
         part = make_partition(config, dendro, tm.n_flows)
         cluster_artifacts = write_partition(part, dendro, run_dir)
         if feats is not None:
-            cluster_artifacts += write_features(feats, diss, run_dir)
+            cluster_artifacts += write_features(feats, config.metric, run_dir)
         manifest.record("cluster", hashes["cluster"], time.perf_counter() - t0,
                         cluster_artifacts)
 
@@ -632,8 +640,8 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
 
     # --- predict + evaluate ---------------------------------------------------
     t0 = time.perf_counter()
-    report, arrays = score(config, tm, flows_norm, scale, ranges, part, models)
-    np.savez(os.path.join(run_dir, "predictions.npz"), **arrays)
+    report, pred_norm = score(config, tm, flows_norm, scale, ranges, part, models)
+    np.savez(os.path.join(run_dir, "predictions.npz"), pred_norm=pred_norm)
     write_report(report, run_dir)
     manifest.record("evaluate", hashes["evaluate"], time.perf_counter() - t0,
                     ["predictions.npz", "eval_report.json", "per_flow_rmse.csv"])
@@ -697,7 +705,7 @@ def sweep(config: RunConfig) -> tuple[SweepCurve, dict]:
     for k in k_grid:
         _check_k(k, tm.n_flows)
     # the dendrogram (None for naive) is cut at every K below
-    dendro, _, _ = build_dendrogram(config, tm, flows_norm, ranges)
+    dendro, _ = build_dendrogram(config, tm, flows_norm, ranges)
 
     mean_rmse, rmse_std, mean_runtime = [], [], []
     for k in k_grid:
@@ -737,7 +745,7 @@ def compare(config: RunConfig, out_dir: str) -> dict:
     flow_errs: dict[str, list[float]] = {}
     for method in METHODS:
         mcfg = replace(config, representation=method, metric=None, linkage=None)
-        dendro, _, _ = build_dendrogram(mcfg, tm, flows_norm, ranges)
+        dendro, _ = build_dendrogram(mcfg, tm, flows_norm, ranges)
         part = make_partition(mcfg, dendro, tm.n_flows)
         models = train_models(mcfg, flows_norm, ranges, part)
         report, _ = score(mcfg, tm, flows_norm, scale, ranges, part, models)

@@ -245,10 +245,9 @@ def _time_major(batches: list[np.ndarray], scratch: _Scratch) -> list[np.ndarray
 
 def _sigmoid_(x: np.ndarray) -> np.ndarray:
     """Logistic 1 / (1 + exp(-x)) in place; below x = -709 exp overflows
-    and the result is the limit, 0."""
-    with np.errstate(over="ignore"):
-        np.negative(x, out=x)
-        np.exp(x, out=x)
+    and the result is the limit, 0 (_forward ignores that warning)."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
     x += 1.0
     return np.reciprocal(x, out=x)
 
@@ -274,19 +273,20 @@ def _forward(v: _Views, xs: list[np.ndarray], scratch: _Scratch):
     for i, x in enumerate(xs):
         np.matmul(x[None], v.wx[i][:, None], out=pre[:, :, i])
     hs[0] = 0.0
-    for s in range(t):
-        state, zr = hs[s], zrs[s]
-        np.matmul(state, v.uzr, out=zr)
-        zr += pre[:2, s]
-        _sigmoid_(zr)
-        z, r = zr
-        rh = np.multiply(r, state, out=rhs[s])
-        n = np.matmul(rh, v.un, out=ns[s])
-        n += pre[2, s]
-        np.tanh(n, out=n)
-        nxt = np.subtract(state, n, out=hs[s + 1])
-        nxt *= z
-        nxt += n
+    with np.errstate(over="ignore"):  # for _sigmoid_
+        for s in range(t):
+            state, zr = hs[s], zrs[s]
+            np.matmul(state, v.uzr, out=zr)
+            zr += pre[:2, s]
+            _sigmoid_(zr)
+            z, r = zr
+            rh = np.multiply(r, state, out=rhs[s])
+            n = np.matmul(rh, v.un, out=ns[s])
+            n += pre[2, s]
+            np.tanh(n, out=n)
+            nxt = np.subtract(state, n, out=hs[s + 1])
+            nxt *= z
+            nxt += n
     return hs[t], (pre, hs, zrs, ns, rhs)
 
 

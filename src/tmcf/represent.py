@@ -26,6 +26,7 @@ from .errors import ValidationError
 
 REPRESENTATIONS = ("histogram", "acf", "psd")
 METRICS = ("jsd", "euclidean")
+DEFAULT_METRIC = {"histogram": "jsd", "acf": "euclidean", "psd": "euclidean"}
 
 DEFAULT_BINS = 50
 DEFAULT_SEGMENT_LENGTH = 256
@@ -316,7 +317,7 @@ def pairwise_dissimilarity(reps: ReprMatrix, metric: str | None = None) -> Dissi
     so symmetry is exact.
     """
     if metric is None:
-        metric = "jsd" if reps.kind == "histogram" else "euclidean"
+        metric = DEFAULT_METRIC[reps.kind]
     if metric not in METRICS:
         raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
     if metric == "jsd" and reps.kind != "histogram":

@@ -10,7 +10,8 @@ import pytest
 from tmcf.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, _parse_grid, main
 from tmcf.dataset import load_tm_series
 from tmcf.errors import ConfigError
-from tmcf.pipeline import CHOICES, RunConfig, _write_matrix_csv, compare
+from tmcf.pipeline import CHOICES, RunConfig, compare
+from tmcf.represent import ReprMatrix, pairwise_dissimilarity
 
 TRAIN_FLAGS = ["--epochs", "2", "--profile", "desk"]
 
@@ -70,36 +71,30 @@ def test_synth_run_evaluate_ingest(tmp_path):
     assert np.array_equal(load_tm_series(canonical).values, load_tm_series(trace).values)
 
 
-def test_cluster_reproduces_run_dendrogram(tmp_path):
-    run_dir = str(tmp_path / "run")
-    cluster_dir = str(tmp_path / "cluster")
-    assert main([
-        "run", "--trace", synth_trace(tmp_path), "--out-dir", run_dir,
-        "--k", "2", "--linkage", "average",
-    ] + TRAIN_FLAGS) == EXIT_OK
+@pytest.mark.parametrize("representation,linkage", [("histogram", "complete"), ("acf", "average")])
+def test_cluster_reproduces_run_dendrogram(tmp_path, representation, linkage):
+    trace = synth_trace(tmp_path)
+    run_dir, rep_dir = str(tmp_path / "run"), str(tmp_path / "represent")
+    flags = ["--representation", representation, "--linkage", linkage]
+    run_k2(trace, run_dir, *flags)
+    assert main(["represent", "--trace", trace, *flags, "--out-dir", rep_dir]) == EXIT_OK
+    # the matrix the run clustered, recomputed from its features, as a .npy from outside tmcf
+    matrix = str(tmp_path / "dissimilarity.npy")
+    features = np.loadtxt(os.path.join(run_dir, "features.csv"), delimiter=",", ndmin=2)
+    np.save(matrix, pairwise_dissimilarity(ReprMatrix(features, representation)).d)
 
-    assert main([
-        "cluster", "--method", "hac", "--dissimilarity", os.path.join(run_dir, "dissimilarity.npy"),
-        "--linkage", "average", "--k", "2", "--out-dir", cluster_dir,
-    ]) == EXIT_OK
-    for name in ("dendrogram.csv", "partition.json"):
-        want = read(os.path.join(run_dir, name))
-        got = read(os.path.join(cluster_dir, name))
-        if name == "partition.json":
-            # the run tags its partition with the representation, the CLI with "hac"
-            want, got = json.loads(want)["labels"], json.loads(got)["labels"]
-        assert got == want, name
-
-    # a CSV copy of the matrix is read as the .npy is
-    csv_matrix = str(tmp_path / "dissimilarity.csv")
-    _write_matrix_csv(np.load(os.path.join(run_dir, "dissimilarity.npy")), csv_matrix)
-    csv_dir = str(tmp_path / "cluster_csv")
-    assert main([
-        "cluster", "--method", "hac", "--dissimilarity", csv_matrix,
-        "--linkage", "average", "--k", "2", "--out-dir", csv_dir,
-    ]) == EXIT_OK
-    assert read(os.path.join(csv_dir, "dendrogram.csv")) == read(
-        os.path.join(run_dir, "dendrogram.csv"))
+    for i, source in enumerate([["--features", run_dir], ["--features", rep_dir],
+                                ["--dissimilarity", matrix]]):
+        cluster_dir = str(tmp_path / f"cluster{i}")
+        assert main(["cluster", "--method", "hac", *source, "--linkage", linkage, "--k", "2",
+                     "--out-dir", cluster_dir]) == EXIT_OK
+        for name in ("dendrogram.csv", "partition.json"):
+            want = read(os.path.join(run_dir, name))
+            got = read(os.path.join(cluster_dir, name))
+            if name == "partition.json":
+                # the run tags its partition with the representation, the CLI with "hac"
+                want, got = json.loads(want)["labels"], json.loads(got)["labels"]
+            assert got == want, (source, name)
 
 
 def test_train_then_evaluate_reproduces_run(tmp_path):
@@ -132,7 +127,9 @@ def test_represent_writes_the_run_matrices(tmp_path):
     assert main([
         "represent", "--trace", trace, "--representation", "acf", "--out-dir", rep_dir,
     ]) == EXIT_OK
-    for name in ("features.csv", "dissimilarity.npy", "features_meta.json"):
+    # the dissimilarity matrix is recomputed from these two by tmcf cluster --features
+    assert sorted(os.listdir(rep_dir)) == ["features.csv", "features_meta.json"]
+    for name in ("features.csv", "features_meta.json"):
         assert read(os.path.join(rep_dir, name)) == read(os.path.join(run_dir, name)), name
 
 
@@ -307,6 +304,29 @@ def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys, content):
     assert "must hold a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("both", [False, True], ids=["neither", "both"])
+def test_cluster_hac_takes_exactly_one_matrix_source(tmp_path, capsys, both):
+    matrix = str(tmp_path / "dissimilarity.npy")
+    np.save(matrix, THREE_POINTS)
+    sources = ["--features", str(tmp_path), "--dissimilarity", matrix] if both else []
+    assert main([
+        "cluster", "--method", "hac", *sources, "--linkage", "average", "--k", "2",
+        "--out-dir", str(tmp_path / "cluster"),
+    ]) == EXIT_CONFIG
+    assert "exactly one of --features, --dissimilarity" in capsys.readouterr().err
+
+
+def test_cluster_on_features_without_meta_is_a_data_error(tmp_path, capsys):
+    features = tmp_path / "features"
+    features.mkdir()
+    (features / "features.csv").write_text("0,1\n1,0\n0.5,0.5\n")
+    assert main([
+        "cluster", "--method", "hac", "--features", str(features), "--linkage", "average",
+        "--k", "2", "--out-dir", str(tmp_path / "cluster"),
+    ]) == EXIT_DATA
+    assert "features_meta.json" in capsys.readouterr().err
+
+
 def blank_one_cell(trace: str) -> str:
     """A copy of trace whose second row has an empty last cell."""
     lines = read(trace).decode("utf-8").splitlines(keepends=True)
@@ -332,12 +352,12 @@ def test_config_backed_steps_reproduce_a_run(tmp_path):
         json.dump({"trace": trace, "representation": "psd", "segment_length": 128}, fh)
     assert main(["represent", "--config", flag_config, "--missing", "zero", "--raw-power",
                  "--out-dir", flag_dir]) == EXIT_OK
-    for name in ("dissimilarity.npy", "features.csv", "features_meta.json"):
+    for name in ("features.csv", "features_meta.json"):
         assert read(os.path.join(rep_dir, name)) == read(os.path.join(run_dir, name)), name
         assert read(os.path.join(flag_dir, name)) == read(os.path.join(run_dir, name)), name
 
     assert main([
-        "cluster", "--dissimilarity", os.path.join(rep_dir, "dissimilarity.npy"),
+        "cluster", "--features", rep_dir,
         "--linkage", "average", "--k", "2", "--out-dir", cluster_dir,
     ]) == EXIT_OK
     partition = os.path.join(cluster_dir, "partition.json")

@@ -4,6 +4,7 @@ config; a resume reuses stages only while the trace's and the artifacts'
 contents match and finishes a crashed run, a resume with nothing changed does
 no work, and a sweep scores each K as the run at that K does."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -14,7 +15,8 @@ import pytest
 
 from tmcf import pipeline
 from tmcf.dataset import TmSeries, load_tm_series, write_canonical_csv
-from tmcf.pipeline import RunConfig, run_pipeline, sweep, trace_file_sha256
+from tmcf.pipeline import RunConfig, file_sha256, run_pipeline, sweep, trace_file_sha256
+from tmcf.represent import ReprMatrix, pairwise_dissimilarity
 from tmcf.synth import GroupSpec, SynthSpec, generate
 
 
@@ -87,10 +89,33 @@ def test_fresh_run_records_trace_hash_not_copy(trace, tmp_path):
     ingest = manifest(run_dir)["stages"]["ingest"]
     assert ingest["trace_sha256"] == trace_file_sha256(trace, "canonical")
     assert list(ingest["artifacts"]) == ["scale.json"]
-    assert not os.path.exists(os.path.join(run_dir, "flows_norm.npz"))
-    # the truths are the trace's test block; predictions.npz holds no copy
+    # no copy of the trace, the normalized flows or the dissimilarity matrix,
+    # which features.csv and features_meta.json determine
+    assert sorted(outputs(run_dir)) == [
+        "dendrogram.csv", "eval_report.json", "features.csv", "features_meta.json",
+        "manifest.json", "models/cluster_1.bin", "models/cluster_2.bin", "partition.json",
+        "per_flow_rmse.csv", "predictions.npz", "scale.json", "train_report.json",
+    ]
+    # the truths and the predictions in bytes follow from pred_norm, the trace
+    # and scale.json
     with np.load(os.path.join(run_dir, "predictions.npz")) as predictions:
-        assert sorted(predictions.files) == ["pred_bytes", "pred_norm"]
+        assert predictions.files == ["pred_norm"]
+
+
+BLOCK = pipeline._HASH_BLOCK
+
+
+@pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_file_sha256_is_the_sha256_of_the_bytes(tmp_path, size):
+    # every block of every file goes through one buffer: what an earlier block
+    # or file left in it must not reach the digest
+    full = tmp_path / "full"
+    full.write_bytes(b"\xff" * BLOCK)
+    data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    path = tmp_path / "blob"
+    path.write_bytes(data)
+    for name in (full, path):
+        assert file_sha256(str(name)) == hashlib.sha256(read(name)).hexdigest()
 
 
 @pytest.mark.parametrize("representation", pipeline.METHODS)
@@ -290,10 +315,31 @@ def bytes_and_mtimes(run_dir):
     return out
 
 
+def store_matrix_and_bytes(run_dir):
+    """Rewrite a histogram run directory in the earlier format, which also
+    stored dissimilarity.npy and a pred_bytes array in predictions.npz (its
+    content does not matter here), each recorded in the manifest."""
+    features = np.loadtxt(os.path.join(run_dir, "features.csv"), delimiter=",", ndmin=2)
+    np.save(os.path.join(run_dir, "dissimilarity.npy"),
+            pairwise_dissimilarity(ReprMatrix(features, "histogram")).d)
+    predictions = os.path.join(run_dir, "predictions.npz")
+    with np.load(predictions) as arrays:
+        pred_norm = arrays["pred_norm"]
+    np.savez(predictions, pred_norm=pred_norm, pred_bytes=np.zeros((1, 4, 4)))
+    data = manifest(run_dir)
+    for stage, name in (("cluster", "dissimilarity.npy"), ("evaluate", "predictions.npz")):
+        data["stages"][stage]["artifacts"][name] = file_sha256(os.path.join(run_dir, name))
+    pipeline.dump_json(data, os.path.join(run_dir, "manifest.json"))
+
+
+@pytest.mark.parametrize("earlier_format", [False, True], ids=["current", "earlier-format"])
 def test_resume_with_nothing_changed_parses_predicts_and_writes_nothing(trace, tmp_path,
-                                                                        monkeypatch):
+                                                                        monkeypatch,
+                                                                        earlier_format):
     cfg = config(trace, tmp_path / "run")
     run_dir = run_pipeline(cfg)
+    if earlier_format:
+        store_matrix_and_bytes(run_dir)
     before = bytes_and_mtimes(run_dir)
     for name in ("load_tm_series", "predict_tm", "load_model"):
         monkeypatch.setattr(pipeline, name, crash)

@@ -91,6 +91,17 @@ class TestForward:
         single = np.stack([gru_forward(model, batch[i]) for i in range(6)])
         assert np.allclose(joint, single, atol=1e-12)
 
+    def test_saturated_gates_take_their_limit_without_a_warning(self):
+        # exp(-x) overflows below x = -709, and a RuntimeWarning fails this suite
+        model = tiny_model(d=1, hidden=2, seed=3)
+        p = model.params
+        p["bz"][:] = p["br"][:] = -1e4  # z = r = 0, so h = n = tanh(wn x + bn)
+        x = np.array([[1.0], [2.0]])
+        h = np.tanh(p["wn"][:, 0] * 2.0 + p["bn"])
+        assert gru_forward(model, x)[0] == pytest.approx(p["wo"][0] @ h + p["bo"][0], abs=1e-12)
+        _, flat, grads, loss_at = stacked_loss_and_grads([model], [x[None]], [np.zeros((1, 1))])
+        assert np.isfinite(loss_at(flat)) and np.isfinite(grads).all()
+
     def test_shape_and_finiteness_validation(self):
         model = tiny_model(d=2, hidden=2)
         with pytest.raises(ValidationError):
