@@ -5,8 +5,8 @@ run, compare, validate. Every subcommand backed by a RunConfig (represent,
 train, evaluate, sweep, run, compare and validate) takes the same run-config
 flags and --config, a JSON file whose keys match RunConfig, with flags
 winning over file values. They call the same steps and artifact writers as
-`tmcf run` (see `tmcf.pipeline`), so `represent` -> `cluster --features
---linkage` -> `train` -> `evaluate` with the run's config reproduces a run.
+`tmcf run` (see `tmcf.pipeline`), so `represent` -> `cluster --features`
+-> `train` -> `evaluate` with the run's config reproduces a run.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.
@@ -27,13 +27,15 @@ from .errors import ConfigError, DataError, NumericalError
 from .pipeline import (
     CHOICES,
     RunConfig,
-    _check_k,
+    cluster_features,
     compare,
     dump_json,
     load_json,
     load_models,
     load_partition,
+    make_partition,
     prepare,
+    read_features,
     read_config,
     represent,
     require_valid,
@@ -47,16 +49,12 @@ from .pipeline import (
     write_report,
     write_sweep_csv,
 )
-from .represent import ReprMatrix, pairwise_dissimilarity
 from .synth import GroupSpec, SynthSpec, generate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
-
-# the linkage `tmcf run` uses per representation, for the cluster help and errors
-_RUN_LINKAGES = ", ".join(f"{link} for {rep}" for rep, link in cluster_mod.DEFAULT_LINKAGE.items())
 
 
 def _parse_group(text: str) -> GroupSpec:
@@ -148,33 +146,26 @@ def cmd_represent(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
-    dendro = None
     if args.method == "naive":
-        if args.flows is None:
-            raise ConfigError("--method naive requires --flows (number of flows)")
-        if args.seed is None:
-            raise ConfigError("--method naive requires --seed")
-        _check_k(args.k, args.flows)
-        part = cluster_mod.naive_partition(args.flows, args.k, seed=args.seed)
+        if args.flows is None or args.seed is None:
+            raise ConfigError("--method naive requires --flows (number of flows) and --seed")
+        dendro, method = None, "naive"
+    elif (args.features is None) == (args.dissimilarity is None):
+        raise ConfigError("--method hac requires exactly one of --features, --dissimilarity")
+    elif args.features is not None:
+        # tagged and linked as tmcf run does for the representation
+        feats, metric = read_features(args.features)
+        dendro, method = cluster_features(feats, metric, args.linkage), feats.kind
+    elif args.linkage is None:
+        raise ConfigError("--method hac --dissimilarity requires --linkage")
     else:
-        if (args.features is None) == (args.dissimilarity is None):
-            raise ConfigError("--method hac requires exactly one of --features, --dissimilarity")
-        if args.linkage is None:
-            raise ConfigError(f"--method hac requires --linkage; tmcf run uses {_RUN_LINKAGES}")
         try:
-            if args.dissimilarity is not None:
-                d = np.load(args.dissimilarity)
-            else:
-                meta = load_json(os.path.join(args.features, "features_meta.json"))
-                feats = ReprMatrix(np.loadtxt(os.path.join(args.features, "features.csv"),
-                                              delimiter=",", ndmin=2), meta["representation"])
-                d = pairwise_dissimilarity(feats, meta["metric"]).d
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise DataError(f"cannot read {args.dissimilarity or args.features}: {exc}") from None
-        dendro = cluster_mod.hac(d, linkage=args.linkage)
-        _check_k(args.k, dendro.n_leaves)
-        part = cluster_mod.cut(dendro, args.k)
+            dendro, method = cluster_mod.hac(np.load(args.dissimilarity), args.linkage), "hac"
+        except (OSError, ValueError, DataError) as exc:
+            raise DataError(f"{args.dissimilarity}: {exc}") from None
+    n_flows = args.flows if dendro is None else dendro.n_leaves
+    part = make_partition(dendro, n_flows, args.k, args.seed, method)
+    os.makedirs(args.out_dir, exist_ok=True)
     written = write_partition(part, dendro, args.out_dir)
     print(f"wrote {', '.join(written)} (k={part.k}) to {args.out_dir}")
     return EXIT_OK
@@ -326,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", help="directory of features.csv + features_meta.json (hac)")
     p.add_argument("--dissimilarity", help="M x M matrix .npy from outside tmcf (hac)")
     p.add_argument("--linkage", choices=CHOICES["linkage"],
-                   help=f"required by hac; tmcf run uses {_RUN_LINKAGES}")
+                   help="hac linkage; required with --dissimilarity, and with --features "
+                        "defaults to the one tmcf run uses for the representation")
     p.add_argument("--flows", type=int, help="number of flows (naive)")
     p.add_argument("--seed", type=int, help="naive partition seed")
     p.add_argument("--k", type=int, required=True)

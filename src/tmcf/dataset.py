@@ -467,7 +467,6 @@ def _load_abilene(path: str, files: list[str]) -> TmSeries:
             )
         blocks.append(block[:, :m])
     flat = np.concatenate(blocks, axis=0)
-    _check_nonnegative_finite(flat, path)
     return TmSeries(
         n_nodes=ABILENE_NODES,
         interval_seconds=ABILENE_INTERVAL_S,
@@ -484,13 +483,6 @@ def _load_geant(path: str) -> TmSeries:
         interval_seconds=GEANT_INTERVAL_S,
         values=flat.reshape(flat.shape[0], GEANT_NODES, GEANT_NODES),
     )
-
-
-def _check_nonnegative_finite(arr: np.ndarray, source: str) -> None:
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{source}: trace contains NaN or Inf entries")
-    if (arr < 0).any():
-        raise ValidationError(f"{source}: trace contains negative values")
 
 
 def write_canonical_csv(tm: TmSeries, path: str) -> None:

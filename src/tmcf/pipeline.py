@@ -14,8 +14,8 @@ A run directory holds, by stage:
 - train: models/cluster_<id>.bin and train_report.json (loss curves and
   early stopping per cluster)
 - evaluate: predictions.npz (uncompressed pred_norm; the predictions in
-  bytes and the truths are recomputed from it, the trace and scale.json),
-  eval_report.json and per_flow_rmse.csv
+  bytes and the truths are recomputed from it, the trace and scale.json) and
+  eval_report.json (which also lists each flow's normalized RMSE)
 
 plus manifest.json: the config echo, versions and, per stage, its hash,
 wall_time_seconds and artifacts, a {name: sha256} map; the ingest entry also
@@ -35,9 +35,10 @@ crashed run shows how far it got. With resume=True a stage is reused when
 its hash matches, every artifact it lists still has the recorded sha256, and
 every stage before it verifies too; it keeps the manifest entry of the run
 that computed it, marked "reused". When all four stages verify, the run
-returns at once: it parses, predicts and writes nothing. Otherwise it parses
-the trace once, rewrites the ingest entry and recomputes the first stage
-that fails and every stage after it.
+returns at once: it parses, predicts and writes nothing. Otherwise it
+removes what the manifest on disk lists for the stages it will recompute
+(also on a fresh run), parses the trace once, rewrites the ingest entry and
+recomputes the first stage that fails and every stage after it.
 """
 
 from __future__ import annotations
@@ -329,31 +330,38 @@ class Manifest:
         }
 
     def load_previous(self) -> dict:
-        """The stage entries of the manifest on disk; {} when it is missing,
-        unreadable or not shaped like a manifest."""
+        """The stage entries of the manifest on disk that hold an artifacts map;
+        {} when it is missing, unreadable or not shaped like a manifest."""
         try:
-            data = load_json(self.path)
-        except (ValueError, OSError):
+            stages = load_json(self.path)["stages"]
+            return {name: entry for name, entry in stages.items()
+                    if isinstance(entry, dict) and isinstance(entry.get("artifacts"), dict)}
+        except (ValueError, OSError, KeyError, TypeError, AttributeError):
             return {}
-        stages = data.get("stages") if isinstance(data, dict) else None
-        return stages if isinstance(stages, dict) else {}
 
-    def verified(self, entry, stage_hash: str) -> bool:
+    def verified(self, entry: dict | None, stage_hash: str) -> bool:
         """Whether a previous stage entry has this hash and every artifact in
         its {name: sha256} map still has the recorded content hash."""
-        if not isinstance(entry, dict) or entry.get("hash") != stage_hash:
-            return False
-        artifacts = entry.get("artifacts")
-        return isinstance(artifacts, dict) and all(
+        return entry is not None and entry.get("hash") == stage_hash and all(
             isinstance(digest, str) and self._sha256(name) == digest
-            for name, digest in artifacts.items()
-        )
+            for name, digest in entry["artifacts"].items())
 
     def _sha256(self, name: str) -> str | None:
         try:
             return file_sha256(os.path.join(self.run_dir, name))
         except OSError:
             return None
+
+    def remove_artifacts(self, entries) -> None:
+        """Remove the regular files that these previous stage entries list and
+        that resolve inside the run directory (no absolute path, `..` or link)."""
+        root = os.path.realpath(self.run_dir)
+        for entry in entries:
+            for name in entry.get("artifacts", ()):
+                path = os.path.join(root, name)
+                if (not os.path.isabs(name) and os.path.isfile(path)
+                        and os.path.realpath(path) == path):
+                    os.remove(path)
 
     def record(self, stage: str, stage_hash: str, wall_time: float, artifacts: list[str],
                **extra):
@@ -399,13 +407,22 @@ def write_features(feats: represent_mod.ReprMatrix, metric: str | None,
                    out_dir: str) -> list[str]:
     """features.csv (floats in %.17g, which read back exactly) and
     features_meta.json (the representation, its metric and the features'
-    meta), from which `tmcf cluster --features` recomputes the dissimilarity
-    matrix; returns their names."""
+    meta), which read_features reads back; returns their names."""
     _write_matrix_csv(feats.features, os.path.join(out_dir, "features.csv"))
     dump_json({"representation": feats.kind,
                "metric": metric or represent_mod.DEFAULT_METRIC[feats.kind], **feats.meta},
               os.path.join(out_dir, "features_meta.json"))
     return ["features.csv", "features_meta.json"]
+
+
+def read_features(in_dir: str) -> tuple[represent_mod.ReprMatrix, str]:
+    """The features and metric write_features wrote to in_dir; DataError if unreadable."""
+    try:
+        meta = load_json(os.path.join(in_dir, "features_meta.json"))
+        features = np.loadtxt(os.path.join(in_dir, "features.csv"), delimiter=",", ndmin=2)
+        return represent_mod.ReprMatrix(features, meta["representation"]), meta["metric"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"cannot read {in_dir}: {exc}") from None
 
 
 def write_partition(part: Partition, dendro: cluster_mod.Dendrogram | None,
@@ -420,10 +437,8 @@ def write_partition(part: Partition, dendro: cluster_mod.Dendrogram | None,
 
 
 def write_report(report: EvalReport, out_dir: str) -> None:
-    """eval_report.json and per_flow_rmse.csv (one row per flow)."""
+    """eval_report.json; its per_flow_rmse lists each flow's normalized RMSE."""
     dump_json(report.to_dict(), os.path.join(out_dir, "eval_report.json"))
-    _write_csv(os.path.join(out_dir, "per_flow_rmse.csv"), "flow,rmse_normalized",
-               enumerate(report.per_flow_rmse))
 
 
 def write_sweep_csv(curve: SweepCurve, path: str) -> None:
@@ -477,19 +492,23 @@ def build_dendrogram(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, range
     if config.representation == "naive":
         return None, None
     feats = represent(config, tm, flows_norm, ranges)
-    diss = represent_mod.pairwise_dissimilarity(feats, config.metric)
-    linkage = config.linkage or cluster_mod.DEFAULT_LINKAGE[config.representation]
-    return cluster_mod.hac(diss.d, linkage), feats
+    return cluster_features(feats, config.metric, config.linkage), feats
 
 
-def make_partition(config: RunConfig, dendro, n_flows: int) -> Partition:
-    """The dendrogram cut into config.k clusters or, without a dendrogram,
-    the naive baseline drawn with config.seed."""
-    _check_k(config.k, n_flows)
+def cluster_features(feats: represent_mod.ReprMatrix, metric: str | None, linkage: str | None):
+    """HAC dendrogram of the features; metric and linkage default to the representation's."""
+    diss = represent_mod.pairwise_dissimilarity(feats, metric)
+    return cluster_mod.hac(diss.d, linkage or cluster_mod.DEFAULT_LINKAGE[feats.kind])
+
+
+def make_partition(dendro, n_flows: int, k, seed, method: str) -> Partition:
+    """The dendrogram cut into k clusters and tagged method or, without a
+    dendrogram, the naive baseline drawn with seed."""
+    _check_k(k, n_flows)
     if dendro is None:
-        return cluster_mod.naive_partition(n_flows, config.k, seed=config.seed)
-    part = cluster_mod.cut(dendro, config.k)
-    part.method = config.representation
+        return cluster_mod.naive_partition(n_flows, k, seed=seed)
+    part = cluster_mod.cut(dendro, k)
+    part.method = method
     return part
 
 
@@ -580,7 +599,7 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
     manifest = Manifest(run_dir, cfg, cfg_hash)
     trace_hash = trace_file_sha256(config.trace, config.format)
     hashes = _stage_hashes(cfg, cfg_hash, trace_hash)
-    previous = manifest.load_previous() if resume else {}
+    previous = manifest.load_previous()
     # a stage is reused only when it and every stage before it verify
     reuse, verified = {}, resume
     for name, stage_hash in hashes.items():
@@ -588,6 +607,7 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
         reuse[name] = verified
     if reuse["evaluate"]:
         return run_dir
+    manifest.remove_artifacts(previous.get(name, {}) for name in hashes if not reuse[name])
     os.makedirs(model_dir, exist_ok=True)
     if warnings:
         manifest.data["warnings"] = warnings
@@ -619,7 +639,7 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
         manifest.reuse("cluster", previous["cluster"])
     else:
         dendro, feats = build_dendrogram(config, tm, flows_norm, ranges)
-        part = make_partition(config, dendro, tm.n_flows)
+        part = make_partition(dendro, tm.n_flows, config.k, config.seed, config.representation)
         cluster_artifacts = write_partition(part, dendro, run_dir)
         if feats is not None:
             cluster_artifacts += write_features(feats, config.metric, run_dir)
@@ -644,7 +664,7 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
     np.savez(os.path.join(run_dir, "predictions.npz"), pred_norm=pred_norm)
     write_report(report, run_dir)
     manifest.record("evaluate", hashes["evaluate"], time.perf_counter() - t0,
-                    ["predictions.npz", "eval_report.json", "per_flow_rmse.csv"])
+                    ["predictions.npz", "eval_report.json"])
     return run_dir
 
 
@@ -714,7 +734,7 @@ def sweep(config: RunConfig) -> tuple[SweepCurve, dict]:
         for rep in range(config.repetitions):
             t0 = time.perf_counter()
             rep_cfg = replace(config, k=k, seed=config.seed + rep)
-            part = make_partition(rep_cfg, dendro, tm.n_flows)
+            part = make_partition(dendro, tm.n_flows, k, rep_cfg.seed, config.representation)
             models = train_models(rep_cfg, flows_norm, ranges, part)
             report, _ = score(rep_cfg, tm, flows_norm, scale, ranges, part, models)
             vals.append(report.rmse_normalized)
@@ -746,7 +766,7 @@ def compare(config: RunConfig, out_dir: str) -> dict:
     for method in METHODS:
         mcfg = replace(config, representation=method, metric=None, linkage=None)
         dendro, _ = build_dendrogram(mcfg, tm, flows_norm, ranges)
-        part = make_partition(mcfg, dendro, tm.n_flows)
+        part = make_partition(dendro, tm.n_flows, config.k, config.seed, method)
         models = train_models(mcfg, flows_norm, ranges, part)
         report, _ = score(mcfg, tm, flows_norm, scale, ranges, part, models)
         partitions[method] = part

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import _validate_dissimilarity
 from .dataset import FlowSet
 from .errors import ValidationError
 
@@ -56,8 +55,8 @@ class ReprMatrix:
 
 @dataclass
 class DissimilarityMatrix:
-    """Symmetric nonnegative M x M matrix with zero diagonal, checked as
-    hac() checks its input; JSD entries must also not exceed 1."""
+    """M x M dissimilarities of one metric between all flows; hac(), which takes
+    every such matrix, checks it is square, finite, nonnegative, symmetric, zero-diagonal."""
 
     d: np.ndarray
     metric: str
@@ -65,9 +64,6 @@ class DissimilarityMatrix:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise ValidationError(f"metric must be one of {METRICS}, got {self.metric!r}")
-        self.d = _validate_dissimilarity(self.d)
-        if self.metric == "jsd" and (self.d > 1.0).any():
-            raise ValidationError("JSD entries must not exceed 1")
 
 
 def default_lags(interval_seconds: int) -> list[int]:
@@ -314,12 +310,10 @@ def pairwise_dissimilarity(reps: ReprMatrix, metric: str | None = None) -> Dissi
 
     JSD is only defined for histogram pmfs; ACF and PSD vectors use
     Euclidean distance. Only the upper triangle is computed and mirrored,
-    so symmetry is exact.
+    so symmetry is exact. DissimilarityMatrix rejects an unknown metric.
     """
     if metric is None:
         metric = DEFAULT_METRIC[reps.kind]
-    if metric not in METRICS:
-        raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
     if metric == "jsd" and reps.kind != "histogram":
         raise ValidationError("jsd is only compatible with the histogram representation")
 
@@ -330,7 +324,7 @@ def pairwise_dissimilarity(reps: ReprMatrix, metric: str | None = None) -> Dissi
         for i in range(m - 1):
             diff = feats[i + 1 :] - feats[i]
             d[i, i + 1 :] = np.sqrt(np.sum(diff * diff, axis=1))
-    else:
+    elif metric == "jsd":
         # JSD(p, q) = H((p + q) / 2) - (H(p) + H(q)) / 2, base-2 entropies
         entropy = _entropy_rows(feats)
         for i in range(m - 1):

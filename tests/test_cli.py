@@ -73,9 +73,10 @@ def test_synth_run_evaluate_ingest(tmp_path):
 
 @pytest.mark.parametrize("representation,linkage", [("histogram", "complete"), ("acf", "average")])
 def test_cluster_reproduces_run_dendrogram(tmp_path, representation, linkage):
+    # the run picks the representation's linkage; so does cluster --features
     trace = synth_trace(tmp_path)
     run_dir, rep_dir = str(tmp_path / "run"), str(tmp_path / "represent")
-    flags = ["--representation", representation, "--linkage", linkage]
+    flags = ["--representation", representation]
     run_k2(trace, run_dir, *flags)
     assert main(["represent", "--trace", trace, *flags, "--out-dir", rep_dir]) == EXIT_OK
     # the matrix the run clustered, recomputed from its features, as a .npy from outside tmcf
@@ -84,17 +85,29 @@ def test_cluster_reproduces_run_dendrogram(tmp_path, representation, linkage):
     np.save(matrix, pairwise_dissimilarity(ReprMatrix(features, representation)).d)
 
     for i, source in enumerate([["--features", run_dir], ["--features", rep_dir],
-                                ["--dissimilarity", matrix]]):
+                                ["--dissimilarity", matrix, "--linkage", linkage]]):
         cluster_dir = str(tmp_path / f"cluster{i}")
-        assert main(["cluster", "--method", "hac", *source, "--linkage", linkage, "--k", "2",
+        assert main(["cluster", "--method", "hac", *source, "--k", "2",
                      "--out-dir", cluster_dir]) == EXIT_OK
         for name in ("dendrogram.csv", "partition.json"):
             want = read(os.path.join(run_dir, name))
             got = read(os.path.join(cluster_dir, name))
-            if name == "partition.json":
-                # the run tags its partition with the representation, the CLI with "hac"
+            if name == "partition.json" and source[0] == "--dissimilarity":
+                # an outside matrix has no representation: the CLI tags it "hac"
+                assert json.loads(got)["method"] == "hac"
                 want, got = json.loads(want)["labels"], json.loads(got)["labels"]
             assert got == want, (source, name)
+
+
+def test_cluster_naive_reproduces_run_partition(tmp_path):
+    trace = synth_trace(tmp_path)
+    run_dir, cluster_dir = str(tmp_path / "run"), str(tmp_path / "cluster")
+    run_k2(trace, run_dir, "--representation", "naive", "--seed", "7")
+    assert main(["cluster", "--method", "naive", "--flows", "16", "--seed", "7", "--k", "2",
+                 "--out-dir", cluster_dir]) == EXIT_OK
+    assert os.listdir(cluster_dir) == ["partition.json"]
+    assert read(os.path.join(cluster_dir, "partition.json")) == read(
+        os.path.join(run_dir, "partition.json"))
 
 
 def test_train_then_evaluate_reproduces_run(tmp_path):
@@ -115,8 +128,7 @@ def test_train_then_evaluate_reproduces_run(tmp_path):
     run_report = json.loads(read(os.path.join(run_dir, "eval_report.json")))
     eval_report = json.loads(read(os.path.join(eval_dir, "eval_report.json")))
     assert eval_report["rmse_normalized"] == run_report["rmse_normalized"]
-    assert read(os.path.join(eval_dir, "per_flow_rmse.csv")) == read(
-        os.path.join(run_dir, "per_flow_rmse.csv"))
+    assert eval_report["per_flow_rmse"] == run_report["per_flow_rmse"]
 
 
 def test_represent_writes_the_run_matrices(tmp_path):
@@ -207,32 +219,48 @@ def test_config_warnings_go_to_stderr(tmp_path, capsys, command, flags):
     assert "desk profile with hidden_size=80 override will be slow" in capsys.readouterr().err
 
 
-def test_cluster_hac_without_linkage_names_the_run_defaults(tmp_path, capsys):
+def test_cluster_hac_needs_linkage_only_for_an_outside_matrix(tmp_path, capsys):
     matrix = str(tmp_path / "dissimilarity.npy")
     np.save(matrix, THREE_POINTS)
     assert main([
         "cluster", "--method", "hac", "--dissimilarity", matrix,
         "--k", "2", "--out-dir", str(tmp_path / "cluster"),
     ]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "--linkage" in err
-    assert "complete for histogram" in err and "average for acf" in err
+    assert "--linkage" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "cluster")
+    # features carry their representation, and with it the linkage tmcf run uses
+    features = tmp_path / "features"
+    features.mkdir()
+    np.savetxt(features / "features.csv", THREE_POINTS, delimiter=",")
+    (features / "features_meta.json").write_text(
+        json.dumps({"representation": "acf", "metric": "euclidean"}))
+    assert main([
+        "cluster", "--method", "hac", "--features", str(features),
+        "--k", "2", "--out-dir", str(tmp_path / "cluster"),
+    ]) == EXIT_OK
+    assert json.loads(read(tmp_path / "cluster" / "partition.json"))["method"] == "acf"
 
 
 @pytest.mark.parametrize("name,content", [
     ("missing.npy", None),
     ("missing.csv", None),
     ("malformed.csv", "0,1\n1,zero\n"),
+    ("asymmetric.npy", np.array([[0.0, 1.0], [2.0, 0.0]])),
+    ("nan.npy", np.array([[0.0, np.nan], [np.nan, 0.0]])),
+    ("diagonal.npy", np.array([[1.0, 1.0], [1.0, 0.0]])),
 ])
 def test_cluster_on_an_unreadable_matrix_is_a_data_error(tmp_path, capsys, name, content):
     path = tmp_path / name
-    if content is not None:
+    if isinstance(content, str):
         path.write_text(content)
+    elif content is not None:
+        np.save(path, content)
     assert main([
         "cluster", "--method", "hac", "--dissimilarity", str(path), "--linkage", "average",
         "--k", "2", "--out-dir", str(tmp_path / "cluster"),
     ]) == EXIT_DATA
     assert str(path) in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "cluster")
 
 
 def write_config(tmp_path, **keys) -> str:
@@ -314,6 +342,7 @@ def test_cluster_hac_takes_exactly_one_matrix_source(tmp_path, capsys, both):
         "--out-dir", str(tmp_path / "cluster"),
     ]) == EXIT_CONFIG
     assert "exactly one of --features, --dissimilarity" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "cluster")
 
 
 def test_cluster_on_features_without_meta_is_a_data_error(tmp_path, capsys):
@@ -325,6 +354,7 @@ def test_cluster_on_features_without_meta_is_a_data_error(tmp_path, capsys):
         "--k", "2", "--out-dir", str(tmp_path / "cluster"),
     ]) == EXIT_DATA
     assert "features_meta.json" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "cluster")
 
 
 def blank_one_cell(trace: str) -> str:
@@ -356,10 +386,8 @@ def test_config_backed_steps_reproduce_a_run(tmp_path):
         assert read(os.path.join(rep_dir, name)) == read(os.path.join(run_dir, name)), name
         assert read(os.path.join(flag_dir, name)) == read(os.path.join(run_dir, name)), name
 
-    assert main([
-        "cluster", "--features", rep_dir,
-        "--linkage", "average", "--k", "2", "--out-dir", cluster_dir,
-    ]) == EXIT_OK
+    assert main(["cluster", "--features", rep_dir, "--k", "2",
+                 "--out-dir", cluster_dir]) == EXIT_OK
     partition = os.path.join(cluster_dir, "partition.json")
     assert main(["train", "--config", config, "--partition", partition,
                  "--out-dir", models_dir]) == EXIT_OK

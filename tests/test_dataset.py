@@ -123,6 +123,18 @@ class TestArchiveAdapters:
         assert tm.n_flows == 144
         assert np.array_equal(tm.values.reshape(6, 144), np.concatenate(expected))
 
+    @pytest.mark.parametrize("value,message", [("nan", "NaN or Inf"), ("-1", "negative")])
+    def test_abilene_nan_or_negative_rejected(self, tmp_path, value, message):
+        adir = tmp_path / "abilene"
+        adir.mkdir()
+        block = np.ones((3, 144))
+        np.savetxt(adir / "X01", block)
+        rows = (adir / "X01").read_text().splitlines()
+        rows[1] = " ".join([value] + rows[1].split()[1:])
+        (adir / "X01").write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValidationError, match=message):
+            load_tm_series(str(adir), format="abilene")
+
     def test_geant_flat_csv(self, tmp_path):
         rng = np.random.default_rng(1)
         block = rng.random((4, 529)) * 1e3

@@ -94,7 +94,7 @@ def test_fresh_run_records_trace_hash_not_copy(trace, tmp_path):
     assert sorted(outputs(run_dir)) == [
         "dendrogram.csv", "eval_report.json", "features.csv", "features_meta.json",
         "manifest.json", "models/cluster_1.bin", "models/cluster_2.bin", "partition.json",
-        "per_flow_rmse.csv", "predictions.npz", "scale.json", "train_report.json",
+        "predictions.npz", "scale.json", "train_report.json",
     ]
     # the truths and the predictions in bytes follow from pred_norm, the trace
     # and scale.json
@@ -345,6 +345,45 @@ def test_resume_with_nothing_changed_parses_predicts_and_writes_nothing(trace, t
         monkeypatch.setattr(pipeline, name, crash)
     assert run_pipeline(cfg, resume=True) == run_dir
     assert bytes_and_mtimes(run_dir) == before
+
+
+@pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+def test_a_run_removes_what_an_earlier_run_listed_for_the_stages_it_recomputes(
+        trace, tmp_path, resume):
+    # a naive run over an earlier-format histogram directory: the dendrogram,
+    # the features and dissimilarity.npy of the cluster entry have no stage now
+    cfg = replace(config(trace, tmp_path / "run"), representation="naive")
+    run_dir = run_pipeline(replace(cfg, representation="histogram"))
+    store_matrix_and_bytes(run_dir)
+    run_pipeline(cfg, resume=resume)
+    fresh_dir = run_pipeline(replace(cfg, out_dir=str(tmp_path / "fresh")))
+    assert sorted(outputs(run_dir)) == sorted(outputs(fresh_dir))
+    with np.load(os.path.join(run_dir, "predictions.npz")) as predictions:
+        assert predictions.files == ["pred_norm"]
+
+
+def test_a_run_removes_no_file_outside_its_directory(trace, tmp_path):
+    cfg = config(trace, tmp_path / "run")
+    run_dir = run_pipeline(cfg)
+    outside = tmp_path / "outside"
+    outside.write_text("kept")
+    os.symlink(outside, os.path.join(run_dir, "link"))
+    data = manifest(run_dir)
+    data["stages"]["cluster"]["artifacts"].update(
+        {"../outside": "0", str(outside): "0", "link": "0"})
+    pipeline.dump_json(data, os.path.join(run_dir, "manifest.json"))
+    run_pipeline(cfg)
+    assert outside.read_text() == "kept"
+    assert os.path.islink(os.path.join(run_dir, "link"))
+
+
+def test_a_run_over_an_unreadable_manifest_removes_nothing(trace, tmp_path):
+    cfg = config(trace, tmp_path / "run")
+    run_dir = run_pipeline(cfg)
+    with open(os.path.join(run_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+        fh.write("{")
+    run_pipeline(replace(cfg, representation="naive"), resume=True)
+    assert os.path.exists(os.path.join(run_dir, "dendrogram.csv"))
 
 
 def test_resume_with_other_units_rewrites_the_report(trace, tmp_path):

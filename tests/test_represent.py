@@ -254,6 +254,11 @@ class TestPairwise:
         with pytest.raises(ValidationError):
             pairwise_dissimilarity(feats, metric="jsd")
 
+    def test_unknown_metric_rejected(self):
+        feats = build_features(np.random.default_rng(8).random((3, 100)), "histogram", bins=5)
+        with pytest.raises(ValidationError, match="metric must be one of"):
+            pairwise_dissimilarity(feats, metric="cosine")
+
     def test_jsd_matrix_within_unit_range(self):
         rng = np.random.default_rng(9)
         feats = build_features(rng.random((8, 300)), "histogram", bins=25)
