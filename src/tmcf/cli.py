@@ -338,7 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="RMSE-versus-K sweep with knee selection")
+    p = sub.add_parser(
+        "sweep", help="RMSE-versus-K sweep with knee selection",
+        description="RMSE-versus-K sweep with knee selection. sweep.csv's mean_runtime_s is "
+                    "the wall time of one repetition at that K, with training spread over "
+                    "every usable CPU; K=1 is one model and uses one CPU.")
     _add_run_config_flags(p, with_k=False)
     p.add_argument("--k-grid", dest="k_grid_spec",
                    help="comma list '1,11,21' or range 'start:stop:step'")

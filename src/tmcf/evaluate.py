@@ -47,7 +47,9 @@ class ClusterStats:
 
 @dataclass
 class SweepCurve:
-    """Mean/std RMSE and mean runtime per swept cluster count."""
+    """Mean/std RMSE and mean runtime per swept cluster count. A runtime is
+    wall time with training spread over every usable CPU, so K=1, one model,
+    gets no speed-up from more CPUs and larger K do."""
 
     k_values: list[int]
     mean_rmse: list[float]

@@ -349,7 +349,7 @@ class Manifest:
     def _sha256(self, name: str) -> str | None:
         try:
             return file_sha256(os.path.join(self.run_dir, name))
-        except OSError:
+        except (OSError, ValueError):  # ValueError: a name with a NUL byte
             return None
 
     def remove_artifacts(self, entries) -> None:
@@ -716,7 +716,10 @@ def sweep(config: RunConfig) -> tuple[SweepCurve, dict]:
     """RMSE-versus-K curve plus Kneedle knee selection; returns (curve, knee
     payload). Each repetition scores replace(config, k=k, seed=config.seed + rep).
     The dendrogram does not depend on K or the seed and is built once; the
-    naive baseline draws a new random partition per repetition."""
+    naive baseline draws a new random partition per repetition. A K's mean
+    runtime is the wall time of its repetitions, whose training spreads over
+    every usable CPU (see train_partitioned): K=1 trains one model on one
+    CPU, so the runtimes of different K do not compare work done."""
     require_valid(config)
     if not config.k_grid:
         raise ConfigError("sweep requires k_grid")
@@ -758,8 +761,8 @@ def compare(config: RunConfig, out_dir: str) -> dict:
     """Cross-method comparison at matched K: pairwise ARI/NMI, per-flow error
     correlations, and cluster-size statistics, written as three CSVs."""
     require_valid(config)
-    os.makedirs(out_dir, exist_ok=True)
     tm, flows_norm, scale, ranges = prepare(config)
+    os.makedirs(out_dir, exist_ok=True)
 
     partitions: dict[str, Partition] = {}
     flow_errs: dict[str, list[float]] = {}

@@ -1,4 +1,4 @@
-"""Gated recurrent forecasters, one per flow cluster, trained all at once.
+"""Gated recurrent forecasters, one per flow cluster, trained on every usable CPU.
 
 One model covers the d flows of one cluster: it reads the last L-1
 observations of those flows and predicts the next observation of all of
@@ -8,24 +8,36 @@ optimizer are implemented directly on numpy arrays in double precision so
 training is deterministic for a fixed seed and analytic gradients can be
 checked against finite differences.
 
-One core trains and runs every model. The gate weights are fused
-(Appleyard et al. 2016): the input maps and biases of the three gates form
-one tensor, applied to every step of a batch by one matmul before the time
-loop, and the recurrent maps of the update and reset gates form another.
-The models of a partition share the hidden size h, so their recurrent
-weights are stacked on a leading cluster axis and each time step is two
-batched matmuls for all clusters together. The parameters, gradients and Adam
-moments of a stack are views into one flat buffer each, so one Adam update
-covers every cluster. Each cluster keeps its own seed, batch order, loss
-normalization and early stopping, so its model is the one it gets when
-trained alone, up to rounding in the order of sums; the tests keep the
-former per-cluster loop as the oracle for that.
+The gate weights are fused (Appleyard et al. 2016): the input maps and
+biases of the three gates form one tensor, applied to every step of a batch
+by one matmul before the time loop, and the recurrent maps of the update
+and reset gates form another. The models of a group share the hidden size
+h, so their recurrent weights are stacked on a leading cluster axis and each
+time step is two batched matmuls for all clusters together. The parameters,
+gradients and Adam moments of a stack are views into one flat buffer each,
+so one Adam update covers every cluster. Each cluster keeps its own seed,
+batch order, loss normalization and early stopping, so its model is the one
+it gets when trained alone, up to rounding in the order of sums; the tests
+keep the former per-cluster loop as the oracle for that.
+
+A cluster's model therefore depends only on its members, the seed and the
+config, and train_partitioned spreads the clusters over one forked child
+process per usable CPU (os.sched_getaffinity), each with about the same
+estimated matmul work. A child trains its share in workspace-sized groups,
+sends back the models and reports, and exits. With one usable CPU or one
+cluster everything trains in the calling process. Threads gain nothing here:
+a step is many numpy calls of microseconds each, and hand-offs of the GIL
+between them made three desk-profile groups on 2 vCPUs train at half the
+speed of one thread. Prediction runs in the calling process.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
 import struct
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
@@ -56,10 +68,11 @@ MODEL_FORMAT_VERSION = 1
 
 # Floats (2 MiB) the cache of one stacked pass may hold: a pass over R
 # window rows of T steps for K models of hidden size h caches K*R*(8T+1)*h.
-# Clusters train in consecutive groups, and forward passes run in row
-# chunks, that fit it. At the desk profile a group is 6 models; groups of
-# 6 or 8 trained as fast as one of 16, whose cache is 2.7 times larger and
-# raised the peak RSS of a 144-flow run by 5%.
+# Each training process splits its clusters into as few groups as fit it,
+# of near-equal size, and forward passes run in row chunks that fit it. At
+# the desk profile a group holds at most 6 models; groups of 6 or 8 trained
+# as fast as one of 16, whose cache is 2.7 times larger and raised the peak
+# RSS of a 144-flow run by 5%. At h=200 a group is one model.
 _WORKSPACE_FLOATS = 1 << 18
 
 
@@ -407,6 +420,14 @@ class _Progress:
     stopped_early: bool = False
 
 
+def _diverged(message: str, live: list[int], losses: np.ndarray) -> NumericalError:
+    """NumericalError whose `member` is the index, among the configs of a
+    group, of the first live model whose loss is not finite."""
+    exc = NumericalError(message)
+    exc.member = live[int(np.argmin(np.isfinite(losses)))]
+    return exc
+
+
 def _train_group(
     configs: list[GruConfig],
     train_sets: list[WindowedDataset],
@@ -442,9 +463,8 @@ def _train_group(
                 xs = _time_major([ds.inputs[j] for ds, j in batch], scratch)
                 sq = _sq_errors_and_grads(pv, gv, xs, [ds.targets[j] for ds, j in batch], scratch)
                 if not np.isfinite(sq).all():
-                    raise NumericalError(
-                        f"training diverged: non-finite loss at epoch {epoch + 1}"
-                    )
+                    raise _diverged(f"training diverged: non-finite loss at epoch {epoch + 1}",
+                                    live, sq)
                 adam_t += 1
                 m1 *= ADAM_BETA1
                 m1 += (1.0 - ADAM_BETA1) * grads
@@ -457,7 +477,7 @@ def _train_group(
 
             val_loss = _dataset_mse(pv, [val_sets[i] for i in live], cfg.batch_size, scratch)
             if not np.isfinite(val_loss).all():
-                raise NumericalError(f"validation loss non-finite at epoch {epoch + 1}")
+                raise _diverged(f"validation loss non-finite at epoch {epoch + 1}", live, val_loss)
 
             keep = []
             for c, i in enumerate(live):
@@ -534,30 +554,121 @@ def train_partitioned(
 
     flow_values is (M, T); each cluster's model has input/output width
     |cluster| and its own seed from cluster_seed, so a cluster's model does
-    not depend on the other clusters. Clusters train jointly, in
-    consecutive groups that fit the workspace, and a non-finite loss of any
-    cluster stops the call with NumericalError. Results are keyed by
-    cluster id.
+    not depend on the other clusters, nor on where or with which others it
+    trains. The clusters are dealt to one share per usable CPU (at most one
+    per cluster) by their estimated cost, and each share trains in a forked
+    child process, in groups that fit the workspace; a single share trains
+    in this process. A non-finite loss stops a group and its share with
+    NumericalError; of several, the one of the lowest diverging cluster id
+    is raised. Results are keyed by cluster id.
     """
     if partition.n_items != flow_values.shape[0]:
         raise ValidationError(
             f"partition covers {partition.n_items} flows, matrix has {flow_values.shape[0]}"
         )
-    labels = range(1, partition.k + 1)
-    group = _workspace_fit(config.batch_size, window_length - 1, config.hidden_size)
-    results = {}
-    for lo in range(0, partition.k, group):
-        configs, train_sets, val_sets = [], [], []
-        for label in labels[lo : lo + group]:
-            rows = partition.members(label)
-            series = flow_values[rows].T.copy()
-            train_sets.append(make_windows(series[train_range[0] : train_range[1]], window_length))
-            val_sets.append(make_windows(series[val_range[0] : val_range[1]], window_length))
-            configs.append(
-                replace(config, input_size=rows.size, seed=cluster_seed(config.seed, label))
-            )
-        results.update(zip(labels[lo : lo + group], _train_group(configs, train_sets, val_sets)))
-    return results
+    widths = np.bincount(partition.labels, minlength=partition.k + 1)[1:]
+    # a model's matmul work per window step, 6h(d+1) + 9h^2 multiply-adds, over 3h
+    costs = [2 * (int(d) + 1) + 3 * config.hidden_size for d in widths]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    fit = _workspace_fit(config.batch_size, window_length - 1, config.hidden_size)
+
+    def train_share(labels: list[int]):
+        """({label: (model, report)}, None), or (partial results, (label,
+        NumericalError)) for the first group that diverges; later groups of
+        the share hold only larger labels and do not train."""
+        results = {}
+        for group in np.array_split(labels, -(-len(labels) // fit)):
+            configs, train_sets, val_sets = [], [], []
+            for label in group.tolist():
+                rows = partition.members(label)
+                series = flow_values[rows].T.copy()
+                train_sets.append(make_windows(series[train_range[0] : train_range[1]],
+                                               window_length))
+                val_sets.append(make_windows(series[val_range[0] : val_range[1]], window_length))
+                configs.append(
+                    replace(config, input_size=rows.size, seed=cluster_seed(config.seed, label))
+                )
+            try:
+                results.update(zip(group.tolist(), _train_group(configs, train_sets, val_sets)))
+            except NumericalError as exc:
+                return results, (int(group[exc.member]), exc)
+        return results, None
+
+    shares = [[i + 1 for i in share] for share in _deal(costs, min(cpus, partition.k))]
+    outcomes = _fork_map(train_share, shares) if len(shares) > 1 else [train_share(shares[0])]
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return {label: result for results, _ in outcomes for label, result in results.items()}
+
+
+def _deal(costs: list[int], n: int) -> list[list[int]]:
+    """The indices of costs in n shares of near-equal total: largest cost
+    first (ties by index), each to the share with the least total so far
+    (Graham's LPT rule). Each share lists its indices in ascending order."""
+    shares, totals = [[] for _ in range(n)], [0] * n
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        least = totals.index(min(totals))
+        shares[least].append(i)
+        totals[least] += costs[i]
+    return [sorted(share) for share in shares]
+
+
+def _fork_map(fn, items: list) -> list:
+    """[fn(item) for item in items], each call in its own forked child
+    process, which inherits fn's data, pickles back only fn's result and
+    exits. Every child's result is read to EOF and the child reaped before
+    this returns or raises. An exception in fn is raised here, the first by
+    item order, and so is a RuntimeError for a child that ends without a
+    result; a child left running by an error here is killed and reaped.
+
+    Fork, not spawn: a child reads its inputs from the parent's pages with
+    no pickle and no import. It runs only numpy and its pipe, and OpenBLAS
+    restarts its thread pool in a forked child. A child takes no further
+    work, so none waits on a parent that is gone."""
+    pids, readers, ended = [], [], []
+    try:
+        for item in items:
+            r, w = os.pipe()
+            readers.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(w)
+                raise
+            if pid == 0:  # the child: never returns to the caller
+                code = 1
+                try:
+                    try:
+                        outcome = (True, fn(item))
+                    except Exception as exc:  # noqa: BLE001 - raised again in the parent
+                        outcome = (False, exc)
+                    with open(w, "wb") as fh:
+                        pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            pids.append(pid)
+        for pid, reader in zip(pids, readers):
+            blob = reader.read()
+            ended.append((blob, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids[len(ended):]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    values = []
+    for item, (blob, code) in zip(items, ended):
+        if code != 0 or not blob:
+            raise RuntimeError(f"the process for {item} ended with exit code {code} "
+                               "and sent no result")
+        ok, value = pickle.loads(blob)
+        if not ok:
+            raise value
+        values.append(value)
+    return values
 
 
 def predict_tm(

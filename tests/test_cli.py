@@ -164,6 +164,19 @@ def test_compare_tables_and_per_flow_errors(tmp_path):
     assert result["per_flow_rmse"]["histogram"] == run_report["per_flow_rmse"]
 
 
+def test_compare_on_an_unreadable_trace_exits_3_without_an_out_dir(tmp_path, capsys):
+    trace = synth_trace(tmp_path)
+    lines = read(trace).decode("utf-8").splitlines(keepends=True)
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",x\n"
+    with open(trace, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    out_dir = tmp_path / "compare"
+    argv = ["compare", "--trace", trace, "--k", "2", "--out-dir", str(out_dir)]
+    assert main(argv + TRAIN_FLAGS) == EXIT_DATA
+    assert "line 3" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 THREE_POINTS = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
 
 

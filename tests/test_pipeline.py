@@ -13,9 +13,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tmcf import pipeline
+from tmcf import pipeline, predict
 from tmcf.dataset import TmSeries, load_tm_series, write_canonical_csv
-from tmcf.pipeline import RunConfig, file_sha256, run_pipeline, sweep, trace_file_sha256
+from tmcf.pipeline import (RunConfig, compare, file_sha256, run_pipeline, sweep,
+                           trace_file_sha256)
 from tmcf.represent import ReprMatrix, pairwise_dissimilarity
 from tmcf.synth import GroupSpec, SynthSpec, generate
 
@@ -193,6 +194,26 @@ def test_sweep_scores_each_k_as_the_run_does(trace, tmp_path):
     assert curve.mean_rmse[1] == run_rmse
 
 
+@pytest.mark.parametrize("crashes", [False, True], ids=["returns", "raises"])
+def test_run_sweep_and_compare_leave_no_child_process(trace, tmp_path, monkeypatch, crashes):
+    # two usable CPUs, so that training forks on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    if crashes:
+        monkeypatch.setattr(predict, "_train_group", crash)
+    cfg = config(trace, tmp_path / "run")
+    calls = [lambda: run_pipeline(cfg),
+             lambda: sweep(replace(cfg, k=None, k_grid=[1, 2, 4], repetitions=1)),
+             lambda: compare(cfg, str(tmp_path / "compare"))]
+    for call in calls:
+        if crashes:
+            with pytest.raises(RuntimeError, match="crash"):
+                call()
+        else:
+            call()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 def test_resume_after_a_crashed_fresh_run_of_another_config(trace, tmp_path, monkeypatch):
     # no fresh run deletes the old manifest; content verification protects the
     # resume: a stage is reused only when its hash and every artifact's sha256
@@ -271,10 +292,19 @@ def delete_report(run_dir):
     os.remove(os.path.join(run_dir, "eval_report.json"))
 
 
+def list_a_name_with_a_nul_byte(run_dir):
+    # open() raises ValueError, not OSError, on such a name
+    doc = manifest(run_dir)
+    doc["stages"]["train"]["artifacts"]["a\u0000b"] = "0" * 64
+    with open(os.path.join(run_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+
+
 @pytest.mark.parametrize("tamper,recomputed", [
     (edit_partition, ["cluster", "train", "evaluate"]),
     (truncate_model, ["train", "evaluate"]),
     (delete_report, ["evaluate"]),
+    (list_a_name_with_a_nul_byte, ["train", "evaluate"]),
 ])
 def test_resume_recomputes_from_the_stage_whose_artifact_changed(trace, tmp_path, tamper,
                                                                  recomputed):

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import signal
 import struct
 
 import numpy as np
@@ -514,3 +516,136 @@ class TestStackedTrainerMatchesOracle:
         x = rng.normal(size=(7, 5, 3))
         assert np.allclose(gru_forward(back, x), oracle.gru_forward(model, x),
                            rtol=0, atol=1e-12)
+
+
+def usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def count_forks(monkeypatch) -> list:
+    """The pids of the children forked from now on, as seen by this process."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedTraining:
+    """Clusters train in one forked process per usable CPU."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        # a parent that waits on a lost child fails here instead of hanging
+        def expire(signum, frame):
+            raise TimeoutError("training did not return within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def _case(self, name):
+        labels, epochs, patience = ORACLE_CASES[name]
+        cfg = GruConfig.for_profile("desk", input_size=1, seed=4, epochs=epochs,
+                                    patience=patience)
+        return Partition(np.array(labels), max(labels)), noisy_flows(9, 200, seed=1), cfg
+
+    def test_forked_and_in_process_models_and_reports_are_identical(self, monkeypatch):
+        part, values, cfg = self._case("early_stopping")
+        forks = count_forks(monkeypatch)
+        usable_cpus(monkeypatch, 1)
+        alone = train_partitioned(part, values, cfg, (0, 150), (150, 175), 6)
+        assert forks == []
+        usable_cpus(monkeypatch, 2)
+        forked = train_partitioned(part, values, cfg, (0, 150), (150, 175), 6)
+        assert len(forks) == 2
+        assert_no_children()
+        assert sorted(forked) == sorted(alone) == [1, 2, 3, 4]
+        for label in alone:
+            assert (json.dumps(forked[label][1].to_dict())
+                    == json.dumps(alone[label][1].to_dict()))
+            for name in PARAM_ORDER:
+                assert forked[label][0].params[name].tobytes() == \
+                    alone[label][0].params[name].tobytes()
+
+    @pytest.mark.parametrize("cpus,k,expected", [(1, 4, 0), (3, 1, 0), (3, 2, 2), (3, 4, 3)])
+    def test_one_process_per_usable_cpu_at_most_one_per_cluster(self, monkeypatch, cpus, k,
+                                                                expected):
+        forks = count_forks(monkeypatch)
+        usable_cpus(monkeypatch, cpus)
+        cfg = GruConfig.for_profile("desk", input_size=1, seed=0, epochs=1)
+        part = Partition(np.arange(6) % k + 1, k)
+        got = train_partitioned(part, noisy_flows(6, 120, seed=0), cfg, (0, 90), (90, 120), 6)
+        assert sorted(got) == list(range(1, k + 1))
+        assert len(forks) == expected
+        assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_of_two_diverging_groups_the_lower_label_raises(self, monkeypatch, cpus):
+        # cluster 2 diverges in validation, after cluster 3 has diverged in
+        # training; each cluster trains in its own group
+        part = Partition(np.array([1, 2, 3, 4]), 4)
+        values = noisy_flows(4, 120, seed=3)
+        values[1, 100] = 1e200
+        values[2, 40] = 1e200
+        cfg = GruConfig.for_profile("desk", input_size=1, seed=0, epochs=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError) as expected:
+                oracle.train_partitioned(part, values, cfg, (0, 90), (90, 120), 6)
+        assert "validation" in str(expected.value)
+        monkeypatch.setattr(predict, "_WORKSPACE_FLOATS", 1)
+        usable_cpus(monkeypatch, cpus)
+        with pytest.raises(NumericalError) as got:
+            train_partitioned(part, values, cfg, (0, 90), (90, 120), 6)
+        assert str(got.value) == str(expected.value)
+        assert_no_children()
+
+    def test_a_process_that_ends_without_a_result_raises(self, monkeypatch):
+        parent = os.getpid()
+
+        def die(*args):
+            assert os.getpid() != parent, "trained in the calling process"
+            os._exit(3)
+
+        monkeypatch.setattr(predict, "_train_group", die)
+        usable_cpus(monkeypatch, 2)
+        part, values, cfg = self._case("uneven_widths_with_width_1")
+        with pytest.raises(RuntimeError, match="exit code 3"):
+            train_partitioned(part, values, cfg, (0, 150), (150, 175), 6)
+        assert_no_children()
+
+    def test_an_exception_in_a_process_is_raised_with_its_type(self, monkeypatch):
+        def fail(*args):
+            raise ValidationError("bad group")
+
+        monkeypatch.setattr(predict, "_train_group", fail)
+        usable_cpus(monkeypatch, 2)
+        part, values, cfg = self._case("uneven_widths_with_width_1")
+        with pytest.raises(ValidationError, match="bad group"):
+            train_partitioned(part, values, cfg, (0, 150), (150, 175), 6)
+        assert_no_children()
+
+
+def test_deal_balances_cost_not_label_order():
+    # 16 equal models on 2 CPUs: 8 each, not the 6/6/4 of label-order groups
+    assert [len(share) for share in predict._deal([1] * 16, 2)] == [8, 8]
+    # three wide models and nine narrow ones: equal totals, a widest in each
+    costs = [170, 170, 150] + [30] * 9
+    shares = predict._deal(costs, 2)
+    assert [sum(costs[i] for i in share) for share in shares] == [380, 380]
+    assert [share[0] for share in shares] == [0, 1]
+    assert sorted(shares[0] + shares[1]) == list(range(12))

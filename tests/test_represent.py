@@ -339,7 +339,8 @@ class TestJsdMatrixMatchesKlOracle:
 
 def test_import_and_help_leave_scipy_signal_unloaded():
     # scipy.signal pulls in scipy.stats and scipy.interpolate; only the PSD
-    # representation needs it
+    # representation needs it. Training forks its worker processes with os
+    # alone, so no process-pool module loads either.
     code = textwrap.dedent("""
         import contextlib, io, json, sys
         import numpy as np
@@ -351,7 +352,8 @@ def test_import_and_help_leave_scipy_signal_unloaded():
                 cli.main(["--help"])
             except SystemExit:
                 pass
-        heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate")
+        heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate", "multiprocessing",
+                 "concurrent.futures")
         loaded = [name for name in heavy if name in sys.modules]
         feats = build_features(np.random.default_rng(0).random((3, 64)), "psd", fs=12.0)
         print(json.dumps({"loaded": loaded, "psd_shape": list(feats.features.shape)}))
