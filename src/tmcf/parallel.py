@@ -1,0 +1,113 @@
+"""Forked worker processes, one per usable CPU, for work that splits into
+independent shares.
+
+Work is split into one share per usable CPU: the calling process computes
+the first share itself and one forked child each other share. Training
+deals its clusters to shares that all train in children, so that the
+calling process holds no training workspace (predict.train_partitioned).
+The trace
+parse (dataset), the ACF and PSD features and the pairwise dissimilarities
+(represent) split their rows over them when their work is large enough to
+pay for the forks; each share computes its rows exactly as the serial code
+does, so the results are bit-identical. With one usable CPU every layer runs
+its serial code in the calling process.
+
+Fork, not spawn: a child reads its inputs from the parent's pages with no
+pickle and no import. It runs only numpy and its pipe, and OpenBLAS restarts
+its thread pool in a forked child. Threads gain nothing here: the work is
+many numpy calls of microseconds each, and hand-offs of the GIL between them
+made three desk-profile training groups on 2 vCPUs run at half the speed of
+one thread.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+import signal
+
+# Estimated seconds of serial work that each share must carry. On the
+# 2-vCPU host the benchmark runs on, forking a child from a run's process,
+# letting it exit and reaping it took 2-4 ms (2.3 ms from a bare
+# interpreter), and a call over two children 7-13 ms before any work. At
+# 30 ms per share a layer splits in two from about 60 ms of work: the parse,
+# ACF features and PSD distances of a 576-flow trace do (about 0.2, 0.08 and
+# 0.17 s), while its 0.03-0.04 s Euclidean distances of ACF vectors and PSD
+# features, every layer of a 144-flow trace and every test-sized input stay
+# serial.
+_MIN_SHARE_SECONDS = 0.03
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on (os.sched_getaffinity), else 1."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def share_count(seconds: float, items: int) -> int:
+    """Into how many shares (see fork_map) a layer splits work that would
+    take about `seconds` in the calling process and has `items` separable
+    parts: one per usable CPU, but at most one per item and at most one per
+    _MIN_SHARE_SECONDS of work. 1 means: all of it in the calling process."""
+    return max(1, min(usable_cpus(), items, int(seconds / _MIN_SHARE_SECONDS)))
+
+
+def fork_map(fn, items: list, first_here: bool = True) -> list:
+    """[fn(item) for item in items]: the first call in this process, each
+    other in its own forked child process (every call, when not
+    first_here), which inherits fn's data, pickles back only fn's result
+    and exits. Every child's result is read to EOF and the child reaped
+    before this returns or raises. An exception in fn is raised here, the
+    first by item order, and so is a RuntimeError for a child that ends
+    without a result; a child left running by an error here is killed and
+    reaped. A child takes no further work, so none waits on a parent that
+    is gone."""
+    here = items[:1] if first_here else []
+    pids, readers, ended = [], [], []
+    try:
+        for item in items[len(here):]:
+            r, w = os.pipe()
+            readers.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(w)
+                raise
+            if pid == 0:  # the child: never returns to the caller
+                code = 1
+                try:
+                    try:
+                        outcome = (True, fn(item))
+                    except Exception as exc:  # noqa: BLE001 - raised again in the parent
+                        outcome = (False, exc)
+                    with open(w, "wb") as fh:
+                        pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            pids.append(pid)
+        values = [fn(item) for item in here]
+        for pid, reader in zip(pids, readers):
+            # unpickled from the pipe as it arrives, so no copy of the
+            # pickled bytes is held next to the result
+            try:
+                outcome = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
+                outcome = None
+            reader.read()
+            ended.append((outcome, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids[len(ended):]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for item, (outcome, code) in zip(items[len(here):], ended):
+        if code != 0 or outcome is None:
+            raise RuntimeError(f"the process for {item} ended with exit code {code} "
+                               "and sent no result")
+        ok, value = outcome
+        if not ok:
+            raise value
+        values.append(value)
+    return values

@@ -21,23 +21,21 @@ it gets when trained alone, up to rounding in the order of sums; the tests
 keep the former per-cluster loop as the oracle for that.
 
 A cluster's model therefore depends only on its members, the seed and the
-config, and train_partitioned spreads the clusters over one forked child
-process per usable CPU (os.sched_getaffinity), each with about the same
-estimated matmul work. A child trains its share in workspace-sized groups,
-sends back the models and reports, and exits. With one usable CPU or one
-cluster everything trains in the calling process. Threads gain nothing here:
-a step is many numpy calls of microseconds each, and hand-offs of the GIL
-between them made three desk-profile groups on 2 vCPUs train at half the
-speed of one thread. Prediction runs in the calling process.
+config, and train_partitioned deals the clusters to one share per usable
+CPU, each with about the same estimated matmul work (tmcf.parallel, which
+also splits the parse, features and dissimilarities before training by
+rows). A forked child trains each share in workspace-sized groups, sends
+back its models and reports, and exits. The calling process draws every
+cluster's seed before it forks, so numpy.random is loaded once per process,
+not once per child. With one usable CPU or one cluster everything trains in
+the calling process. Prediction runs in the calling process, every cluster
+through one set of reused buffers.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import pickle
-import signal
 import struct
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
@@ -47,6 +45,7 @@ import numpy as np
 from .cluster import Partition
 from .dataset import ScaleParams, TmSeries, WindowedDataset, denormalize_array, make_windows
 from .errors import NumericalError, ValidationError
+from .parallel import fork_map, usable_cpus
 
 PARAM_ORDER = ("wz", "uz", "bz", "wr", "ur", "br", "wn", "un", "bn", "wo", "bo")
 
@@ -384,6 +383,12 @@ def _dataset_mse(v: _Views, sets: list[WindowedDataset], rows: int,
 
 def gru_forward(model: GruModel, inputs: np.ndarray) -> np.ndarray:
     """One-step-ahead prediction for a (T, d) window or a (B, T, d) batch."""
+    return _gru_forward(model, inputs, _Scratch())
+
+
+def _gru_forward(model: GruModel, inputs: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    """gru_forward through the buffers of scratch, which a caller predicting
+    with several models passes to each in turn."""
     x = np.asarray(inputs, dtype=np.float64)
     single = x.ndim == 2
     if single:
@@ -399,7 +404,6 @@ def gru_forward(model: GruModel, inputs: np.ndarray) -> np.ndarray:
     stack = _Stack([model.input_size], model.hidden_size)
     v = stack.views(stack.pack([model.params]))
     rows = _workspace_fit(1, x.shape[1], model.hidden_size)
-    scratch = _Scratch()
     pred = np.concatenate([
         _readout(v, _forward(v, _time_major([x[lo : lo + rows]], scratch), scratch)[0], 0)
         for lo in range(0, max(x.shape[0], 1), rows)
@@ -466,12 +470,22 @@ def _train_group(
                     raise _diverged(f"training diverged: non-finite loss at epoch {epoch + 1}",
                                     live, sq)
                 adam_t += 1
+                # params -= lr * (m1 / c1) / (sqrt(m2 / c2) + eps), in place
+                step, denom = scratch.take("adam", [(stack.size,), (stack.size,)])
+                np.multiply(grads, 1.0 - ADAM_BETA1, out=step)
                 m1 *= ADAM_BETA1
-                m1 += (1.0 - ADAM_BETA1) * grads
+                m1 += step
+                np.multiply(grads, grads, out=step)
+                step *= 1.0 - ADAM_BETA2
                 m2 *= ADAM_BETA2
-                m2 += (1.0 - ADAM_BETA2) * (grads * grads)
-                params -= (LEARNING_RATE * (m1 / (1.0 - ADAM_BETA1**adam_t))
-                           / (np.sqrt(m2 / (1.0 - ADAM_BETA2**adam_t)) + ADAM_EPS))
+                m2 += step
+                np.divide(m1, 1.0 - ADAM_BETA1**adam_t, out=step)
+                step *= LEARNING_RATE
+                np.divide(m2, 1.0 - ADAM_BETA2**adam_t, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += ADAM_EPS
+                step /= denom
+                params -= step
                 sq_sum += sq
             train_loss = sq_sum / (n * stack.widths)
 
@@ -556,11 +570,11 @@ def train_partitioned(
     |cluster| and its own seed from cluster_seed, so a cluster's model does
     not depend on the other clusters, nor on where or with which others it
     trains. The clusters are dealt to one share per usable CPU (at most one
-    per cluster) by their estimated cost, and each share trains in a forked
-    child process, in groups that fit the workspace; a single share trains
-    in this process. A non-finite loss stops a group and its share with
-    NumericalError; of several, the one of the lowest diverging cluster id
-    is raised. Results are keyed by cluster id.
+    per cluster) by their estimated cost, and each share trains in groups
+    that fit the workspace, each in a forked child process (tmcf.parallel);
+    a single share trains in this process. A non-finite loss stops a group
+    and its share with NumericalError; of several, the one of the lowest
+    diverging cluster id is raised. Results are keyed by cluster id.
     """
     if partition.n_items != flow_values.shape[0]:
         raise ValidationError(
@@ -569,8 +583,10 @@ def train_partitioned(
     widths = np.bincount(partition.labels, minlength=partition.k + 1)[1:]
     # a model's matmul work per window step, 6h(d+1) + 9h^2 multiply-adds, over 3h
     costs = [2 * (int(d) + 1) + 3 * config.hidden_size for d in widths]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     fit = _workspace_fit(config.batch_size, window_length - 1, config.hidden_size)
+    # seeded here, so that numpy.random is loaded once in this process and
+    # not again in every child
+    seeds = {label: cluster_seed(config.seed, label) for label in range(1, partition.k + 1)}
 
     def train_share(labels: list[int]):
         """({label: (model, report)}, None), or (partial results, (label,
@@ -586,7 +602,7 @@ def train_partitioned(
                                                window_length))
                 val_sets.append(make_windows(series[val_range[0] : val_range[1]], window_length))
                 configs.append(
-                    replace(config, input_size=rows.size, seed=cluster_seed(config.seed, label))
+                    replace(config, input_size=rows.size, seed=seeds[label])
                 )
             try:
                 results.update(zip(group.tolist(), _train_group(configs, train_sets, val_sets)))
@@ -594,8 +610,11 @@ def train_partitioned(
                 return results, (int(group[exc.member]), exc)
         return results, None
 
-    shares = [[i + 1 for i in share] for share in _deal(costs, min(cpus, partition.k))]
-    outcomes = _fork_map(train_share, shares) if len(shares) > 1 else [train_share(shares[0])]
+    shares = [[i + 1 for i in share] for share in _deal(costs, min(usable_cpus(), partition.k))]
+    # several shares all train in children: this process then holds no
+    # training workspace, which raised its peak RSS by 2.5 MiB (6%) on a
+    # 144-flow trace when it trained the first share itself
+    outcomes = fork_map(train_share, shares, first_here=len(shares) == 1)
     failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
@@ -612,63 +631,6 @@ def _deal(costs: list[int], n: int) -> list[list[int]]:
         shares[least].append(i)
         totals[least] += costs[i]
     return [sorted(share) for share in shares]
-
-
-def _fork_map(fn, items: list) -> list:
-    """[fn(item) for item in items], each call in its own forked child
-    process, which inherits fn's data, pickles back only fn's result and
-    exits. Every child's result is read to EOF and the child reaped before
-    this returns or raises. An exception in fn is raised here, the first by
-    item order, and so is a RuntimeError for a child that ends without a
-    result; a child left running by an error here is killed and reaped.
-
-    Fork, not spawn: a child reads its inputs from the parent's pages with
-    no pickle and no import. It runs only numpy and its pipe, and OpenBLAS
-    restarts its thread pool in a forked child. A child takes no further
-    work, so none waits on a parent that is gone."""
-    pids, readers, ended = [], [], []
-    try:
-        for item in items:
-            r, w = os.pipe()
-            readers.append(open(r, "rb"))
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(w)
-                raise
-            if pid == 0:  # the child: never returns to the caller
-                code = 1
-                try:
-                    try:
-                        outcome = (True, fn(item))
-                    except Exception as exc:  # noqa: BLE001 - raised again in the parent
-                        outcome = (False, exc)
-                    with open(w, "wb") as fh:
-                        pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(w)
-            pids.append(pid)
-        for pid, reader in zip(pids, readers):
-            blob = reader.read()
-            ended.append((blob, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
-    finally:
-        for reader in readers:
-            reader.close()
-        for pid in pids[len(ended):]:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    values = []
-    for item, (blob, code) in zip(items, ended):
-        if code != 0 or not blob:
-            raise RuntimeError(f"the process for {item} ended with exit code {code} "
-                               "and sent no result")
-        ok, value = pickle.loads(blob)
-        if not ok:
-            raise value
-        values.append(value)
-    return values
 
 
 def predict_tm(
@@ -699,10 +661,11 @@ def predict_tm(
         raise ValidationError("test range does not fit one window")
 
     pred_norm = np.empty((n_samples, m), dtype=np.float64)
+    scratch = _Scratch()
     for label in range(1, partition.k + 1):
         rows = partition.members(label)
         ds = make_windows(flow_values[rows, lo:hi].T, window_length)
-        pred_norm[:, rows] = gru_forward(models[label], ds.inputs)
+        pred_norm[:, rows] = _gru_forward(models[label], ds.inputs, scratch)
 
     pred_bytes = np.maximum(denormalize_array(pred_norm, scale), 0.0)
     tm_pred = TmSeries(

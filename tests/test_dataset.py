@@ -20,8 +20,11 @@ from tmcf.dataset import (
     split,
     write_canonical_csv,
 )
-from tmcf import dataset
+from tmcf import dataset, parallel
 from tmcf.errors import DataError, ParseError, ValidationError
+
+from forking import (  # noqa: F401 - deadline is a fixture
+    assert_no_children, count_forks, deadline, fork_any_work, usable_cpus)
 
 
 def _tiny_canonical(tmp_path, rows):
@@ -415,3 +418,128 @@ class TestIngestPathsAgree:
         else:
             # line 2 is blank; the bad cell is on line 3, the extra column on 4
             assert want[0] is error and want[2].startswith(f"line {4 if extra else 3}:")
+
+
+def canonical_text(n_rows, m=4, eol="\n", blank_every=0, final_eol=True, seed=0):
+    """A canonical trace of n_rows rows of m flows, values spelled with
+    varying lengths; a blank line after every blank_every-th row."""
+    values = np.random.default_rng(seed).random((n_rows, m)) * 10.0 ** np.arange(m)
+    lines = ["t," + ",".join(f"f{i}" for i in range(m))]
+    for step, row in enumerate(values.tolist()):
+        lines.append(",".join([repr(float(300 * step))] + [repr(v) for v in row]))
+        if blank_every and (step + 1) % blank_every == 0:
+            lines.append("")
+    return eol.join(lines) + (eol if final_eol else "")
+
+
+@pytest.mark.usefixtures("deadline")
+class TestSplitParse:
+    """A trace whose parse pays for the forks is parsed in byte ranges, one
+    per share, to the serial parse's values, and fails as that does."""
+
+    @staticmethod
+    def outcomes(monkeypatch, path, shares, **kwargs):
+        """(serial outcome, split outcome over `shares` usable CPUs, forks)."""
+        usable_cpus(monkeypatch, 1)
+        serial = load_outcome(str(path), **kwargs)
+        fork_any_work(monkeypatch)
+        usable_cpus(monkeypatch, shares)
+        forks = count_forks(monkeypatch)
+        split_outcome = load_outcome(str(path), **kwargs)
+        assert_no_children()
+        return serial, split_outcome, len(forks)
+
+    @pytest.mark.parametrize("shares", [2, 3, 4])
+    def test_split_parse_reads_the_serial_values(self, tmp_path, monkeypatch, shares):
+        path = tmp_path / "trace.csv"
+        path.write_text(canonical_text(40))
+        serial, split_outcome, forks = self.outcomes(monkeypatch, path, shares)
+        assert isinstance(serial, TmSeries) and serial.n_steps == 40
+        assert_same_outcome(split_outcome, serial)
+        assert forks == shares - 1  # this process parses the first range
+
+    def test_small_traces_parse_in_this_process(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.csv"
+        path.write_text(canonical_text(40))
+        usable_cpus(monkeypatch, 4)
+        forks = count_forks(monkeypatch)
+        load_tm_series(str(path))
+        assert forks == []
+
+    def test_a_cut_after_a_carriage_return(self, tmp_path, monkeypatch):
+        # a cut aimed between the CR and the LF of a CRLF line moves past the LF
+        cases = ((n_rows, seed) for seed in range(50) for n_rows in range(2, 40))
+        for n_rows, seed in cases:
+            data = canonical_text(n_rows, eol="\r\n", seed=seed).encode()
+            if data[len(data) // 2 - 1 : len(data) // 2 + 1] == b"\r\n":
+                break
+        else:
+            pytest.fail("no trace puts the middle of a CRLF at half its size")
+        path = tmp_path / "trace.csv"
+        path.write_bytes(data)
+        assert data[dataset._line_cuts(str(path), len(data), 2)[1] - 1 :][:1] == b"\n"
+        serial, split_outcome, forks = self.outcomes(monkeypatch, path, 2)
+        assert isinstance(serial, TmSeries) and serial.n_steps == n_rows
+        assert_same_outcome(split_outcome, serial)
+        assert forks == 1
+
+    @pytest.mark.parametrize("text", [
+        canonical_text(9, blank_every=2),
+        canonical_text(9, eol="\r\n", blank_every=1),
+        canonical_text(9, final_eol=False),
+        canonical_text(9, eol="\r\n", final_eol=False),
+        canonical_text(1),
+        canonical_text(2, blank_every=1, final_eol=False),
+        canonical_text(0),
+        canonical_text(9).replace("\n", "\n \n", 1),
+    ], ids=["blank-lines", "crlf-blank-lines", "no-final-newline", "crlf-no-final-newline",
+            "one-row", "two-rows", "no-rows", "whitespace-line"])
+    def test_edge_cases_agree_with_the_serial_parse(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(text.encode())
+        serial, split_outcome, _ = self.outcomes(monkeypatch, path, 4)
+        assert_same_outcome(split_outcome, serial)
+
+    @pytest.mark.parametrize("cell,error", [("x", ParseError), ("", ParseError),
+                                            ("-1", ValidationError), ("1_0", None)])
+    def test_a_bad_cell_in_the_last_share_fails_as_the_serial_parse_does(
+            self, tmp_path, monkeypatch, cell, error):
+        lines = canonical_text(30).splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + "," + cell
+        path = tmp_path / "trace.csv"
+        path.write_text("\n".join(lines) + "\n")
+        serial, split_outcome, forks = self.outcomes(monkeypatch, path, 3)
+        assert forks == 2
+        assert_same_outcome(split_outcome, serial)
+        if error is None:
+            assert isinstance(serial, TmSeries)
+        else:
+            assert serial[0] is error and serial[2].startswith("line 31:")
+            if error is ParseError:
+                assert serial[1] == 31
+
+    def test_geant_rows_split_alike(self, tmp_path, monkeypatch):
+        block = np.random.default_rng(5).random((7, 529)) * 1e3
+        lines = ["2005-01-01-00-%02d," % (15 * i) + ",".join(repr(float(v)) for v in row)
+                 for i, row in enumerate(block)]
+        path = tmp_path / "geant-flat.csv"
+        path.write_text("\n".join(lines) + "\n")
+        serial, split_outcome, forks = self.outcomes(monkeypatch, path, 3, format="geant")
+        assert forks == 2
+        assert_same_outcome(split_outcome, serial)
+        assert np.array_equal(serial.values.reshape(7, 529), block)
+
+    @settings(max_examples=60, deadline=None)
+    @given(canonical_files(), st.integers(2, 4))
+    def test_generated_traces(self, case, shares):
+        text, missing = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            want = load_outcome(path, missing=missing)
+            with mock.patch.object(parallel, "_MIN_SHARE_SECONDS", 1e-12), \
+                    mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(shares))):
+                got = load_outcome(path, missing=missing)
+            assert_no_children()
+            assert_same_outcome(got, want)

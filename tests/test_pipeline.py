@@ -20,6 +20,8 @@ from tmcf.pipeline import (RunConfig, compare, file_sha256, run_pipeline, sweep,
 from tmcf.represent import ReprMatrix, pairwise_dissimilarity
 from tmcf.synth import GroupSpec, SynthSpec, generate
 
+from forking import assert_no_children, count_forks, fork_any_work, usable_cpus
+
 
 @pytest.fixture
 def trace(tmp_path):
@@ -194,10 +196,30 @@ def test_sweep_scores_each_k_as_the_run_does(trace, tmp_path):
     assert curve.mean_rmse[1] == run_rmse
 
 
+@pytest.mark.parametrize("representation", ["histogram", "acf", "psd"])
+def test_every_layer_forked_writes_the_serial_run_directory(trace, tmp_path, monkeypatch,
+                                                            representation):
+    cfg = replace(config(trace, tmp_path / "run"), representation=representation)
+    usable_cpus(monkeypatch, 1)
+    serial = outputs(run_pipeline(cfg))
+    shutil.rmtree(cfg.out_dir)
+    fork_any_work(monkeypatch)
+    usable_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    forked = outputs(run_pipeline(cfg))
+    # a child for the parse, features (not histograms) and dissimilarities,
+    # and two for training
+    assert len(forks) == (4 if representation == "histogram" else 5)
+    assert_no_children()
+    assert forked == serial
+
+
 @pytest.mark.parametrize("crashes", [False, True], ids=["returns", "raises"])
 def test_run_sweep_and_compare_leave_no_child_process(trace, tmp_path, monkeypatch, crashes):
-    # two usable CPUs, so that training forks on any host
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # two usable CPUs, and work of any size forks, so that every layer that
+    # can fork does so on any host
+    usable_cpus(monkeypatch, 2)
+    fork_any_work(monkeypatch)
     if crashes:
         monkeypatch.setattr(predict, "_train_group", crash)
     cfg = config(trace, tmp_path / "run")

@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import signal
 import struct
 
 import numpy as np
@@ -32,6 +31,8 @@ from tmcf.predict import (
 )
 
 import gru_oracle as oracle
+from forking import (  # noqa: F401 - deadline is a fixture
+    assert_no_children, count_forks, deadline, usable_cpus)
 
 
 def tiny_model(d=1, hidden=2, seed=0):
@@ -518,45 +519,9 @@ class TestStackedTrainerMatchesOracle:
                            rtol=0, atol=1e-12)
 
 
-def usable_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-def count_forks(monkeypatch) -> list:
-    """The pids of the children forked from now on, as seen by this process."""
-    pids, real_fork = [], os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
+@pytest.mark.usefixtures("deadline")
 class TestForkedTraining:
     """Clusters train in one forked process per usable CPU."""
-
-    @pytest.fixture(autouse=True)
-    def deadline(self):
-        # a parent that waits on a lost child fails here instead of hanging
-        def expire(signum, frame):
-            raise TimeoutError("training did not return within 60 s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(60)
-        try:
-            yield
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
 
     def _case(self, name):
         labels, epochs, patience = ORACLE_CASES[name]

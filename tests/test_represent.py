@@ -17,6 +17,9 @@ from tmcf.cluster import LINKAGES, hac
 from tmcf.errors import ValidationError
 from tmcf.represent import build_features, default_lags, pairwise_dissimilarity
 
+from forking import (  # noqa: F401 - deadline is a fixture
+    assert_no_children, count_forks, deadline, fork_any_work, usable_cpus)
+
 # hand value for jsd([0.5, 0.5], [1, 0]) with base-2 logs:
 #   m = [0.75, 0.25]
 #   KL(p||m) = 0.5*log2(0.5/0.75) + 0.5*log2(0.5/0.25)
@@ -340,7 +343,8 @@ class TestJsdMatrixMatchesKlOracle:
 def test_import_and_help_leave_scipy_signal_unloaded():
     # scipy.signal pulls in scipy.stats and scipy.interpolate; only the PSD
     # representation needs it. Training forks its worker processes with os
-    # alone, so no process-pool module loads either.
+    # alone, so no process-pool module loads either; mmap loads only for a
+    # forked dissimilarity matrix, numpy.random only to seed or draw.
     code = textwrap.dedent("""
         import contextlib, io, json, sys
         import numpy as np
@@ -353,7 +357,7 @@ def test_import_and_help_leave_scipy_signal_unloaded():
             except SystemExit:
                 pass
         heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate", "multiprocessing",
-                 "concurrent.futures")
+                 "concurrent.futures", "numpy.random", "mmap")
         loaded = [name for name in heavy if name in sys.modules]
         feats = build_features(np.random.default_rng(0).random((3, 64)), "psd", fs=12.0)
         print(json.dumps({"loaded": loaded, "psd_shape": list(feats.features.shape)}))
@@ -439,3 +443,91 @@ class TestBlockFeaturesMatchPerFlowOracle:
             "segment_length": data.draw(st.one_of(st.none(), st.integers(2, t))),
             "normalize_power": data.draw(st.booleans()),
         })
+
+
+def adversarial_acf_block():
+    """Random rows plus the near-constant, spiked and NaN rows that send ACF
+    entries to the direct formula."""
+    rng = np.random.default_rng(13)
+    t = 300
+    block = rng.random((23, t))
+    block[3] = 0.3 + 1e-8 * rng.standard_normal(t)
+    block[3, 3] = 5.0
+    block[11] = 1e-3 * np.arange(t) + 1e-7 * rng.standard_normal(t)
+    block[12, 100] = np.nan
+    block[20, : t - 12] = 0.25
+    block[21] = 0.7
+    return block
+
+
+@pytest.mark.usefixtures("deadline")
+class TestSplitRows:
+    """ACF and PSD features and both dissimilarities split their rows over
+    forked shares when the work pays for the forks, with the serial bytes."""
+
+    CASES = [
+        ("histogram", {"bins": 7}, "jsd", feature_corpus),
+        ("histogram", {}, "euclidean", feature_corpus),
+        ("acf", {"lags": [5, 0, 3, 1]}, "euclidean", feature_corpus),
+        ("acf", {"lags": default_lags(300)[:14]}, "euclidean", adversarial_acf_block),
+        ("psd", {"fs": 12.0}, "euclidean", feature_corpus),
+        ("psd", {"fs": 4.0, "segment_length": 64, "normalize_power": False}, "euclidean",
+         adversarial_acf_block),
+    ]
+
+    @pytest.mark.parametrize("kind,kwargs,metric,make", CASES,
+                             ids=lambda v: v.__name__ if callable(v) else None)
+    @pytest.mark.parametrize("cpus", [2, 3, 5])
+    def test_forked_rows_are_the_serial_rows(self, monkeypatch, kind, kwargs, metric, make,
+                                             cpus):
+        block = make()
+        usable_cpus(monkeypatch, 1)
+        serial = build_features(block, kind, **kwargs)
+        serial_d = pairwise_dissimilarity(serial, metric).d
+        fork_any_work(monkeypatch)
+        usable_cpus(monkeypatch, cpus)
+        forks = count_forks(monkeypatch)
+        feats = build_features(block, kind, **kwargs)
+        # histograms are cheap per value and stay in this process; each
+        # split layer forks a child per share but the first
+        assert len(forks) == (0 if kind == "histogram" else cpus - 1)
+        d = pairwise_dissimilarity(feats, metric).d
+        assert len(forks) == (cpus - 1 if kind == "histogram" else 2 * (cpus - 1))
+        assert_no_children()
+        assert feats.features.tobytes() == serial.features.tobytes()
+        assert feats.meta == serial.meta
+        assert d.tobytes() == serial_d.tobytes()
+
+    def test_fewer_rows_than_cpus(self, monkeypatch):
+        block = feature_corpus()[:3]
+        usable_cpus(monkeypatch, 1)
+        serial = build_features(block, "acf", lags=[0, 2])
+        fork_any_work(monkeypatch)
+        usable_cpus(monkeypatch, 4)
+        forks = count_forks(monkeypatch)
+        feats = build_features(block, "acf", lags=[0, 2])
+        d = pairwise_dissimilarity(feats).d
+        assert len(forks) == 2 + 1  # a share per row, then per row with pairs
+        assert feats.features.tobytes() == serial.features.tobytes()
+        assert d.tobytes() == pairwise_dissimilarity(serial).d.tobytes()
+        assert_no_children()
+
+    def test_small_inputs_stay_serial(self, monkeypatch):
+        usable_cpus(monkeypatch, 4)
+        forks = count_forks(monkeypatch)
+        for kind, kwargs, metric, make in self.CASES:
+            pairwise_dissimilarity(build_features(make(), kind, **kwargs), metric)
+        assert forks == []
+
+    def test_an_error_in_a_share_is_raised_here(self, monkeypatch):
+        block = feature_corpus()
+        with pytest.raises(ValidationError) as want:
+            build_features(block, "acf", lags=[1, 200])
+        fork_any_work(monkeypatch)
+        usable_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        with pytest.raises(ValidationError) as got:
+            build_features(block, "acf", lags=[1, 200])
+        assert len(forks) == 1
+        assert str(got.value) == str(want.value)
+        assert_no_children()
