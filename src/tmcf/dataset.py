@@ -313,7 +313,8 @@ def load_tm_series(
     by 529 flow columns (23 nodes, 15-minute data).
 
     missing selects how empty cells are handled: "reject" raises, "zero"
-    fills with 0.0.
+    fills with 0.0. Only the canonical loader reads interval_seconds (which
+    overrides the timestamps' interval) and missing; abilene and geant fix both.
     """
     if format not in TRACE_FORMATS:
         raise ValidationError(f"unknown trace format {format!r}; expected {TRACE_FORMATS}")

@@ -82,13 +82,13 @@ class KneeResult:
 
 @dataclass
 class EvalReport:
-    """Prediction quality of one run plus enough metadata to reproduce it."""
+    """Prediction quality of one run, its cluster sizes and how to read its
+    numbers; manifest.json and partition.json hold the config and partition."""
 
     rmse_normalized: float
     rmse_physical_mbps: float
     per_flow_rmse: list[float]
     partition: dict
-    config: dict
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:

@@ -31,10 +31,10 @@ import signal
 # letting it exit and reaping it took 2-4 ms (2.3 ms from a bare
 # interpreter), and a call over two children 7-13 ms before any work. At
 # 30 ms per share a layer splits in two from about 60 ms of work: the parse,
-# ACF features and PSD distances of a 576-flow trace do (about 0.2, 0.08 and
-# 0.17 s), while its 0.03-0.04 s Euclidean distances of ACF vectors and PSD
-# features, every layer of a 144-flow trace and every test-sized input stay
-# serial.
+# ACF features, JSD distances and PSD distances of a 576-flow trace do (about
+# 0.2, 0.08, 0.065 and, estimated, 0.12 s), while its 0.03 s Euclidean
+# distances of ACF vectors, its PSD features, every layer of a 144-flow trace
+# and every test-sized input stay serial.
 _MIN_SHARE_SECONDS = 0.03
 
 

@@ -17,26 +17,27 @@ A run directory holds, by stage:
   bytes and the truths are recomputed from it, the trace and scale.json) and
   eval_report.json (which also lists each flow's normalized RMSE)
 
-plus manifest.json: the config echo, versions and, per stage, its hash,
+plus manifest.json: the config, versions and, per stage, its hash,
 wall_time_seconds and artifacts, a {name: sha256} map; the ingest entry also
 records trace_sha256, the hash of the trace's bytes that the stage hashes
 chain on, and a reused stage is marked "reused". The manifest is the only
-file that holds times, hashes or reuse marks, and the run directory keeps no
-copy of the trace or of the normalized flows: every other file is a function
-of the trace and the config, so two runs with the same config write them
-byte-identical.
+file that holds the config, times, hashes or reuse marks, and the run
+directory keeps no copy of the trace or of the normalized flows: every other
+file is a function of the trace's bytes and the settings the stages read
+(_STAGE_KEYS), so two runs of the same bytes write them byte-identical.
 
 Every stage hash is computed before the trace is parsed. The ingest hash
 covers the ingest config keys and the sha256 of the trace file's bytes (of
 each file's name and bytes for an abilene directory); each later stage hash
-chains on the one before, and evaluate's covers the whole config. The
-manifest is replaced (through a temporary file) after every stage, so a
-crashed run shows how far it got. With resume=True a stage is reused when
-its hash matches, every artifact it lists still has the recorded sha256, and
-every stage before it verifies too; it keeps the manifest entry of the run
-that computed it, marked "reused". When all four stages verify, the run
-returns at once: it parses, predicts and writes nothing. Otherwise it
-removes what the manifest on disk lists for the stages it will recompute
+covers its own keys and chains on the one before. No hash covers a path, so
+the same bytes at another path, or a copied run directory, reuse every
+stage. The manifest is replaced (through a temporary file) after every
+stage, so a crashed run shows how far it got. With resume=True a stage is
+reused when its hash matches, every artifact it lists still has the recorded
+sha256, and every stage before it verifies too; it keeps the manifest entry
+of the run that computed it, marked "reused". When all four stages verify,
+the run returns at once: it parses, predicts and writes nothing. Otherwise
+it removes what the manifest on disk lists for the stages it will recompute
 (also on a fresh run), parses the trace once, rewrites the ingest entry and
 recomputes the first stage that fails and every stage after it.
 """
@@ -218,10 +219,16 @@ def validate_config(config: RunConfig, trace_required: bool = True) -> tuple[lis
                      "hidden_size", "epochs")
         if (value := getattr(config, name)) is not None and value < 1
     ]
+    # the knee search needs at least 3 points
     if config.k_grid is not None and (
-        not config.k_grid or any(k < 1 for k in config.k_grid)
+        len(set(config.k_grid)) < 3 or any(k < 1 for k in config.k_grid)
     ):
-        errors.append("k_grid must be a nonempty list of integers >= 1")
+        errors.append("k_grid must hold at least 3 distinct integers >= 1")
+    # the abilene and geant loaders fix their interval and reject empty cells
+    if config.format != "canonical" and config.interval_seconds is not None:
+        errors.append(f"interval_seconds is fixed by format {config.format!r}")
+    if config.format != "canonical" and config.missing != "reject":
+        errors.append(f"missing={config.missing!r}: format {config.format!r} rejects empty cells")
     if config.lags is not None and (not config.lags or min(config.lags) < 0):
         errors.append("lags must be a nonempty list of integers >= 0")
     if config.fs is not None and not config.fs > 0:
@@ -314,12 +321,11 @@ def trace_file_sha256(path: str, format: str) -> str:
 class Manifest:
     """Stage ledger of one run directory, written after every stage."""
 
-    def __init__(self, run_dir: str, cfg: dict, cfg_hash: str):
+    def __init__(self, run_dir: str, cfg: dict):
         self.run_dir = run_dir
         self.path = os.path.join(run_dir, "manifest.json")
         self.data = {
             "config": cfg,
-            "config_hash": cfg_hash,
             "versions": {
                 "tmcf": __version__,
                 "numpy": np.__version__,
@@ -527,7 +533,7 @@ def train_models(config: RunConfig, flows_norm: FlowSet, ranges, part: Partition
         for label, (model, report) in sorted(results.items()):
             save_model(model, os.path.join(model_dir, f"cluster_{label}.bin"))
             reports[str(label)] = report.to_dict()
-        dump_json({"profile": config.profile, "per_cluster": reports},
+        dump_json({"per_cluster": reports},
                   report_path or os.path.join(model_dir, "train_report.json"))
     return {label: model for label, (model, _) in results.items()}
 
@@ -562,30 +568,27 @@ def score(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, scale, ranges,
     return report, pred_norm
 
 
-# Config keys of each stage before evaluate, in stage order. Each stage hash
-# also chains on the one before it, and the ingest hash on the trace's bytes,
-# not its path, so the same bytes at another path reuse every stage but
-# evaluate (eval_report.json echoes the path).
+# The config keys each stage reads, in stage order. Each stage hash also
+# chains on the one before it, and the ingest hash on the trace's bytes, not
+# its path; the trace path, out_dir, k_grid and repetitions are in no stage.
 _STAGE_KEYS = {
     "ingest": ("format", "interval_seconds", "missing", "train_frac", "val_frac",
                "window_length"),
     "cluster": ("representation", "metric", "linkage", "k", "bins", "lags", "fs",
                 "normalize_power", "segment_length", "seed"),
     "train": ("profile", "hidden_size", "epochs", "seed"),
+    "evaluate": ("units",),
 }
 
 
-def _stage_hashes(cfg: dict, cfg_hash: str, trace_hash: str) -> dict[str, str]:
+def _stage_hashes(cfg: dict, trace_hash: str) -> dict[str, str]:
     """{stage: hash} of the four stages of the config dict cfg, chained on
-    trace_hash, the trace file's trace_file_sha256. eval_report.json echoes
-    the whole config, so evaluate keys on all of it, through cfg_hash."""
+    trace_hash, the trace file's trace_file_sha256."""
     hashes = {}
     upstream = trace_hash
     for name, keys in _STAGE_KEYS.items():
         payload = {"stage": name, "upstream": upstream, **{k: cfg[k] for k in keys}}
         upstream = hashes[name] = config_hash(payload)
-    hashes["evaluate"] = config_hash(
-        {"stage": "evaluate", "upstream": upstream, "config_hash": cfg_hash})
     return hashes
 
 
@@ -595,10 +598,9 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
     run_dir = config.out_dir
     model_dir = os.path.join(run_dir, "models")
     cfg = config.to_dict()
-    cfg_hash = config_hash(cfg)
-    manifest = Manifest(run_dir, cfg, cfg_hash)
+    manifest = Manifest(run_dir, cfg)
     trace_hash = trace_file_sha256(config.trace, config.format)
-    hashes = _stage_hashes(cfg, cfg_hash, trace_hash)
+    hashes = _stage_hashes(cfg, trace_hash)
     previous = manifest.load_previous()
     # a stage is reused only when it and every stage before it verify
     reuse, verified = {}, resume
@@ -678,12 +680,10 @@ def build_eval_report(
     interval_seconds: int,
     train_block_len: int | None = None,
 ) -> EvalReport:
-    stats = cluster_stats(part)
     flow_errors = per_flow_rmse(truth_norm, pred_norm)
     metadata = {
         "normalize": "per_flow",
         "scale_fit": "training_region_only",
-        "nmi_normalization": "arithmetic_mean_of_entropies",
         "units": config.units,
         "interval_seconds": interval_seconds,
     }
@@ -701,13 +701,7 @@ def build_eval_report(
         rmse_normalized=rmse(truth_norm, pred_norm),
         rmse_physical_mbps=physical,
         per_flow_rmse=[float(v) for v in flow_errors],
-        partition={
-            "method": part.method,
-            "k": int(part.k),
-            "seed": part.seed,
-            "cluster_stats": stats.to_dict(),
-        },
-        config=config.to_dict(),
+        partition={"cluster_stats": cluster_stats(part).to_dict()},
         metadata=metadata,
     )
 

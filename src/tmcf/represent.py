@@ -43,12 +43,12 @@ _ACF_TAU = 1e-3
 # Seconds of serial work per value (flow x step of the block, or pair x
 # feature), for the fork decision (see tmcf.parallel). Measured on the 2-vCPU
 # benchmark host: ACF and PSD of 576 x 806 blocks in 0.08 and 0.04 s, and the
-# Euclidean and JSD matrices of 576 flows (30 lags, 50 bins) in 0.04 and
-# 0.17 s.
+# Euclidean and JSD matrices of 576 flows (30 lags, 50 bins) in 0.028 and
+# 0.065 s (glibc mmap threshold 128 KiB, medians of 7).
 _ACF_SECONDS_PER_CELL = 1.7e-7
 _PSD_SECONDS_PER_CELL = 9e-8
-_EUCLIDEAN_SECONDS_PER_VALUE = 8e-9
-_JSD_SECONDS_PER_VALUE = 2e-8
+_EUCLIDEAN_SECONDS_PER_VALUE = 5.7e-9
+_JSD_SECONDS_PER_VALUE = 7.9e-9
 
 
 @dataclass
@@ -360,43 +360,46 @@ def pairwise_dissimilarity(reps: ReprMatrix, metric: str | None = None) -> Dissi
         raise ValidationError("jsd is only compatible with the histogram representation")
 
     feats = reps.features
-    m = feats.shape[0]
+    m, f = feats.shape
     if metric == "euclidean":
-        def row(i):
-            diff = feats[i + 1 :] - feats[i]
-            return np.sqrt(np.sum(diff * diff, axis=1))
-        pair_seconds = _EUCLIDEAN_SECONDS_PER_VALUE * feats.shape[1]
+        def row(i, a, b):
+            np.subtract(feats[i + 1 :], feats[i], out=a)
+            a *= a
+            return np.sqrt(a.sum(axis=1))
+        pair_seconds = _EUCLIDEAN_SECONDS_PER_VALUE * f
     elif metric == "jsd":
         # JSD(p, q) = H((p + q) / 2) - (H(p) + H(q)) / 2, base-2 entropies
         entropy = _entropy_rows(feats)
 
-        def row(i):
-            mid = 0.5 * (feats[i] + feats[i + 1 :])
-            return _entropy_rows(mid) - 0.5 * (entropy[i] + entropy[i + 1 :])
-        pair_seconds = _JSD_SECONDS_PER_VALUE * feats.shape[1]
+        def row(i, a, b):
+            np.add(feats[i], feats[i + 1 :], out=a)
+            a *= 0.5
+            return _entropy_rows(a, terms=b) - 0.5 * (entropy[i] + entropy[i + 1 :])
+        pair_seconds = _JSD_SECONDS_PER_VALUE * f
     else:
         return DissimilarityMatrix(d=np.zeros((m, m)), metric=metric)  # which rejects it
-    d = _upper_triangle(row, m, pair_seconds)
+    d = _upper_triangle(row, m, f, pair_seconds)
     d = d + d.T
     if metric == "jsd":
         np.clip(d, 0.0, 1.0, out=d)
     return DissimilarityMatrix(d=d, metric=metric)
 
 
-def _upper_triangle(row, m: int, pair_seconds: float) -> np.ndarray:
-    """The M x M matrix whose row i holds row(i) right of the diagonal and
-    zeros elsewhere. When the estimated work of pair_seconds per pair pays
-    for the forks (see tmcf.parallel), each of n shares (this process and
-    n - 1 forked children) fills every n-th row in a shared anonymous
-    mapping, so the matrix never passes through a pipe. Row i holds
-    M - i - 1 pairs, and dealing the rows out in turn gives each share a
-    near-equal number of pairs and the same mix of long and short rows:
-    contiguous runs of equal pair counts took 2:1 in time on 576
-    histograms, since a long row's temporaries cost more per pair."""
+def _upper_triangle(row, m: int, f: int, pair_seconds: float) -> np.ndarray:
+    """The M x M matrix whose row i holds row(i, a, b) right of the diagonal
+    and zeros elsewhere, a and b being the first M - i - 1 rows of two
+    (M - 1, f) buffers that each share allocates once and every row reuses.
+    When the estimated work of pair_seconds per pair pays for the forks (see
+    tmcf.parallel), each of n shares (this process and n - 1 forked
+    children) fills every n-th row in a shared anonymous mapping, so the
+    matrix never passes through a pipe. Row i holds M - i - 1 pairs, and
+    dealing the rows out in turn gives each share a near-equal number of
+    pairs and the same mix of long and short rows."""
 
     def fill(d, first, step):
+        a, b = np.empty((2, max(m - 1, 0), f))
         for i in range(first, m - 1, step):
-            d[i, i + 1 :] = row(i)
+            d[i, i + 1 :] = row(i, a[: m - i - 1], b[: m - i - 1])
 
     n = parallel.share_count(pair_seconds * m * (m - 1) / 2, m - 1)
     if n == 1:
@@ -409,10 +412,12 @@ def _upper_triangle(row, m: int, pair_seconds: float) -> np.ndarray:
     return d
 
 
-def _entropy_rows(pmfs: np.ndarray) -> np.ndarray:
-    """Base-2 Shannon entropy of each row. Zeros are raised to the smallest
+def _entropy_rows(pmfs: np.ndarray, terms: np.ndarray | None = None) -> np.ndarray:
+    """Base-2 Shannon entropy of each row, its terms computed in `terms`
+    (an array of pmfs' shape) when given. Zeros are raised to the smallest
     normal float before the log, so that 0 * log2(0) counts as 0 without a
     masked log."""
-    terms = np.log2(np.maximum(pmfs, np.finfo(np.float64).tiny))
+    terms = np.maximum(pmfs, np.finfo(np.float64).tiny, out=terms)
+    np.log2(terms, out=terms)
     terms *= pmfs
     return -terms.sum(axis=1)

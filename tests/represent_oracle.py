@@ -9,7 +9,9 @@ unchanged but for their imports and for acf_rep giving a constant flow 0 at
 every lag, as its docstring always stated. The whole-block histogram and PSD
 features of tmcf.represent.build_features must equal them bit for bit; the
 FFT-based ACF features and the entropy-form JSD matrix must agree within
-1e-12.
+1e-12. pairwise_rows is the entropy-form matrix as it was computed before its
+rows reused two buffers, with fresh temporaries per row; the matrices of
+tmcf.represent.pairwise_dissimilarity must equal it bit for bit.
 """
 
 from dataclasses import dataclass
@@ -264,3 +266,27 @@ def _jsd_row(p: np.ndarray, others: np.ndarray) -> np.ndarray:
 def _safe_log2(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     ratio = np.divide(num, den, out=np.ones_like(num + den), where=den > 0)
     return np.log2(np.maximum(ratio, 1e-300))
+
+
+def pairwise_rows(features: np.ndarray, metric: str) -> np.ndarray:
+    """The M x M Euclidean or entropy-form JSD matrix, each row built from
+    fresh temporaries."""
+    def entropy_rows(pmfs):
+        terms = np.log2(np.maximum(pmfs, np.finfo(np.float64).tiny))
+        terms *= pmfs
+        return -terms.sum(axis=1)
+
+    m = features.shape[0]
+    entropy = entropy_rows(features)
+    d = np.zeros((m, m), dtype=np.float64)
+    for i in range(m - 1):
+        if metric == "euclidean":
+            diff = features[i + 1 :] - features[i]
+            d[i, i + 1 :] = np.sqrt(np.sum(diff * diff, axis=1))
+        else:
+            mid = 0.5 * (features[i] + features[i + 1 :])
+            d[i, i + 1 :] = entropy_rows(mid) - 0.5 * (entropy[i] + entropy[i + 1 :])
+    d = d + d.T
+    if metric == "jsd":
+        np.clip(d, 0.0, 1.0, out=d)
+    return d

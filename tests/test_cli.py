@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from tmcf import pipeline
 from tmcf.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, _parse_grid, main
 from tmcf.dataset import load_tm_series
 from tmcf.errors import ConfigError
@@ -124,11 +125,9 @@ def test_train_then_evaluate_reproduces_run(tmp_path):
         "evaluate", "--trace", trace, "--partition", partition, "--models", models_dir,
         "--out-dir", eval_dir,
     ] + TRAIN_FLAGS) == EXIT_OK
-    assert os.path.exists(os.path.join(models_dir, "train_report.json"))
-    run_report = json.loads(read(os.path.join(run_dir, "eval_report.json")))
-    eval_report = json.loads(read(os.path.join(eval_dir, "eval_report.json")))
-    assert eval_report["rmse_normalized"] == run_report["rmse_normalized"]
-    assert eval_report["per_flow_rmse"] == run_report["per_flow_rmse"]
+    # the reports hold no path, so the steps write the run's bytes
+    for out_dir, name in ((models_dir, "train_report.json"), (eval_dir, "eval_report.json")):
+        assert read(os.path.join(out_dir, name)) == read(os.path.join(run_dir, name)), name
 
 
 def test_represent_writes_the_run_matrices(tmp_path):
@@ -406,9 +405,8 @@ def test_config_backed_steps_reproduce_a_run(tmp_path):
                  "--out-dir", models_dir]) == EXIT_OK
     assert main(["evaluate", "--config", config, "--partition", partition,
                  "--models", models_dir, "--out-dir", eval_dir]) == EXIT_OK
-    run_report = json.loads(read(os.path.join(run_dir, "eval_report.json")))
-    eval_report = json.loads(read(os.path.join(eval_dir, "eval_report.json")))
-    assert eval_report["rmse_normalized"] == run_report["rmse_normalized"]
+    name = "eval_report.json"
+    assert read(os.path.join(eval_dir, name)) == read(os.path.join(run_dir, name))
 
 
 def test_represent_naive_points_to_cluster(tmp_path, capsys):
@@ -482,8 +480,13 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, keys, mistyped
     (["--representation", "psd", "--fs", "0"], {}),
     (["--representation", "acf", "--lags", "-1", "2"], {}),
     ([], {"representation": "psd", "segment_length": 0}),
+    ([], {"k_grid": [2, 2, 1]}),
+    # the abilene and geant loaders would ignore these
+    (["--format", "geant", "--interval-seconds", "300"], {}),
+    (["--format", "abilene", "--interval-seconds", "300"], {}),
+    (["--format", "geant", "--missing", "zero"], {}),
 ], ids=["val_frac", "hidden_size", "epochs", "interval_seconds", "fs", "lags",
-        "segment_length"])
+        "segment_length", "k_grid", "geant_interval", "abilene_interval", "geant_missing"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_a_config_that_cannot_run_does_not_validate(tmp_path, capsys, command, flags, keys):
     # each would fail the run only after the parse, so validate rejects it
@@ -493,6 +496,24 @@ def test_a_config_that_cannot_run_does_not_validate(tmp_path, capsys, command, f
     assert main([command, "--config", config, "--out-dir", str(run_dir), *flags]) == EXIT_CONFIG
     assert "config ok" not in capsys.readouterr().out
     assert not run_dir.exists()
+
+
+def no_parse(*args, **kwargs):
+    raise AssertionError("the trace was parsed")
+
+
+@pytest.mark.parametrize("grid", ["1,2", "2,2,2"])
+def test_a_sweep_of_fewer_than_3_distinct_k_exits_2_before_the_parse(tmp_path, capsys,
+                                                                      monkeypatch, grid):
+    # the knee search needs 3 points; this was found only after every model trained
+    trace = synth_trace(tmp_path)
+    monkeypatch.setattr(pipeline, "load_tm_series", no_parse)
+    out_dir = tmp_path / "sweep"
+    capsys.readouterr()
+    argv = ["sweep", "--trace", trace, "--k-grid", grid, "--out-dir", str(out_dir)]
+    assert main(argv + TRAIN_FLAGS) == EXIT_CONFIG
+    assert "k_grid must hold at least 3 distinct integers" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("field", ["representation", "format", "missing", "metric",

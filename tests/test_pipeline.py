@@ -1,14 +1,15 @@
 """run_pipeline and sweep at tiny size: the run directory records the trace's
-hash, not a copy, and only its manifest differs between two runs of one
-config; a resume reuses stages only while the trace's and the artifacts'
-contents match and finishes a crashed run, a resume with nothing changed does
-no work, and a sweep scores each K as the run at that K does."""
+hash, not a copy, and only its manifest differs between two runs of the same
+bytes, whatever their paths; a resume recomputes exactly the stages whose
+settings or input contents changed and finishes a crashed run, a resume with
+nothing changed does no work, and a sweep scores each K as the run at that K
+does."""
 
 import hashlib
 import json
 import os
 import shutil
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -146,7 +147,7 @@ def test_resume_on_same_trace_reuses_cluster_and_train(trace, tmp_path, monkeypa
     assert read(os.path.join(run_dir, "eval_report.json")) == report
 
 
-def test_resume_on_the_same_bytes_at_another_path_recomputes_only_evaluate(
+def test_resume_on_the_same_bytes_at_another_path_reuses_every_stage(
         trace, tmp_path, monkeypatch):
     os.makedirs(tmp_path / "a")
     os.makedirs(tmp_path / "b")
@@ -155,18 +156,70 @@ def test_resume_on_the_same_bytes_at_another_path_recomputes_only_evaluate(
     shutil.copyfile(trace, second)
     cfg = config(first, tmp_path / "run")
     run_dir = run_pipeline(cfg)
+    before = bytes_and_mtimes(run_dir)
+    monkeypatch.setattr(pipeline, "load_tm_series", crash)
+    assert run_pipeline(replace(cfg, trace=second), resume=True) == run_dir
+    # no file records the path, so nothing is parsed or written
+    assert bytes_and_mtimes(run_dir) == before
+
+
+@pytest.mark.parametrize("representation", pipeline.METHODS)
+def test_the_same_bytes_at_two_paths_write_identical_run_directories(trace, tmp_path,
+                                                                    representation):
+    copy = str(tmp_path / "copy.csv")
+    shutil.copyfile(trace, copy)
+    cfg = replace(config(trace, tmp_path / "a"), representation=representation)
+    first = outputs(run_pipeline(cfg))
+    second = outputs(run_pipeline(replace(cfg, trace=copy, out_dir=str(tmp_path / "b"))))
+    # every file but the manifest, which alone records the config, byte for byte
+    assert first.pop("manifest.json")["config"]["trace"] == trace
+    assert second.pop("manifest.json")["config"]["trace"] == copy
+    assert second == first
+
+
+# a value other than config()'s for every RunConfig field, valid for a run
+CHANGED = {
+    "trace": "copy.csv", "representation": "acf", "format": "geant",
+    "interval_seconds": 300, "missing": "zero", "metric": "euclidean",
+    "linkage": "average", "k": 3, "k_grid": [1, 2, 4], "repetitions": 2, "bins": 20,
+    "lags": [1, 2], "fs": 2.0, "normalize_power": False, "segment_length": 64,
+    "window_length": 8, "train_frac": 0.7, "val_frac": 0.15, "profile": "paper",
+    "hidden_size": 8, "epochs": 1, "seed": 1, "out_dir": "copy", "units": "packets",
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(RunConfig)])
+def test_resume_after_changing_one_setting_recomputes_the_stages_that_read_it(
+        trace, tmp_path, monkeypatch, field):
+    # hidden_size set, so that the paper profile trains as fast
+    cfg = replace(config(trace, tmp_path / "run"), hidden_size=4)
+    run_dir = run_pipeline(cfg)
     old = manifest(run_dir)["stages"]
-    monkeypatch.setattr(pipeline, "build_dendrogram", crash)
-    monkeypatch.setattr(pipeline, "train_partitioned", crash)
-    run_pipeline(replace(cfg, trace=second), resume=True)
+    value = CHANGED[field]
+    if field == "trace":  # the same bytes at another path
+        value = str(tmp_path / value)
+        shutil.copyfile(trace, value)
+    if field == "out_dir":  # a copy of the run directory
+        value = str(tmp_path / value)
+        shutil.copytree(run_dir, value)
+    if field == "format":  # the canonical trace, whichever format is named
+        load = pipeline.load_tm_series
+        monkeypatch.setattr(pipeline, "load_tm_series", lambda path, format, **kw: load(path, **kw))
+    changed = replace(cfg, **{field: value})
+    stages = list(pipeline._STAGE_KEYS)
+    readers = [name for name, keys in pipeline._STAGE_KEYS.items() if field in keys]
+    recomputed = stages[stages.index(readers[0]):] if readers else []
+    if not recomputed:
+        before = bytes_and_mtimes(changed.out_dir)
+        monkeypatch.setattr(pipeline, "load_tm_series", crash)
+    run_pipeline(changed, resume=True)
+    if not recomputed:
+        assert bytes_and_mtimes(changed.out_dir) == before
+        return
     new = manifest(run_dir)["stages"]
-    assert new["ingest"]["hash"] == old["ingest"]["hash"]
-    assert new["cluster"] == {**old["cluster"], "reused": True}
-    assert new["train"] == {**old["train"], "reused": True}
-    assert new["evaluate"]["hash"] != old["evaluate"]["hash"]
-    assert "reused" not in new["evaluate"]
-    report = json.loads(read(os.path.join(run_dir, "eval_report.json")))
-    assert report["config"]["trace"] == second
+    assert [name for name in stages if new[name]["hash"] != old[name]["hash"]] == recomputed
+    assert [name for name in stages[1:] if not new[name].get("reused")] == [
+        name for name in recomputed if name != "ingest"]
 
 
 def test_resume_after_trace_content_change_recomputes(trace, tmp_path):
@@ -252,8 +305,8 @@ def test_resume_after_a_crashed_fresh_run_of_another_config(trace, tmp_path, mon
     run_pipeline(cfg_a, resume=True)
     assert json.loads(read(os.path.join(run_dir, "partition.json")))["k"] == 2
     report = json.loads(read(os.path.join(run_dir, "eval_report.json")))
-    assert report["config"]["k"] == 2
-    assert report["partition"]["k"] == 2
+    assert report["partition"]["cluster_stats"]["k"] == 2
+    assert manifest(run_dir)["config"]["k"] == 2
 
 
 def test_resume_keeps_the_fresh_run_stage_entries(trace, tmp_path):
@@ -399,6 +452,58 @@ def test_resume_with_nothing_changed_parses_predicts_and_writes_nothing(trace, t
     assert bytes_and_mtimes(run_dir) == before
 
 
+def write_the_config_echo(run_dir, cfg):
+    """Rewrite a run directory as the earlier format wrote it: eval_report.json
+    also held the config, the partition's method, k and seed and the NMI
+    normalization, train_report.json the profile, and the manifest a
+    config_hash that keyed evaluate on the whole config."""
+    paths = {name: os.path.join(run_dir, name)
+             for name in ("eval_report.json", "train_report.json", "partition.json")}
+    report, train, part = (json.loads(read(path)) for path in paths.values())
+    report["config"] = cfg.to_dict()
+    report["partition"].update({key: part.get(key) for key in ("method", "k", "seed")})
+    report["metadata"]["nmi_normalization"] = "arithmetic_mean_of_entropies"
+    train["profile"] = cfg.profile
+    pipeline.dump_json(report, paths["eval_report.json"])
+    pipeline.dump_json(train, paths["train_report.json"])
+    data = manifest(run_dir)
+    data["config_hash"] = pipeline.config_hash(cfg.to_dict())
+    stages = data["stages"]
+    stages["evaluate"]["hash"] = pipeline.config_hash(
+        {"stage": "evaluate", "upstream": stages["train"]["hash"],
+         "config_hash": data["config_hash"]})
+    for stage, name in (("train", "train_report.json"), ("evaluate", "eval_report.json")):
+        stages[stage]["artifacts"][name] = file_sha256(paths[name])
+    pipeline.dump_json(data, os.path.join(run_dir, "manifest.json"))
+
+
+def test_resume_over_the_config_echo_recomputes_only_evaluate(trace, tmp_path, monkeypatch):
+    cfg = config(trace, tmp_path / "run")
+    run_dir = run_pipeline(cfg)
+    fresh = outputs(run_dir)
+    write_the_config_echo(run_dir, cfg)
+    earlier = manifest(run_dir)["stages"]
+    train_report = read(os.path.join(run_dir, "train_report.json"))
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "build_dendrogram", crash)
+        patch.setattr(pipeline, "train_partitioned", crash)
+        run_pipeline(cfg, resume=True)
+    stages = manifest(run_dir)["stages"]
+    assert stages["ingest"]["hash"] == earlier["ingest"]["hash"]
+    for name in ("cluster", "train"):
+        assert stages[name] == {**earlier[name], "reused": True}, name
+    assert stages["evaluate"]["hash"] != earlier["evaluate"]["hash"]
+    assert "config_hash" not in manifest(run_dir)
+    # the reused train stage keeps the earlier report, profile included
+    assert read(os.path.join(run_dir, "train_report.json")) == train_report
+    resumed = outputs(run_dir)
+    assert resumed["eval_report.json"] == fresh["eval_report.json"]
+    before = bytes_and_mtimes(run_dir)
+    monkeypatch.setattr(pipeline, "load_tm_series", crash)
+    run_pipeline(cfg, resume=True)
+    assert bytes_and_mtimes(run_dir) == before
+
+
 @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
 def test_a_run_removes_what_an_earlier_run_listed_for_the_stages_it_recomputes(
         trace, tmp_path, resume):
@@ -443,7 +548,8 @@ def test_resume_with_other_units_rewrites_the_report(trace, tmp_path):
     run_dir = run_pipeline(cfg)
     run_pipeline(replace(cfg, units="packets"), resume=True)
     report = json.loads(read(os.path.join(run_dir, "eval_report.json")))
-    assert report["config"]["units"] == report["metadata"]["units"] == "packets"
+    assert report["metadata"]["units"] == manifest(run_dir)["config"]["units"] == "packets"
+    assert report["rmse_physical_mbps"] != report["rmse_physical_mbps"]  # nan: not bytes
     stages = manifest(run_dir)["stages"]
     assert stages["cluster"]["reused"] and stages["train"]["reused"]
 

@@ -531,3 +531,14 @@ class TestSplitRows:
         assert len(forks) == 1
         assert str(got.value) == str(want.value)
         assert_no_children()
+
+
+@pytest.mark.parametrize("kind,kwargs,metric,make", TestSplitRows.CASES,
+                         ids=lambda v: v.__name__ if callable(v) else None)
+def test_rows_in_reused_buffers_equal_rows_of_fresh_temporaries(kind, kwargs, metric, make):
+    features = [build_features(make(), kind, **kwargs)]
+    if metric == "jsd":
+        features += jsd_corpus("zero")
+    for feats in features:
+        got = pairwise_dissimilarity(feats, metric).d
+        assert got.tobytes() == oracle.pairwise_rows(feats.features, metric).tobytes()
