@@ -2,11 +2,15 @@
 
 Subcommands: synth, ingest, represent, cluster, train, evaluate, sweep,
 run, compare, validate. Every subcommand backed by a RunConfig (represent,
-train, evaluate, sweep, run, compare and validate) takes the same run-config
-flags and --config, a JSON file whose keys match RunConfig, with flags
-winning over file values. They call the same steps and artifact writers as
-`tmcf run` (see `tmcf.pipeline`), so `represent` -> `cluster --features`
--> `train` -> `evaluate` with the run's config reproduces a run.
+train, evaluate, sweep, run, compare and validate) takes --config, a JSON
+file whose keys match RunConfig, and one flag per RunConfig field, flags
+winning over file values: field x_y is --x-y, of its type and CHOICES, but
+normalize_power is --raw-power, k_grid a grid spec and out_dir each
+subcommand's own --out-dir. represent, train and evaluate skip k, k_grid and
+repetitions, sweep skips k, run and compare skip k_grid and repetitions. They
+call the same steps and artifact writers as `tmcf run` (see `tmcf.pipeline`),
+so `represent` -> `cluster --features` -> `train` -> `evaluate` with the
+run's config reproduces a run. `ingest` checks its settings as `run` does.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.
@@ -17,6 +21,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -79,11 +85,11 @@ def _parse_group(text: str) -> GroupSpec:
 def _build_run_config(args, require_trace: bool = True) -> RunConfig:
     """The config file's keys with the flags given on top, checked once."""
     base = read_config(args.config) if getattr(args, "config", None) else {}
-    base.update({
-        key: getattr(args, key)
-        for key in RunConfig.__dataclass_fields__
-        if getattr(args, key, None) is not None
-    })
+    flags = {key: getattr(args, key) for key in RunConfig.__dataclass_fields__
+             if getattr(args, key, None) is not None}
+    if "k_grid" in flags:
+        flags["k_grid"] = _parse_grid(flags["k_grid"])
+    base.update(flags)
     if base.get("trace") is None:
         if require_trace:
             raise ConfigError("a trace path is required (flag --trace or config key)")
@@ -118,12 +124,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    tm = load_tm_series(
-        args.input,
-        format=args.format,
-        interval_seconds=args.interval_seconds,
-        missing=args.missing,
-    )
+    config = _checked(RunConfig(trace=args.input, format=args.format,
+                                interval_seconds=args.interval_seconds, missing=args.missing))
+    tm = load_tm_series(config.trace, format=config.format,
+                        interval_seconds=config.interval_seconds, missing=config.missing)
     write_canonical_csv(tm, args.out)
     print(
         f"wrote {args.out}: {tm.n_steps} steps, {tm.n_nodes} nodes, "
@@ -194,10 +198,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _build_run_config(args)
-    if args.k_grid_spec:
-        config.k_grid = _parse_grid(args.k_grid_spec)
-    curve, knee = sweep(_checked(config))
+    curve, knee = sweep(_checked(_build_run_config(args)))
     os.makedirs(args.out_dir, exist_ok=True)
     write_sweep_csv(curve, os.path.join(args.out_dir, "sweep.csv"))
     dump_json(knee, os.path.join(args.out_dir, "knee.json"))
@@ -256,29 +257,25 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _add_run_config_flags(p: argparse.ArgumentParser, with_k: bool = True) -> None:
+def _add_run_config_flags(p: argparse.ArgumentParser, skip: tuple[str, ...] = ()) -> None:
+    """--config and one flag per RunConfig field not in skip (see the module docstring)."""
     p.add_argument("--config", help="JSON config file; flags override its keys")
-    p.add_argument("--trace", help="trace file or directory")
-    p.add_argument("--format", choices=CHOICES["format"])
-    p.add_argument("--interval-seconds", dest="interval_seconds", type=int)
-    p.add_argument("--missing", choices=CHOICES["missing"])
-    p.add_argument("--representation", choices=CHOICES["representation"])
-    p.add_argument("--metric", choices=CHOICES["metric"])
-    p.add_argument("--linkage", choices=CHOICES["linkage"])
-    if with_k:
-        p.add_argument("--k", type=int)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--lags", type=int, nargs="+")
-    p.add_argument("--fs", type=float)
-    p.add_argument("--raw-power", dest="normalize_power", action="store_const", const=False,
-                   help="skip unit-mass normalization of PSD vectors")
-    p.add_argument("--window-length", dest="window_length", type=int)
-    p.add_argument("--train-frac", dest="train_frac", type=float)
-    p.add_argument("--val-frac", dest="val_frac", type=float)
-    p.add_argument("--profile", choices=CHOICES["profile"])
-    p.add_argument("--hidden-size", dest="hidden_size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
+    for name, hint in get_type_hints(RunConfig).items():
+        if name in skip or name == "out_dir":
+            continue
+        if name == "normalize_power":
+            p.add_argument("--raw-power", dest=name, action="store_const", const=False,
+                           help="skip unit-mass normalization of PSD vectors")
+        elif name == "k_grid":
+            p.add_argument("--k-grid", dest=name,
+                           help="comma list '1,11,21' or range 'start:stop:step'")
+        else:
+            if get_origin(hint) in (Union, UnionType):  # X | None takes an X
+                (hint,) = set(get_args(hint)) - {type(None)}
+            nargs = "+" if get_origin(hint) is list else None  # list[X] one or more
+            p.add_argument("--" + name.replace("_", "-"), dest=name, nargs=nargs,
+                           type=get_args(hint)[0] if nargs else hint, choices=CHOICES.get(name),
+                           help="trace file or directory" if name == "trace" else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("represent", help="feature matrix CSV + features_meta.json")
-    _add_run_config_flags(p, with_k=False)
+    _add_run_config_flags(p, skip=("k", "k_grid", "repetitions"))
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_represent)
 
@@ -326,13 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("train", help="train one forecaster per cluster")
-    _add_run_config_flags(p, with_k=False)
+    _add_run_config_flags(p, skip=("k", "k_grid", "repetitions"))
     p.add_argument("--partition", required=True, help="partition JSON")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score saved models on the test region")
-    _add_run_config_flags(p, with_k=False)
+    _add_run_config_flags(p, skip=("k", "k_grid", "repetitions"))
     p.add_argument("--partition", required=True)
     p.add_argument("--models", required=True, help="directory of cluster_<id>.bin files")
     p.add_argument("--out-dir", required=True)
@@ -343,22 +340,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="RMSE-versus-K sweep with knee selection. sweep.csv's mean_runtime_s is "
                     "the wall time of one repetition at that K, with training spread over "
                     "every usable CPU; K=1 is one model and uses one CPU.")
-    _add_run_config_flags(p, with_k=False)
-    p.add_argument("--k-grid", dest="k_grid_spec",
-                   help="comma list '1,11,21' or range 'start:stop:step'")
-    p.add_argument("--repetitions", type=int)
+    _add_run_config_flags(p, skip=("k",))
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("run", help="full pipeline into a reproducible run directory")
-    _add_run_config_flags(p)
+    _add_run_config_flags(p, skip=("k_grid", "repetitions"))
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--resume", action="store_true",
                    help="reuse stages whose hash and artifact contents match")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="cross-method agreement tables at matched K")
-    _add_run_config_flags(p)
+    _add_run_config_flags(p, skip=("k_grid", "repetitions"))
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_compare)
 

@@ -93,9 +93,12 @@ class Partition:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Partition":
+        labels, k = d["labels"], d["k"]
+        if not all(type(v) is int for v in [k, *labels]):  # a bool is no JSON integer
+            raise ValidationError("partition k and labels must be JSON integers")
         return cls(
-            labels=np.asarray(d["labels"]),
-            k=int(d["k"]),
+            labels=np.asarray(labels),
+            k=k,
             method=d.get("method", "unknown"),
             seed=d.get("seed"),
         )

@@ -37,9 +37,10 @@ reused when its hash matches, every artifact it lists still has the recorded
 sha256, and every stage before it verifies too; it keeps the manifest entry
 of the run that computed it, marked "reused". When all four stages verify,
 the run returns at once: it parses, predicts and writes nothing. Otherwise
-it removes what the manifest on disk lists for the stages it will recompute
-(also on a fresh run), parses the trace once, rewrites the ingest entry and
-recomputes the first stage that fails and every stage after it.
+it parses the trace once and checks K, then removes what the manifest on
+disk lists for the stages it will recompute (also on a fresh run), so a bad
+trace or K changes nothing; it rewrites the ingest entry and recomputes the
+first stage that fails and every stage after it.
 """
 
 from __future__ import annotations
@@ -262,8 +263,8 @@ def validate_config(config: RunConfig, trace_required: bool = True) -> tuple[lis
     return errors, warnings
 
 
-def require_valid(config: RunConfig, trace_required: bool = True) -> list[str]:
-    errors, warnings = validate_config(config, trace_required)
+def require_valid(config: RunConfig) -> list[str]:
+    errors, warnings = validate_config(config)
     if errors:
         raise ConfigError("; ".join(errors))
     return warnings
@@ -609,14 +610,15 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
         reuse[name] = verified
     if reuse["evaluate"]:
         return run_dir
-    manifest.remove_artifacts(previous.get(name, {}) for name in hashes if not reuse[name])
-    os.makedirs(model_dir, exist_ok=True)
-    if warnings:
-        manifest.data["warnings"] = warnings
 
     # --- ingest + extract + normalize -------------------------------------
     t0 = time.perf_counter()
     tm, flows_norm, scale, ranges = prepare(config)
+    _check_k(config.k, tm.n_flows)
+    manifest.remove_artifacts(previous.get(name, {}) for name in hashes if not reuse[name])
+    os.makedirs(model_dir, exist_ok=True)
+    if warnings:
+        manifest.data["warnings"] = warnings
     dump_json(
         {
             "n_nodes": tm.n_nodes,
@@ -756,6 +758,7 @@ def compare(config: RunConfig, out_dir: str) -> dict:
     correlations, and cluster-size statistics, written as three CSVs."""
     require_valid(config)
     tm, flows_norm, scale, ranges = prepare(config)
+    _check_k(config.k, tm.n_flows)
     os.makedirs(out_dir, exist_ok=True)
 
     partitions: dict[str, Partition] = {}

@@ -323,7 +323,7 @@ def _psd_block(
         raise ValidationError("flow must be a nonempty 1-D series")
     if fs <= 0:
         raise ValidationError(f"sampling frequency must be positive, got {fs}")
-    nper = segment_length if segment_length is not None else min(DEFAULT_SEGMENT_LENGTH, t)
+    nper = welch_settings(t, segment_length)["segment_length"]
     if nper < 1:
         raise ValidationError(f"segment length must be >= 1, got {nper}")
     if t < nper:
@@ -349,7 +349,7 @@ def pairwise_dissimilarity(reps: ReprMatrix, metric: str | None = None) -> Dissi
 
     JSD is only defined for histogram pmfs; ACF and PSD vectors use
     Euclidean distance. Only the upper triangle is computed and mirrored,
-    so symmetry is exact. DissimilarityMatrix rejects an unknown metric.
+    so symmetry is exact.
     When the pairs' estimated work pays for the forks, this process and
     forked children fill the rows of the upper triangle in turn (see
     _upper_triangle), each row as the serial loop computes it.
@@ -377,7 +377,7 @@ def pairwise_dissimilarity(reps: ReprMatrix, metric: str | None = None) -> Dissi
             return _entropy_rows(a, terms=b) - 0.5 * (entropy[i] + entropy[i + 1 :])
         pair_seconds = _JSD_SECONDS_PER_VALUE * f
     else:
-        return DissimilarityMatrix(d=np.zeros((m, m)), metric=metric)  # which rejects it
+        raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
     d = _upper_triangle(row, m, f, pair_seconds)
     d = d + d.T
     if metric == "jsd":

@@ -186,13 +186,57 @@ THREE_POINTS = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
     ("cluster", ["--method", "hac", "--linkage", "average", "--k", "4"]),
     ("cluster", ["--method", "naive", "--flows", "3", "--seed", "0", "--k", "0"]),
 ], ids=["run", "sweep", "compare", "cluster-hac", "cluster-naive"])
-def test_out_of_range_k_is_a_config_error(tmp_path, command, flags):
+def test_out_of_range_k_is_a_config_error(tmp_path, monkeypatch, command, flags):
     if command == "cluster":
         source = ["--dissimilarity", str(tmp_path / "dissimilarity.npy")]
         np.save(source[1], THREE_POINTS)
     else:
         source = ["--trace", synth_trace(tmp_path)]
+    # K is checked against the parsed trace before any dendrogram or directory
+    monkeypatch.setattr(pipeline, "build_dendrogram", no_dendrogram)
     assert main([command, *source, "--out-dir", str(tmp_path / "out"), *flags]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+def no_dendrogram(*args, **kwargs):
+    raise AssertionError("a dendrogram was built")
+
+
+def files(root) -> dict:
+    """{relative path: bytes} of every file under root."""
+    return {os.path.relpath(os.path.join(d, name), root): read(os.path.join(d, name))
+            for d, _, names in os.walk(root) for name in names}
+
+
+@pytest.mark.parametrize("case", ["k_too_large", "unreadable_trace"])
+def test_a_resume_that_cannot_run_leaves_the_run_directory_as_it_was(tmp_path, capsys, case):
+    trace = synth_trace(tmp_path)
+    run_dir = str(tmp_path / "run")
+    argv = ["run", "--trace", trace, "--out-dir", run_dir, "--resume", *TRAIN_FLAGS]
+    assert main([*argv, "--k", "3"]) == EXIT_OK
+    before = files(run_dir)
+    assert "models/cluster_3.bin" in before and "predictions.npz" in before
+    if case == "k_too_large":
+        argv += ["--k", "99"]
+    else:
+        lines = read(trace).decode("utf-8").splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",oops\n"
+        with open(trace, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        argv += ["--k", "3"]
+    capsys.readouterr()
+    assert main(argv) == (EXIT_CONFIG if case == "k_too_large" else EXIT_DATA)
+    assert ("k must lie in [1, 16]" if case == "k_too_large" else "line 3") \
+        in capsys.readouterr().err
+    assert files(run_dir) == before
+
+
+def test_a_run_without_k_creates_nothing(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["run", "--trace", synth_trace(tmp_path), "--out-dir", str(run_dir)]) \
+        == EXIT_CONFIG
+    assert "k must lie in" in capsys.readouterr().err
+    assert not run_dir.exists()
 
 
 def test_evaluate_on_truncated_model_is_a_data_error(tmp_path):
@@ -409,6 +453,54 @@ def test_config_backed_steps_reproduce_a_run(tmp_path):
     assert read(os.path.join(eval_dir, name)) == read(os.path.join(run_dir, name))
 
 
+def without_times_and_out_dir(manifest: dict) -> dict:
+    for entry in manifest["stages"].values():
+        del entry["wall_time_seconds"]
+    del manifest["config"]["out_dir"]
+    return manifest
+
+
+@pytest.mark.parametrize("flags,keys", [
+    (["--segment-length", "128"], {"segment_length": 128}),
+    (["--units", "packets"], {"units": "packets"}),
+], ids=["segment_length", "units"])
+def test_a_run_setting_by_flag_writes_what_the_config_key_writes(tmp_path, flags, keys):
+    trace = synth_trace(tmp_path)
+    by_flag, by_key = str(tmp_path / "flag"), str(tmp_path / "key")
+    base = ["run", "--trace", trace, "--representation", "psd", "--k", "2", *TRAIN_FLAGS]
+    assert main([*base, *flags, "--out-dir", by_flag]) == EXIT_OK
+    assert main([*base, "--config", write_config(tmp_path, **keys), "--out-dir", by_key]) \
+        == EXIT_OK
+    flag_files, key_files = files(by_flag), files(by_key)
+    manifests = [json.loads(f.pop("manifest.json")) for f in (flag_files, key_files)]
+    assert flag_files == key_files
+    assert without_times_and_out_dir(manifests[0]) == without_times_and_out_dir(manifests[1])
+    assert all(manifests[0]["config"][key] == value for key, value in keys.items())
+
+
+@pytest.mark.parametrize("flags,error", [
+    (["--k-grid", "1,2"], "error: k_grid must hold at least 3 distinct integers"),
+    (["--repetitions", "0"], "error: repetitions must be >= 1"),
+], ids=["k_grid", "repetitions"])
+def test_validate_checks_the_sweep_flags(capsys, flags, error):
+    assert main(["validate", *flags]) == EXIT_CONFIG
+    assert error in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags,error", [
+    (["--format", "geant", "--interval-seconds", "300"], "fixed by format 'geant'"),
+    (["--format", "geant", "--missing", "zero"], "format 'geant' rejects empty cells"),
+    (["--format", "canonical"], "trace path does not exist"),
+], ids=["geant_interval", "geant_missing", "missing_input"])
+def test_ingest_checks_its_settings_as_run_does(tmp_path, capsys, flags, error):
+    trace = synth_trace(tmp_path) if "geant" in flags else str(tmp_path / "absent.csv")
+    out = tmp_path / "canonical.csv"
+    capsys.readouterr()
+    assert main(["ingest", "--input", trace, *flags, "--out", str(out)]) == EXIT_CONFIG
+    assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_represent_naive_points_to_cluster(tmp_path, capsys):
     assert main([
         "represent", "--trace", synth_trace(tmp_path), "--representation", "naive",
@@ -423,7 +515,8 @@ def valid_partition(tmp_path) -> str:
     return str(path)
 
 
-@pytest.mark.parametrize("case", ["missing", "malformed", "without_k", "missing_models"])
+@pytest.mark.parametrize("case", ["missing", "malformed", "without_k", "missing_models",
+                                  1.5, "1", True, "float_k"])
 def test_unreadable_partition_or_models_is_a_data_error(tmp_path, capsys, case):
     trace = synth_trace(tmp_path)
     partition = str(tmp_path / "partition.json")
@@ -433,6 +526,13 @@ def test_unreadable_partition_or_models_is_a_data_error(tmp_path, capsys, case):
         (tmp_path / "partition.json").write_text('{"k": 2, "labels": [1, 2')
     elif case == "without_k":
         (tmp_path / "partition.json").write_text(json.dumps({"labels": [1] * 16}))
+    elif case == "float_k":
+        (tmp_path / "partition.json").write_text(
+            json.dumps({"labels": [1] * 8 + [2] * 8, "k": 2.0}))
+    elif case in (1.5, "1", True):
+        # a label that numpy would read as 1 is still no JSON integer
+        (tmp_path / "partition.json").write_text(
+            json.dumps({"labels": [case] + [1] * 7 + [2] * 8, "k": 2}))
     elif case == "missing_models":
         partition, named = valid_partition(tmp_path), models
     capsys.readouterr()

@@ -1,10 +1,16 @@
 """Module boundaries of the tmcf package: no module reaches into another's
-private names, so each underscore name can change with its module alone."""
+private names, so each underscore name can change with its module alone, and
+RunConfig alone declares the run settings, which every config-backed CLI
+subcommand takes as flags."""
 
+import argparse
 import ast
 import pathlib
 
 import pytest
+
+from tmcf.cli import build_parser
+from tmcf.pipeline import RunConfig
 
 SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "tmcf").glob("*.py"))
 
@@ -20,3 +26,27 @@ def test_no_module_imports_a_private_name_of_another(path):
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert private == []
+
+
+# the run settings each config-backed subcommand takes no flag for
+RUN_FLAG_SKIPS = {
+    "represent": {"k", "k_grid", "repetitions"},
+    "train": {"k", "k_grid", "repetitions"},
+    "evaluate": {"k", "k_grid", "repetitions"},
+    "sweep": {"k"},
+    "run": {"k_grid", "repetitions"},
+    "compare": {"k_grid", "repetitions"},
+    "validate": set(),
+}
+# the flags of these subcommands that set no RunConfig field
+OWN_DESTS = {"help", "config", "partition", "models", "resume"}
+
+
+@pytest.mark.parametrize("command", sorted(RUN_FLAG_SKIPS))
+def test_every_run_setting_has_a_flag(command):
+    (subparsers,) = [action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    dests = {action.dest for action in subparsers.choices[command]._actions}
+    fields = set(RunConfig.__dataclass_fields__)
+    assert dests & fields == fields - RUN_FLAG_SKIPS[command]
+    assert dests - fields <= OWN_DESTS
