@@ -388,31 +388,19 @@ def _read_rows(path: str, m: int, missing: str, header_lines: int, timed: bool):
     returns (times, flows): the first column parsed as times (None unless
     `timed`) and the (T, m) flow values.
 
-    numpy parses the file with np.loadtxt. A file large enough to pay for
-    the forks (see tmcf.parallel) is split into contiguous byte ranges, one
-    per share, each cut placed just after a newline near an equal share of
-    the bytes; the first range also holds the header lines and skips them as
-    the whole-file call does. This process parses the first range and a
-    forked child each other one, with the same call, each reading only its
-    own bytes, so the rows are the whole-file parse's, and this process
-    reads no more of the file than its range and the bytes around each
-    cut. The per-cell parser runs only when numpy cannot parse the file or
-    a share of it, or finds no rows, rows of another width, or a flow value
-    that is not finite or is negative. It then reads the whole file and
-    raises the error with its line number, or returns what only it accepts:
-    empty cells under missing=zero and Python-only number syntax such as
-    1_0. An untimed first column is read and ignored rather than skipped
-    with usecols, so that a row with extra columns is still rejected.
+    numpy parses the file with np.loadtxt, split by its bytes
+    (tmcf.parallel.split, see _parse_range), so the rows are the whole-file
+    parse's. The per-cell parser runs only when numpy cannot parse a share,
+    or finds no rows, rows of another width, or a flow value that is not
+    finite or is negative. It then reads the whole file and raises the
+    error with its line number, or returns what only it accepts: empty
+    cells under missing=zero and Python-only number syntax such as 1_0. An
+    untimed first column is read and ignored rather than skipped with
+    usecols, so that a row with extra columns is still rejected.
     """
     size = os.path.getsize(path)
-    shares = parallel.share_count(_PARSE_SECONDS_PER_BYTE * size, size)
-    if shares == 1:
-        blocks = [_loadtxt(path, header_lines, timed, m)]
-    else:
-        cuts = _line_cuts(path, size, shares)
-        ranges = [(lo, hi, header_lines if lo == 0 else 0)
-                  for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
-        blocks = parallel.fork_map(lambda r: _parse_range(path, r, timed, m), ranges)
+    blocks = parallel.split(lambda lo, hi: _parse_range(path, lo, hi, header_lines, timed, m),
+                            size, _PARSE_SECONDS_PER_BYTE * size)
     if all(block is not None for block in blocks):
         blocks = [block for block in blocks if block.shape[0] > 0]
         if blocks:
@@ -441,8 +429,8 @@ def _read_rows(path: str, m: int, missing: str, header_lines: int, timed: bool):
 
 
 def _loadtxt(source, header_lines: int, timed: bool, m: int) -> np.ndarray | None:
-    """np.loadtxt of comma-separated rows of m + 1 columns from a path or a
-    text stream; None unless every row has m + 1 columns and finite,
+    """np.loadtxt of comma-separated rows of m + 1 columns from a text
+    stream; None unless every row has m + 1 columns and finite,
     nonnegative flow values. No rows give a (0, 1) array."""
     try:
         with warnings.catch_warnings():
@@ -461,29 +449,18 @@ def _loadtxt(source, header_lines: int, timed: bool, m: int) -> np.ndarray | Non
     return block
 
 
-def _line_cuts(path: str, size: int, n: int) -> list[int]:
-    """0, then n - 1 byte offsets that each start a line (or are the file's
-    end), the i-th at the first line start at or after size * i / n, then
-    size."""
-    cuts = [0]
+def _parse_range(path: str, lo: int, hi: int, header_lines: int, timed: bool, m: int):
+    """_loadtxt of the lines that start in [lo, hi) of the file, skipping
+    the header lines when lo is 0. Each end moves to the first line start at
+    or after it, so the shares of a file hold each line once, and their
+    rows are what the whole-file call reads there, since universal newlines
+    end a line at every newline."""
     with open(path, "rb") as fh:
-        for i in range(1, n):
-            fh.seek(max(cuts[-1], size * i // n - 1))
-            fh.readline()
-            cuts.append(fh.tell())
-    return cuts + [size]
-
-
-def _parse_range(path: str, byte_range: tuple[int, int, int], timed: bool, m: int):
-    """_loadtxt of the lines in [lo, hi) of the file, skipping the first
-    `skip` of them: what the whole-file call reads there, since a cut
-    follows a newline and universal newlines end a line at every one."""
-    lo, hi, skip = byte_range
-    with open(path, "rb") as fh:
+        lo, hi = (fh.seek(pos - 1) + len(fh.readline()) if pos else 0 for pos in (lo, hi))
         fh.seek(lo)
         data = fh.read(hi - lo)
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:
-        return _loadtxt(text, skip, timed, m)
+        return _loadtxt(text, header_lines if lo == 0 else 0, timed, m)
 
 
 def _infer_interval(times: list[float]) -> int:

@@ -21,21 +21,19 @@ it gets when trained alone, up to rounding in the order of sums; the tests
 keep the former per-cluster loop as the oracle for that.
 
 A cluster's model therefore depends only on its members, the seed and the
-config, and train_partitioned deals the clusters to one share per usable
-CPU, each with about the same estimated matmul work (tmcf.parallel, which
-also splits the parse, features and dissimilarities before training by
-rows). A forked child trains each share in workspace-sized groups, sends
-back its models and reports, and exits. The calling process draws every
-cluster's seed before it forks, so numpy.random is loaded once per process,
-not once per child. With one usable CPU or one cluster everything trains in
-the calling process. Prediction runs in the calling process, every cluster
-through one set of reused buffers.
+config, and train_partitioned deals the clusters to shares by their
+estimated matmul work (tmcf.parallel.deal); each share trains in
+workspace-sized groups. The calling process draws every cluster's seed
+before it forks, so numpy.random is loaded once per process, not once per
+child. Prediction runs in the calling process, every cluster through one
+set of reused buffers.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
@@ -45,7 +43,7 @@ import numpy as np
 from .cluster import Partition
 from .dataset import ScaleParams, TmSeries, WindowedDataset, denormalize_array, make_windows
 from .errors import NumericalError, ValidationError
-from .parallel import fork_map, usable_cpus
+from .parallel import deal
 
 PARAM_ORDER = ("wz", "uz", "bz", "wr", "ur", "br", "wn", "un", "bn", "wo", "bo")
 
@@ -255,6 +253,20 @@ def _time_major(batches: list[np.ndarray], scratch: _Scratch) -> list[np.ndarray
     return out
 
 
+def _rows_with_ones(inputs: np.ndarray) -> tuple[np.ndarray, int]:
+    """(rows, stride): the rows of (n, T, d) windows, each with the trailing
+    1 of _time_major, where window s's step t is row s * stride + t. A
+    training batch is gathered time-major from them in one copy into a
+    reused buffer; fancy indexing of the windows would build a fresh batch,
+    which the glibc mmap threshold maps anew for each batch above 128 KiB."""
+    n, t, d = inputs.shape
+    if inputs.strides[0] == inputs.strides[1]:  # windows of one series (make_windows)
+        rows, stride = np.concatenate([inputs[:, 0], inputs[-1, 1:]]), 1
+    else:
+        rows, stride = inputs.reshape(n * t, d), t
+    return np.hstack([rows, np.ones((len(rows), 1))]), stride
+
+
 def _sigmoid_(x: np.ndarray) -> np.ndarray:
     """Logistic 1 / (1 + exp(-x)) in place; below x = -709 exp overflows
     and the result is the limit, 0 (_forward ignores that warning)."""
@@ -454,6 +466,8 @@ def _train_group(
     params = stack.pack([m.params for m in models])
     m1, m2, grads = np.zeros(stack.size), np.zeros(stack.size), np.empty(stack.size)
     n = train_sets[0].n_samples
+    rows, strides = zip(*(_rows_with_ones(ds.inputs) for ds in train_sets))
+    steps = np.arange(train_sets[0].inputs.shape[1])[:, None]
     scratch = _Scratch()
     adam_t = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -462,10 +476,14 @@ def _train_group(
             orders = [rngs[i].permutation(n) for i in live]
             sq_sum = np.zeros(len(live))
             for lo in range(0, n, cfg.batch_size):
-                batch = [(train_sets[i], order[lo : lo + cfg.batch_size])
-                         for i, order in zip(live, orders)]
-                xs = _time_major([ds.inputs[j] for ds, j in batch], scratch)
-                sq = _sq_errors_and_grads(pv, gv, xs, [ds.targets[j] for ds, j in batch], scratch)
+                batch = [(i, order[lo : lo + cfg.batch_size]) for i, order in zip(live, orders)]
+                xs = scratch.take("inputs", [(len(steps), len(j), rows[i].shape[1])
+                                             for i, j in batch])
+                for (i, j), x in zip(batch, xs):
+                    # the indices are in range; mode "raise" would buffer the copy
+                    np.take(rows[i], steps + strides[i] * j, axis=0, out=x, mode="clip")
+                sq = _sq_errors_and_grads(pv, gv, xs, [train_sets[i].targets[j] for i, j in batch],
+                                          scratch)
                 if not np.isfinite(sq).all():
                     raise _diverged(f"training diverged: non-finite loss at epoch {epoch + 1}",
                                     live, sq)
@@ -569,12 +587,11 @@ def train_partitioned(
     flow_values is (M, T); each cluster's model has input/output width
     |cluster| and its own seed from cluster_seed, so a cluster's model does
     not depend on the other clusters, nor on where or with which others it
-    trains. The clusters are dealt to one share per usable CPU (at most one
-    per cluster) by their estimated cost, and each share trains in groups
-    that fit the workspace, each in a forked child process (tmcf.parallel);
-    a single share trains in this process. A non-finite loss stops a group
-    and its share with NumericalError; of several, the one of the lowest
-    diverging cluster id is raised. Results are keyed by cluster id.
+    trains. The clusters are dealt to shares by their estimated cost
+    (tmcf.parallel.deal), and each share trains in groups that fit the
+    workspace. A non-finite loss stops a group and its share with
+    NumericalError; of several, the one of the lowest diverging cluster id
+    is raised. Results are keyed by cluster id.
     """
     if partition.n_items != flow_values.shape[0]:
         raise ValidationError(
@@ -588,12 +605,13 @@ def train_partitioned(
     # not again in every child
     seeds = {label: cluster_seed(config.seed, label) for label in range(1, partition.k + 1)}
 
-    def train_share(labels: list[int]):
-        """({label: (model, report)}, None), or (partial results, (label,
-        NumericalError)) for the first group that diverges; later groups of
-        the share hold only larger labels and do not train."""
+    def train_share(indices: list[int]):
+        """({label: (model, report)}, None) for the clusters of labels
+        indices + 1, or (partial results, (label, NumericalError)) for the
+        first group that diverges; later groups of the share hold only
+        larger labels and do not train."""
         results = {}
-        for group in np.array_split(labels, -(-len(labels) // fit)):
+        for group in np.array_split(np.add(indices, 1), -(-len(indices) // fit)):
             configs, train_sets, val_sets = [], [], []
             for label in group.tolist():
                 rows = partition.members(label)
@@ -610,27 +628,11 @@ def train_partitioned(
                 return results, (int(group[exc.member]), exc)
         return results, None
 
-    shares = [[i + 1 for i in share] for share in _deal(costs, min(usable_cpus(), partition.k))]
-    # several shares all train in children: this process then holds no
-    # training workspace, which raised its peak RSS by 2.5 MiB (6%) on a
-    # 144-flow trace when it trained the first share itself
-    outcomes = fork_map(train_share, shares, first_here=len(shares) == 1)
+    outcomes = deal(train_share, costs)
     failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
     return {label: result for results, _ in outcomes for label, result in results.items()}
-
-
-def _deal(costs: list[int], n: int) -> list[list[int]]:
-    """The indices of costs in n shares of near-equal total: largest cost
-    first (ties by index), each to the share with the least total so far
-    (Graham's LPT rule). Each share lists its indices in ascending order."""
-    shares, totals = [[] for _ in range(n)], [0] * n
-    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        least = totals.index(min(totals))
-        shares[least].append(i)
-        totals[least] += costs[i]
-    return [sorted(share) for share in shares]
 
 
 def predict_tm(
@@ -711,7 +713,8 @@ def _read_exact(fh, n: int, path: str, what: str) -> bytes:
 
 def load_model(path: str) -> GruModel:
     """Read a model written by save_model; any malformed or truncated part
-    of the file raises ValidationError."""
+    of the file, or a file size that does not fit the header's shapes,
+    raises ValidationError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MODEL_MAGIC:
@@ -738,6 +741,12 @@ def load_model(path: str) -> GruModel:
             raise ValidationError(
                 f"{path}: parameter shapes do not fit input_size={input_size}, "
                 f"hidden_size={hidden_size}"
+            )
+        need = 8 * sum(math.prod(shape) for shape in expected.values())
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if need != left:
+            raise ValidationError(
+                f"{path}: the parameter blocks take {need} bytes, the file has {left} left"
             )
         params = {}
         for name in PARAM_ORDER:

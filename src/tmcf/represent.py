@@ -13,10 +13,9 @@ row slab, recomputing with the direct formula only the entries where that
 closed form is ill-conditioned. JSD uses the entropy form, with each
 row's entropy computed once.
 
-Every ACF and PSD row, and every row of the dissimilarity matrix, is
-computed on its own, so these layers split their rows over this process
-and forked children (tmcf.parallel) when their estimated work pays for the forks, and give the
-serial bytes. Histograms cost too little per value to split.
+The ACF and PSD features split their rows, and the dissimilarities their
+row pairs, through tmcf.parallel.split, each estimating its serial work by
+a cost per value below. Histograms cost too little per value to split.
 """
 
 from __future__ import annotations
@@ -129,11 +128,8 @@ def build_features(
     normalize_power each PSD vector is scaled to unit mass so spectral shape
     rather than total power drives the distances.
 
-    A block whose ACF or PSD work pays for the forks (see tmcf.parallel) is
-    split into contiguous row blocks of near-equal size, one per share (the
-    first in this process, each other in a forked child), and the shares'
-    rows are joined in order: the serial result, bit
-    for bit. Histograms are always computed in this process.
+    ACF and PSD split their rows (tmcf.parallel.split) and join the shares'
+    rows in order.
     """
     if isinstance(flows, FlowSet):
         values = flows.values
@@ -152,7 +148,8 @@ def build_features(
                 raise ValidationError("acf needs explicit lags or an interval to derive them")
             lags = default_lags(interval_seconds)
         lags = np.asarray(sorted(set(int(l) for l in lags)), dtype=np.int64)
-        parts = _by_rows(lambda block: _acf_block(block, lags), values, _ACF_SECONDS_PER_CELL)
+        parts = parallel.split(lambda lo, hi: _acf_block(values[lo:hi], lags), len(values),
+                               _ACF_SECONDS_PER_CELL * values.size)
         feats, degenerate = (np.concatenate(arrays) for arrays in zip(*parts))
         meta = {
             "lags": lags.tolist(),
@@ -166,8 +163,9 @@ def build_features(
         # loaded here, before any fork, so that no share loads it again
         from scipy import signal
 
-        parts = _by_rows(lambda block: _psd_block(block, signal.welch, fs, segment_length),
-                         values, _PSD_SECONDS_PER_CELL)
+        parts = parallel.split(
+            lambda lo, hi: _psd_block(values[lo:hi], signal.welch, fs, segment_length),
+            len(values), _PSD_SECONDS_PER_CELL * values.size)
         freqs, feats = parts[0][0], np.concatenate([power for _, power in parts])
         if normalize_power:
             mass = feats.sum(axis=1, keepdims=True)
@@ -181,20 +179,6 @@ def build_features(
     else:
         raise ValidationError(f"unknown representation {kind!r}; expected {REPRESENTATIONS}")
     return ReprMatrix(features=feats, kind=kind, meta=meta)
-
-
-def _by_rows(block_fn, values: np.ndarray, cell_seconds: float) -> list:
-    """[block_fn(values)], or block_fn of each of a few contiguous row
-    blocks of near-equal size, in row order, the first in this process and
-    each other in a forked child (see tmcf.parallel), when the block's
-    estimated work of cell_seconds per value pays for the forks. ACF and
-    PSD compute each row on its own, so the rows are the same either
-    way."""
-    m = values.shape[0]
-    n = parallel.share_count(cell_seconds * values.size, m)
-    cuts = [m * i // n for i in range(n + 1)]
-    return parallel.fork_map(lambda rows: block_fn(values[rows[0] : rows[1]]),
-                             list(zip(cuts, cuts[1:])))
 
 
 def _histogram_block(values: np.ndarray, bins: int) -> np.ndarray:
@@ -349,10 +333,7 @@ def pairwise_dissimilarity(reps: ReprMatrix, metric: str | None = None) -> Dissi
 
     JSD is only defined for histogram pmfs; ACF and PSD vectors use
     Euclidean distance. Only the upper triangle is computed and mirrored,
-    so symmetry is exact.
-    When the pairs' estimated work pays for the forks, this process and
-    forked children fill the rows of the upper triangle in turn (see
-    _upper_triangle), each row as the serial loop computes it.
+    so symmetry is exact. Its rows split in pairs (see _upper_triangle).
     """
     if metric is None:
         metric = DEFAULT_METRIC[reps.kind]
@@ -389,26 +370,21 @@ def _upper_triangle(row, m: int, f: int, pair_seconds: float) -> np.ndarray:
     """The M x M matrix whose row i holds row(i, a, b) right of the diagonal
     and zeros elsewhere, a and b being the first M - i - 1 rows of two
     (M - 1, f) buffers that each share allocates once and every row reuses.
-    When the estimated work of pair_seconds per pair pays for the forks (see
-    tmcf.parallel), each of n shares (this process and n - 1 forked
-    children) fills every n-th row in a shared anonymous mapping, so the
-    matrix never passes through a pipe. Row i holds M - i - 1 pairs, and
-    dealing the rows out in turn gives each share a near-equal number of
-    pairs and the same mix of long and short rows."""
+    Item i of the M // 2 that tmcf.parallel.split cuts is the row pair
+    {i, M - 2 - i}, which holds M pairs, so equal ranges of items carry
+    equal work. The matrix lives in an anonymous shared mapping, which each
+    share fills in place, so it never passes through a pipe."""
+    import mmap
 
-    def fill(d, first, step):
+    d = np.frombuffer(mmap.mmap(-1, max(8 * m * m, 1)), count=m * m).reshape(m, m)
+
+    def fill(lo, hi):
         a, b = np.empty((2, max(m - 1, 0), f))
-        for i in range(first, m - 1, step):
-            d[i, i + 1 :] = row(i, a[: m - i - 1], b[: m - i - 1])
+        for pair in range(lo, hi):
+            for i in {pair, m - 2 - pair}:
+                d[i, i + 1 :] = row(i, a[: m - i - 1], b[: m - i - 1])
 
-    n = parallel.share_count(pair_seconds * m * (m - 1) / 2, m - 1)
-    if n == 1:
-        d = np.zeros((m, m), dtype=np.float64)
-    else:
-        import mmap
-
-        d = np.frombuffer(mmap.mmap(-1, 8 * m * m), dtype=np.float64).reshape(m, m)
-    parallel.fork_map(lambda first: fill(d, first, n), list(range(n)))
+    parallel.split(fill, m // 2, pair_seconds * m * (m - 1) / 2)
     return d
 
 

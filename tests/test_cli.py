@@ -3,6 +3,7 @@ exit codes, and the subcommands that must reproduce a run's outputs."""
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -250,6 +251,27 @@ def test_evaluate_on_truncated_model_is_a_data_error(tmp_path):
         "evaluate", "--trace", trace, "--partition", os.path.join(run_dir, "partition.json"),
         "--models", os.path.join(run_dir, "models"), "--out-dir", str(tmp_path / "eval"),
     ] + TRAIN_FLAGS) == EXIT_DATA
+
+
+def test_evaluate_on_a_model_whose_header_outsizes_its_file_is_a_data_error(tmp_path, capsys):
+    # a header of hidden size 10^6 with consistent shapes and its 8 MB wz
+    # block, but none of the 8 TB uz block
+    trace = synth_trace(tmp_path)
+    run_dir = str(tmp_path / "run")
+    run_k2(trace, run_dir)
+    h = 10 ** 6
+    shapes = {"wz": [h, 1], "uz": [h, h], "bz": [h], "wr": [h, 1], "ur": [h, h], "br": [h],
+              "wn": [h, 1], "un": [h, h], "bn": [h], "wo": [1, h], "bo": [1]}
+    header = json.dumps({"format_version": 1, "input_size": 1, "hidden_size": h,
+                         "output_size": 1, "seed": 0, "profile": "desk", "dtype": "float64",
+                         "param_order": list(shapes), "shapes": shapes}).encode()
+    with open(os.path.join(run_dir, "models", "cluster_1.bin"), "wb") as fh:
+        fh.write(b"TMCF" + struct.pack("<II", 1, len(header)) + header + bytes(8 * h))
+    assert main([
+        "evaluate", "--trace", trace, "--partition", os.path.join(run_dir, "partition.json"),
+        "--models", os.path.join(run_dir, "models"), "--out-dir", str(tmp_path / "eval"),
+    ] + TRAIN_FLAGS) == EXIT_DATA
+    assert "parameter blocks take" in capsys.readouterr().err
 
 
 def test_represent_config_error_exits_2(tmp_path, capsys):

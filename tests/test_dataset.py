@@ -477,11 +477,31 @@ class TestSplitParse:
             pytest.fail("no trace puts the middle of a CRLF at half its size")
         path = tmp_path / "trace.csv"
         path.write_bytes(data)
-        assert data[dataset._line_cuts(str(path), len(data), 2)[1] - 1 :][:1] == b"\n"
+        # the line of that CR belongs to the first share alone
+        half = len(data) // 2
+        first = dataset._parse_range(str(path), 0, half, 1, True, 4)
+        rest = dataset._parse_range(str(path), half, len(data), 1, True, 4)
+        assert first.shape[0] == data[: half + 1].count(b"\n") - 1
+        assert first.shape[0] + rest.shape[0] == n_rows
         serial, split_outcome, forks = self.outcomes(monkeypatch, path, 2)
         assert isinstance(serial, TmSeries) and serial.n_steps == n_rows
         assert_same_outcome(split_outcome, serial)
         assert forks == 1
+
+    def test_a_line_longer_than_a_share(self, tmp_path, monkeypatch):
+        # the long middle row holds two share ends, which both move to its
+        # end: one share is empty and the rows are still read once each
+        lines = canonical_text(4).splitlines()
+        lines[2] = lines[2].replace(",", ",000000000000000000000000000000000000000000")
+        data = ("\n".join(lines) + "\n").encode()
+        path = tmp_path / "trace.csv"
+        path.write_bytes(data)
+        long_row = range(data.index(lines[2].encode()), data.index(lines[3].encode()))
+        assert sum(len(data) * i // 4 in long_row for i in range(1, 4)) >= 2
+        serial, split_outcome, forks = self.outcomes(monkeypatch, path, 4)
+        assert isinstance(serial, TmSeries) and serial.n_steps == 4
+        assert_same_outcome(split_outcome, serial)
+        assert forks == 3
 
     @pytest.mark.parametrize("text", [
         canonical_text(9, blank_every=2),

@@ -1,7 +1,8 @@
 """Module boundaries of the tmcf package: no module reaches into another's
-private names, so each underscore name can change with its module alone, and
-RunConfig alone declares the run settings, which every config-backed CLI
-subcommand takes as flags."""
+private names, so each underscore name can change with its module alone;
+tmcf.parallel alone forks and decides how work splits; and RunConfig alone
+declares the run settings, which every config-backed CLI subcommand takes as
+flags."""
 
 import argparse
 import ast
@@ -26,6 +27,31 @@ def test_no_module_imports_a_private_name_of_another(path):
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert private == []
+
+
+# the names through which a module would fork or size its own split
+SPLIT_NAMES = {"fork_map", "share_count", "usable_cpus"}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "parallel.py"],
+                         ids=lambda p: p.name)
+def test_only_parallel_forks_or_sizes_a_split(path):
+    def is_split_name(name, module=None):
+        return name in SPLIT_NAMES or (name == "fork" and module == "os")
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute):
+            module = node.value.id if isinstance(node.value, ast.Name) else None
+            names = [node.attr] if is_split_name(node.attr, module) else []
+        elif isinstance(node, ast.Name):
+            names = [node.id] if is_split_name(node.id) else []
+        elif isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names if is_split_name(a.name, node.module)]
+        else:
+            names = []
+        found += [f"line {node.lineno}: {name}" for name in names]
+    assert found == []
 
 
 # the run settings each config-backed subcommand takes no flag for

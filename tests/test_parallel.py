@@ -1,7 +1,8 @@
 """tmcf.parallel: fork_map runs the first item in the calling process (or
 none) and each other in a forked child, raises what a share raised, and
 leaves no child behind; share_count decides how many shares a layer's work
-pays for."""
+pays for; split cuts a range into that many contiguous shares, and deal
+balances costed items over one share per usable CPU."""
 
 import os
 import time
@@ -12,7 +13,7 @@ import pytest
 from tmcf import parallel
 
 from forking import (  # noqa: F401 - deadline is a fixture
-    assert_no_children, count_forks, deadline, usable_cpus)
+    assert_no_children, count_forks, deadline, fork_any_work, usable_cpus)
 
 pytestmark = pytest.mark.usefixtures("deadline")
 
@@ -94,3 +95,48 @@ def test_a_child_that_ends_without_a_result_raises():
 def test_share_count(monkeypatch, cpus, work, items, expected):
     usable_cpus(monkeypatch, cpus)
     assert parallel.share_count(work * parallel._MIN_SHARE_SECONDS, items) == expected
+
+
+@pytest.mark.parametrize("cpus,n", [(1, 5), (3, 0), (3, 2), (3, 10), (4, 7)])
+def test_split_ranges_cover_the_range_in_order(monkeypatch, cpus, n):
+    usable_cpus(monkeypatch, cpus)
+    fork_any_work(monkeypatch)
+    forks = count_forks(monkeypatch)
+    got = parallel.split(lambda lo, hi: (lo, hi, os.getpid()), n, 1.0)
+    sizes = [hi - lo for lo, hi, _ in got]
+    assert [i for lo, hi, _ in got for i in range(lo, hi)] == list(range(n))
+    assert len(got) == max(1, min(cpus, n)) and max(sizes) - min(sizes) <= 1
+    assert got[0][2] == os.getpid() and [pid for *_, pid in got[1:]] == forks
+    assert_no_children()
+
+
+def test_one_share_forks_nothing(monkeypatch):
+    usable_cpus(monkeypatch, 4)
+    forks = count_forks(monkeypatch)
+    # work for fewer than two shares
+    got = parallel.split(lambda lo, hi: (lo, hi, os.getpid()), 100,
+                         1.9 * parallel._MIN_SHARE_SECONDS)
+    assert got == [(0, 100, os.getpid())]
+    # one item, or one usable CPU
+    assert parallel.deal(lambda share: (share, os.getpid()), [5]) == [([0], os.getpid())]
+    usable_cpus(monkeypatch, 1)
+    assert parallel.deal(lambda share: (share, os.getpid()), [3, 1, 2]) == \
+        [([0, 1, 2], os.getpid())]
+    assert forks == []
+
+
+def test_deal_balances_cost_not_label_order(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    # 16 equal models on 2 CPUs: 8 each, not the 6/6/4 of label-order groups,
+    # and both shares run in children
+    got = parallel.deal(lambda share: (share, os.getpid()), [1] * 16)
+    assert [len(share) for share, _ in got] == [8, 8]
+    assert [pid for _, pid in got] == forks
+    # three wide models and nine narrow ones: equal totals, a widest in each
+    costs = [170, 170, 150] + [30] * 9
+    shares = parallel.deal(lambda share: share, costs)
+    assert [sum(costs[i] for i in share) for share in shares] == [380, 380]
+    assert [share[0] for share in shares] == [0, 1]
+    assert sorted(shares[0] + shares[1]) == list(range(12))
+    assert_no_children()

@@ -382,6 +382,7 @@ MALFORMED_MODELS = {
                    "bo": [0]},
     }),
     "short_parameter_block": lambda data: data[:-8],
+    "bytes_after_the_parameter_blocks": lambda data: data + bytes(8),
 }
 
 
@@ -603,14 +604,3 @@ class TestForkedTraining:
         with pytest.raises(ValidationError, match="bad group"):
             train_partitioned(part, values, cfg, (0, 150), (150, 175), 6)
         assert_no_children()
-
-
-def test_deal_balances_cost_not_label_order():
-    # 16 equal models on 2 CPUs: 8 each, not the 6/6/4 of label-order groups
-    assert [len(share) for share in predict._deal([1] * 16, 2)] == [8, 8]
-    # three wide models and nine narrow ones: equal totals, a widest in each
-    costs = [170, 170, 150] + [30] * 9
-    shares = predict._deal(costs, 2)
-    assert [sum(costs[i] for i in share) for share in shares] == [380, 380]
-    assert [share[0] for share in shares] == [0, 1]
-    assert sorted(shares[0] + shares[1]) == list(range(12))

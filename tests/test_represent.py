@@ -344,7 +344,7 @@ def test_import_and_help_leave_scipy_signal_unloaded():
     # scipy.signal pulls in scipy.stats and scipy.interpolate; only the PSD
     # representation needs it. Training forks its worker processes with os
     # alone, so no process-pool module loads either; mmap loads only for a
-    # forked dissimilarity matrix, numpy.random only to seed or draw.
+    # dissimilarity matrix, numpy.random only to seed or draw.
     code = textwrap.dedent("""
         import contextlib, io, json, sys
         import numpy as np
@@ -489,10 +489,12 @@ class TestSplitRows:
         forks = count_forks(monkeypatch)
         feats = build_features(block, kind, **kwargs)
         # histograms are cheap per value and stay in this process; each
-        # split layer forks a child per share but the first
-        assert len(forks) == (0 if kind == "histogram" else cpus - 1)
+        # split layer forks a child per share but the first, the features
+        # at most one share per row and the dissimilarities per row pair
+        feature_forks = 0 if kind == "histogram" else min(cpus, len(block)) - 1
+        assert len(forks) == feature_forks
         d = pairwise_dissimilarity(feats, metric).d
-        assert len(forks) == (cpus - 1 if kind == "histogram" else 2 * (cpus - 1))
+        assert len(forks) == feature_forks + min(cpus, len(block) // 2) - 1
         assert_no_children()
         assert feats.features.tobytes() == serial.features.tobytes()
         assert feats.meta == serial.meta
@@ -507,9 +509,25 @@ class TestSplitRows:
         forks = count_forks(monkeypatch)
         feats = build_features(block, "acf", lags=[0, 2])
         d = pairwise_dissimilarity(feats).d
-        assert len(forks) == 2 + 1  # a share per row, then per row with pairs
+        assert len(forks) == 2 + 0  # a share per row, then per row pair
         assert feats.features.tobytes() == serial.features.tobytes()
         assert d.tobytes() == pairwise_dissimilarity(serial).d.tobytes()
+        assert_no_children()
+
+    @pytest.mark.parametrize("metric", ["jsd", "euclidean"])
+    @pytest.mark.parametrize("cpus", [2, 3, 4, 5])
+    def test_forked_dissimilarities_of_few_flows_are_the_serial_bytes(self, monkeypatch,
+                                                                      metric, cpus):
+        reps = [build_features(feature_corpus()[:m], "histogram") for m in range(8)]
+        usable_cpus(monkeypatch, 1)
+        serial = [pairwise_dissimilarity(r, metric).d for r in reps]
+        fork_any_work(monkeypatch)
+        usable_cpus(monkeypatch, cpus)
+        forks = count_forks(monkeypatch)
+        for r, want in zip(reps, serial):
+            assert pairwise_dissimilarity(r, metric).d.tobytes() == want.tobytes()
+        # a share per pair of rows {i, M - 2 - i}, at least one
+        assert len(forks) == sum(max(min(cpus, m // 2), 1) - 1 for m in range(8))
         assert_no_children()
 
     def test_small_inputs_stay_serial(self, monkeypatch):
