@@ -22,11 +22,12 @@ keep the former per-cluster loop as the oracle for that.
 
 A cluster's model therefore depends only on its members, the seed and the
 config, and train_partitioned deals the clusters to shares by their
-estimated matmul work (tmcf.parallel.deal); each share trains in
-workspace-sized groups. The calling process draws every cluster's seed
-before it forks, so numpy.random is loaded once per process, not once per
-child. Prediction runs in the calling process, every cluster through one
-set of reused buffers.
+estimated matmul work (tmcf.parallel.deal); each share trains its clusters
+as one stacked group when their pass fits the workspace, as every
+desk-profile share of up to 12 clusters does. The calling process draws
+every cluster's seed before it forks, so numpy.random is loaded once per
+process, not once per child. Prediction runs in the calling process, every
+cluster through one set of reused buffers.
 """
 
 from __future__ import annotations
@@ -63,14 +64,20 @@ MIN_DELTA = 1e-5
 MODEL_MAGIC = b"TMCF"
 MODEL_FORMAT_VERSION = 1
 
-# Floats (2 MiB) the cache of one stacked pass may hold: a pass over R
-# window rows of T steps for K models of hidden size h caches K*R*(8T+1)*h.
-# Each training process splits its clusters into as few groups as fit it,
-# of near-equal size, and forward passes run in row chunks that fit it. At
-# the desk profile a group holds at most 6 models; groups of 6 or 8 trained
-# as fast as one of 16, whose cache is 2.7 times larger and raised the peak
-# RSS of a 144-flow run by 5%. At h=200 a group is one model.
-_WORKSPACE_FLOATS = 1 << 18
+# Floats (4 MiB) the cache of one stacked training pass may hold: a pass over
+# R window rows of T steps for K models of hidden size h caches
+# K*R*(8T+1)*h. Each training share splits its clusters into as few groups
+# as fit it, of near-equal size; validation passes run in batch-sized row
+# chunks and prediction in chunks of half of it (_gru_forward). At the desk
+# profile (window 11, batch 32) a group holds at most 12 models, so each
+# share of a 16-cluster run on 2 CPUs is one group; at h=200 a group is one
+# model. On 2 vCPUs, BLAS on 1 thread, a desk epoch of models of width 9
+# cost 489, 480, 441 and 454 us per model and batch in stacks of 4, 8, 12
+# and 16. With two or more usable CPUs every share trains in a forked child,
+# outside the calling process: the children of a 144-flow run peaked at
+# 37.1 MiB, 2.1 MiB above groups of at most 6. On one CPU the calling
+# process trains, and its peak was 48.9 MiB (47.6 with groups of 6).
+_WORKSPACE_FLOATS = 1 << 19
 
 
 @dataclass
@@ -236,12 +243,20 @@ class _Scratch:
 
     def __init__(self):
         self.bufs: dict[str, np.ndarray] = {}
+        self.carved: dict[tuple, list[np.ndarray]] = {}
 
     def take(self, name: str, shapes: list[tuple]) -> list[np.ndarray]:
-        need = sum(math.prod(shape) for shape in shapes)
-        if self.bufs.get(name, np.empty(0)).size < need:
-            self.bufs[name] = np.empty(need)
-        return _carve(self.bufs[name], shapes)
+        """Views of the given shapes from the front of buffer `name`, carved
+        once per shape list and kept until the buffer grows."""
+        key = (name, tuple(shapes))
+        views = self.carved.get(key)
+        if views is None:
+            need = sum(math.prod(shape) for shape in shapes)
+            if self.bufs.get(name, np.empty(0)).size < need:
+                self.bufs[name] = np.empty(need)
+                self.carved = {k: v for k, v in self.carved.items() if k[0] != name}
+            views = self.carved[key] = _carve(self.bufs[name], shapes)
+        return views
 
 
 def _time_major(batches: list[np.ndarray], scratch: _Scratch) -> list[np.ndarray]:
@@ -328,10 +343,13 @@ def _backward(v: _Views, g: _Views, xs: list[np.ndarray], state: np.ndarray, cac
     da = pre  # the pre-activation gradients overwrite the pre-activations
     dh, dh_prev, drh, tmp, tmp2, dx = scratch.take("grad", [
         (k, b, h), (k, b, h), (k, b, h), (k, b, h), (2, k, b, h), (3, t, b, h)])
-    gu, gn = scratch.take("weights", [(2, k, h, h), (k, h, h)])
+    gu, gn, uzr_t, un_t = scratch.take("weights", [(2, k, h, h), (k, h, h)] * 2)
     for i, dp in enumerate(dpreds):
         np.matmul(dp, v.wo[i].T, out=dh[i])
-    uzr_t, un_t = v.uzr.transpose(0, 1, 3, 2), v.un.transpose(0, 2, 1)
+    # contiguous copies, once per batch: numpy multiplies by a transposed
+    # view at about half the speed, and one step saves more than they cost
+    np.copyto(uzr_t, v.uzr.transpose(0, 1, 3, 2))
+    np.copyto(un_t, v.un.transpose(0, 2, 1))
     g_uzr, g_un = g.uzr, g.un
     g_uzr[:] = 0.0
     g_un[:] = 0.0
@@ -415,7 +433,9 @@ def _gru_forward(model: GruModel, inputs: np.ndarray, scratch: _Scratch) -> np.n
         raise ValidationError("input contains NaN or Inf")
     stack = _Stack([model.input_size], model.hidden_size)
     v = stack.views(stack.pack([model.params]))
-    rows = _workspace_fit(1, x.shape[1], model.hidden_size)
+    # row chunks of half the workspace, as many rows as two models take:
+    # prediction runs in the calling process, whose peak RSS a run reports
+    rows = _workspace_fit(2, x.shape[1], model.hidden_size)
     pred = np.concatenate([
         _readout(v, _forward(v, _time_major([x[lo : lo + rows]], scratch), scratch)[0], 0)
         for lo in range(0, max(x.shape[0], 1), rows)

@@ -2,6 +2,7 @@
 
 import os
 import signal
+import threading
 
 import pytest
 
@@ -17,11 +18,22 @@ def fork_any_work(monkeypatch):
     monkeypatch.setattr(parallel, "_MIN_SHARE_SECONDS", 1e-12)
 
 
-def count_forks(monkeypatch) -> list:
-    """The pids of the children forked from now on, as seen by this process."""
-    pids, real_fork = [], os.fork
+class Forks(list):
+    """The pids of forked children; `threads` holds, per fork, the Python
+    threads (threading.active_count) and the OS threads of this process
+    just before it forked."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = []
+
+
+def count_forks(monkeypatch) -> Forks:
+    """The children forked from now on, as seen by this process."""
+    pids, real_fork = Forks(), os.fork
 
     def fork():
+        pids.threads.append((threading.active_count(), len(os.listdir("/proc/self/task"))))
         pid = real_fork()
         if pid:
             pids.append(pid)

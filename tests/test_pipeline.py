@@ -267,6 +267,22 @@ def test_every_layer_forked_writes_the_serial_run_directory(trace, tmp_path, mon
     assert forked == serial
 
 
+def test_every_fork_comes_from_a_process_with_no_thread_of_tmcf(trace, tmp_path, monkeypatch):
+    # Python >= 3.12 warns when a process with more than one thread forks.
+    # The OS threads here are the interpreter's and OpenBLAS's pool, which
+    # OpenBLAS stops at each fork and starts again only for a product large
+    # enough to use threads, which this run has none of
+    usable_cpus(monkeypatch, 2)
+    fork_any_work(monkeypatch)
+    before = len(os.listdir("/proc/self/task"))
+    forks = count_forks(monkeypatch)
+    run_pipeline(config(trace, tmp_path / "run"))
+    assert len(forks) == 4
+    assert [python for python, _ in forks.threads] == [1] * 4
+    assert all(threads <= before for _, threads in forks.threads)
+    assert_no_children()
+
+
 @pytest.mark.parametrize("crashes", [False, True], ids=["returns", "raises"])
 def test_run_sweep_and_compare_leave_no_child_process(trace, tmp_path, monkeypatch, crashes):
     # two usable CPUs, and work of any size forks, so that every layer that

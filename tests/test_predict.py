@@ -190,6 +190,21 @@ class TestGradients:
                 assert np.array_equal(back[name], model.params[name])
                 assert back[name].flags.c_contiguous
 
+    def test_scratch_views_point_into_the_current_buffer(self):
+        scratch = _Scratch()
+        small = [(2, 3), (4,)]
+        first = scratch.take("a", small)
+        assert scratch.take("a", small) is first  # carved once
+        scratch.take("a", [(50,)])  # grows buffer "a"
+        again = scratch.take("a", small)
+        start = scratch.bufs["a"].__array_interface__["data"][0]
+        assert [v.__array_interface__["data"][0] - start for v in again] == [0, 6 * 8]
+        assert not any(np.shares_memory(v, w) for v in again for w in first)
+        other = scratch.take("b", small + [(50,)])
+        assert not any(np.shares_memory(v, w)
+                       for v in scratch.take("a", small) + scratch.take("a", [(50,)])
+                       for w in other)
+
     def test_single_adam_step_does_not_increase_loss(self):
         # one batch per epoch and one epoch: exactly one Adam step
         rng = np.random.default_rng(8)
@@ -464,20 +479,47 @@ class TestStackedTrainerMatchesOracle:
             assert any(r.stopped_early for _, r in got.values())
             assert len(set(runs)) > 1
 
-    def test_grouping_does_not_change_results(self, monkeypatch):
-        labels = ORACLE_CASES["early_stopping"][0]
-        part = Partition(np.array(labels), max(labels))
-        values = noisy_flows(9, 200, seed=1)
-        cfg = GruConfig.for_profile("desk", input_size=1, seed=2, epochs=12, patience=2)
-        joint = train_partitioned(part, values, cfg, (0, 150), (150, 175), 6)
-        # room for one model's pass only: every cluster trains in its own group
-        monkeypatch.setattr(predict, "_WORKSPACE_FLOATS", 1)
-        alone = train_partitioned(part, values, cfg, (0, 150), (150, 175), 6)
-        for label in joint:
-            assert joint[label][1].val_losses == alone[label][1].val_losses
-            for name in PARAM_ORDER:
-                assert np.array_equal(joint[label][0].params[name],
-                                      alone[label][0].params[name])
+    @pytest.mark.usefixtures("deadline")
+    def test_grouping_does_not_change_results(self, monkeypatch, tmp_path):
+        # the early-stopping partition, and 16 clusters of 18 flows, which a
+        # share at 1 or 2 usable CPUs trains as one group of more than 6
+        many = np.arange(18) % 16 + 1
+        cases = [(ORACLE_CASES["early_stopping"][0], 1, [4]), (many, 1, [16]),
+                 (many, 2, [8, 8])]
+        sizes, train_group = tmp_path / "group_sizes", predict._train_group
+
+        def recorded(configs, *args):
+            # appended from forked children too
+            with open(sizes, "a", encoding="utf-8") as fh:
+                fh.write(f"{len(configs)}\n")
+            return train_group(configs, *args)
+
+        def groups():
+            got = sorted(int(line) for line in sizes.read_text().split())
+            sizes.unlink()
+            return got
+
+        monkeypatch.setattr(predict, "_train_group", recorded)
+        for labels, cpus, joint_groups in cases:
+            part = Partition(np.array(labels), max(labels))
+            values = noisy_flows(len(labels), 200, seed=1)
+            cfg = GruConfig.for_profile("desk", input_size=1, seed=2, epochs=12, patience=2)
+            usable_cpus(monkeypatch, cpus)
+            joint = train_partitioned(part, values, cfg, (0, 150), (150, 175), 6)
+            assert groups() == joint_groups
+            with monkeypatch.context() as patch:
+                # room for one model's pass only: every cluster trains in its own group
+                patch.setattr(predict, "_WORKSPACE_FLOATS", 1)
+                alone = train_partitioned(part, values, cfg, (0, 150), (150, 175), 6)
+            assert groups() == [1] * part.k
+            assert_no_children()
+            assert sorted(joint) == sorted(alone) == list(range(1, part.k + 1))
+            for label in joint:
+                assert (json.dumps(joint[label][1].to_dict())
+                        == json.dumps(alone[label][1].to_dict()))
+                for name in PARAM_ORDER:
+                    assert (joint[label][0].params[name].tobytes()
+                            == alone[label][0].params[name].tobytes())
 
     def test_divergent_cluster_in_stack_raises_at_the_oracle_epoch(self):
         # flow 3 (cluster 2) jumps to 1e200 inside the validation range, so
