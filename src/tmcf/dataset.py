@@ -180,13 +180,16 @@ class WindowedDataset:
 
 
 def extract_flows(tm: TmSeries) -> FlowSet:
-    """Split a trace into its M univariate flows (row-major flow order)."""
-    t = tm.n_steps
-    flat = tm.values.reshape(t, tm.n_flows)
+    """Split a trace into its M univariate flows (row-major flow order).
+
+    The flows are a transposed view of the trace, not a copy: they change
+    if the trace does, and normalize writes the one (M, T) matrix a run
+    keeps next to the trace.
+    """
     return FlowSet(
         n_nodes=tm.n_nodes,
         interval_seconds=tm.interval_seconds,
-        values=flat.T.copy(),
+        values=tm.values.reshape(tm.n_steps, tm.n_flows).T,
     )
 
 
@@ -207,7 +210,8 @@ def normalize(flows: FlowSet, params: ScaleParams) -> FlowSet:
     """Map each flow by (x - min) / (max - min) on training statistics.
 
     Constant flows map to all zeros. Values outside the training range are
-    NOT clipped, so test-region output may fall outside [0, 1].
+    NOT clipped, so test-region output may fall outside [0, 1]. The result
+    is a new C-ordered matrix, computed in place with no temporary.
     """
     if params.n_flows != flows.n_flows:
         raise ValidationError(
@@ -215,7 +219,8 @@ def normalize(flows: FlowSet, params: ScaleParams) -> FlowSet:
         )
     span = params.per_flow_max - params.per_flow_min
     safe_span = np.where(span == 0.0, 1.0, span)
-    out = (flows.values - params.per_flow_min[:, None]) / safe_span[:, None]
+    out = np.subtract(flows.values, params.per_flow_min[:, None], out=np.empty(flows.values.shape))
+    out /= safe_span[:, None]
     out[params.constant_mask] = 0.0
     return FlowSet(flows.n_nodes, flows.interval_seconds, out)
 
@@ -227,7 +232,8 @@ def denormalize_array(values: np.ndarray, params: ScaleParams) -> np.ndarray:
     if values.shape[-1] != params.n_flows:
         raise ValidationError("last axis must match the number of flows")
     span = params.per_flow_max - params.per_flow_min
-    out = values * span + params.per_flow_min
+    out = values * span
+    out += params.per_flow_min
     const = params.constant_mask
     out[..., const] = params.per_flow_min[const]
     return out

@@ -25,6 +25,10 @@ if TYPE_CHECKING:
 
 BYTES_TO_MEGABITS = 8.0 / 1e6
 
+# Values per chunk when the predictions are scaled for the physical RMSE, so
+# that their scaled copy is 64 KiB at a time, not one more full array
+_SCALE_CHUNK = 1 << 13
+
 # Kneedle's S: how far (in mean x steps) the difference curve must fall
 # after a candidate to confirm it as the knee
 KNEEDLE_SENSITIVITY = 1.0
@@ -95,14 +99,29 @@ class EvalReport:
         return asdict(self)
 
 
-def rmse(truth, pred) -> float:
-    """Root mean squared error pooled over all samples and entries."""
+def _squared_errors(truth, pred, factor: float | None = None) -> np.ndarray:
+    """(truth - pred)^2, or with a factor (truth * factor - pred * factor)^2,
+    in one new C-ordered array; pred * factor is computed in chunks of
+    _SCALE_CHUNK values."""
     t = np.asarray(truth, dtype=np.float64)
     p = np.asarray(pred, dtype=np.float64)
     if t.shape != p.shape:
         raise ValidationError(f"shape mismatch: truth {t.shape} vs pred {p.shape}")
-    diff = t - p
-    return float(np.sqrt(np.mean(diff * diff)))
+    sq = np.empty(p.shape)
+    if factor is None:
+        np.subtract(t, p, out=sq)
+    else:
+        np.multiply(t, factor, out=sq)
+        flat, p = sq.reshape(-1), p.reshape(-1)
+        for lo in range(0, flat.size, _SCALE_CHUNK):
+            flat[lo : lo + _SCALE_CHUNK] -= p[lo : lo + _SCALE_CHUNK] * factor
+    sq *= sq
+    return sq
+
+
+def rmse(truth, pred) -> float:
+    """Root mean squared error pooled over all samples and entries."""
+    return float(np.sqrt(np.mean(_squared_errors(truth, pred))))
 
 
 def rmse_physical(truth, pred, interval_seconds: int) -> float:
@@ -111,18 +130,22 @@ def rmse_physical(truth, pred, interval_seconds: int) -> float:
     if interval_seconds < 1:
         raise ValidationError(f"interval_seconds must be positive, got {interval_seconds}")
     factor = BYTES_TO_MEGABITS / interval_seconds
-    return rmse(np.multiply(truth, factor), np.multiply(pred, factor))
+    return float(np.sqrt(np.mean(_squared_errors(truth, pred, factor))))
 
 
 def per_flow_rmse(truth: np.ndarray, pred: np.ndarray) -> np.ndarray:
     """RMSE per flow over (samples, M) matrices; pooling the squares of this
     vector reproduces the scalar RMSE."""
-    t = np.asarray(truth, dtype=np.float64)
-    p = np.asarray(pred, dtype=np.float64)
-    if t.shape != p.shape or t.ndim != 2:
+    return rmse_by_flow(truth, pred)[1]
+
+
+def rmse_by_flow(truth: np.ndarray, pred: np.ndarray) -> tuple[float, np.ndarray]:
+    """(rmse, per_flow_rmse) of (samples, M) matrices, from one array of
+    squared errors."""
+    if np.shape(truth) != np.shape(pred) or np.ndim(truth) != 2:
         raise ValidationError("per-flow RMSE needs matching (samples, M) matrices")
-    diff = t - p
-    return np.sqrt(np.mean(diff * diff, axis=0))
+    sq = _squared_errors(truth, pred)
+    return float(np.sqrt(np.mean(sq))), np.sqrt(np.mean(sq, axis=0))
 
 
 def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:

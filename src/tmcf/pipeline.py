@@ -18,10 +18,12 @@ A run directory holds, by stage:
   eval_report.json (which also lists each flow's normalized RMSE)
 
 plus manifest.json: the config, versions and, per stage, its hash,
-wall_time_seconds and artifacts, a {name: sha256} map; the ingest entry also
-records trace_sha256, the hash of the trace's bytes that the stage hashes
-chain on, and a reused stage is marked "reused". The manifest is the only
-file that holds the config, times, hashes or reuse marks, and the run
+wall_time_seconds, peak_rss_mib and children_peak_rss_mib (the peak RSS so
+far of the run's process and of its largest child) and artifacts, a {name:
+sha256} map; the ingest entry also records trace_sha256, the hash of the
+trace's bytes that the stage hashes chain on, and a reused stage is marked
+"reused". The manifest is the only file that holds the config, times,
+memory peaks, hashes or reuse marks, and the run
 directory keeps no copy of the trace or of the normalized flows: every other
 file is a function of the trace's bytes and the settings the stages read
 (_STAGE_KEYS), so two runs of the same bytes write them byte-identical.
@@ -50,6 +52,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import threading
 import time
 from dataclasses import asdict, astuple, dataclass, replace
@@ -71,7 +74,6 @@ from .dataset import (
     extract_flows,
     fit_scale_params,
     load_tm_series,
-    make_windows,
     normalize,
     split,
     trace_files,
@@ -84,8 +86,7 @@ from .evaluate import (
     error_correlation,
     kneedle,
     nmi,
-    per_flow_rmse,
-    rmse,
+    rmse_by_flow,
     rmse_physical,
 )
 from .evaluate import ari as ari_score
@@ -372,9 +373,15 @@ class Manifest:
 
     def record(self, stage: str, stage_hash: str, wall_time: float, artifacts: list[str],
                **extra):
+        """Enter a computed stage and write the manifest. Besides the hash,
+        time and artifacts, the entry holds the peak RSS so far of this
+        process and of its largest finished child, so a crashed or finished
+        run shows where its memory peaked."""
         self.data["stages"][stage] = {
             "hash": stage_hash,
             "wall_time_seconds": wall_time,
+            "peak_rss_mib": _peak_rss_mib(resource.RUSAGE_SELF),
+            "children_peak_rss_mib": _peak_rss_mib(resource.RUSAGE_CHILDREN),
             "artifacts": {a: file_sha256(os.path.join(self.run_dir, a)) for a in artifacts},
             **extra,
         }
@@ -391,6 +398,12 @@ class Manifest:
         tmp = self.path + ".tmp"
         dump_json(self.data, tmp)
         os.replace(tmp, self.path)
+
+
+def _peak_rss_mib(who: int) -> float:
+    """ru_maxrss of this process or of its largest waited-for child, in MiB
+    (Linux reports KiB)."""
+    return resource.getrusage(who).ru_maxrss / 1024
 
 
 def _write_matrix_csv(matrix: np.ndarray, path: str) -> None:
@@ -503,9 +516,11 @@ def build_dendrogram(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, range
 
 
 def cluster_features(feats: represent_mod.ReprMatrix, metric: str | None, linkage: str | None):
-    """HAC dendrogram of the features; metric and linkage default to the representation's."""
+    """HAC dendrogram of the features; metric and linkage default to the
+    representation's. HAC agglomerates the dissimilarity matrix in place."""
     diss = represent_mod.pairwise_dissimilarity(feats, metric)
-    return cluster_mod.hac(diss.d, linkage or cluster_mod.DEFAULT_LINKAGE[feats.kind])
+    return cluster_mod.hac(diss.d, linkage or cluster_mod.DEFAULT_LINKAGE[feats.kind],
+                           overwrite=True)
 
 
 def make_partition(dendro, n_flows: int, k, seed, method: str) -> Partition:
@@ -559,10 +574,10 @@ def score(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, scale, ranges,
         models, part, flows_norm.values, ranges.test, config.window_length,
         scale, tm.n_nodes, tm.interval_seconds,
     )
-    truth_norm = make_windows(
-        flows_norm.values[:, ranges.test[0] : ranges.test[1]].T, config.window_length
-    ).targets
-    truth_bytes = tm.values[ranges.test[0] + config.window_length - 1 : ranges.test[1]]
+    # the test windows' targets, views: build_eval_report copies neither
+    first, stop = ranges.test[0] + config.window_length - 1, ranges.test[1]
+    truth_norm = flows_norm.values[:, first:stop].T
+    truth_bytes = tm.values[first:stop]
     report = build_eval_report(config, part, truth_norm, pred_norm, truth_bytes,
                                tm_pred.values, tm.interval_seconds,
                                train_block_len=ranges.val[1])
@@ -682,7 +697,7 @@ def build_eval_report(
     interval_seconds: int,
     train_block_len: int | None = None,
 ) -> EvalReport:
-    flow_errors = per_flow_rmse(truth_norm, pred_norm)
+    rmse_normalized, flow_errors = rmse_by_flow(truth_norm, pred_norm)
     metadata = {
         "normalize": "per_flow",
         "scale_fit": "training_region_only",
@@ -700,7 +715,7 @@ def build_eval_report(
         else float("nan")
     )
     return EvalReport(
-        rmse_normalized=rmse(truth_norm, pred_norm),
+        rmse_normalized=rmse_normalized,
         rmse_physical_mbps=physical,
         per_flow_rmse=[float(v) for v in flow_errors],
         partition={"cluster_stats": cluster_stats(part).to_dict()},

@@ -28,6 +28,13 @@ desk-profile share of up to 12 clusters does. The calling process draws
 every cluster's seed before it forks, so numpy.random is loaded once per
 process, not once per child. Prediction runs in the calling process, every
 cluster through one set of reused buffers.
+
+Each dataset's windows are copied once, into an array of rows with a
+trailing 1 (_rows_with_ones), which holds a series once. Training gathers
+each batch from it; validation and prediction read it in place as
+time-major step views (_step_slabs), and their forward passes, which no
+backward pass follows, cache one step. So prediction's scratch does not
+grow with the number of test windows.
 """
 
 from __future__ import annotations
@@ -65,18 +72,21 @@ MODEL_MAGIC = b"TMCF"
 MODEL_FORMAT_VERSION = 1
 
 # Floats (4 MiB) the cache of one stacked training pass may hold: a pass over
-# R window rows of T steps for K models of hidden size h caches
-# K*R*(8T+1)*h. Each training share splits its clusters into as few groups
-# as fit it, of near-equal size; validation passes run in batch-sized row
-# chunks and prediction in chunks of half of it (_gru_forward). At the desk
-# profile (window 11, batch 32) a group holds at most 12 models, so each
-# share of a 16-cluster run on 2 CPUs is one group; at h=200 a group is one
-# model. On 2 vCPUs, BLAS on 1 thread, a desk epoch of models of width 9
-# cost 489, 480, 441 and 454 us per model and batch in stacks of 4, 8, 12
-# and 16. With two or more usable CPUs every share trains in a forked child,
-# outside the calling process: the children of a 144-flow run peaked at
-# 37.1 MiB, 2.1 MiB above groups of at most 6. On one CPU the calling
-# process trains, and its peak was 48.9 MiB (47.6 with groups of 6).
+# R window rows of T steps for K models of hidden size h caches K*R*(8T+1)*h.
+# Each training share splits its clusters into as few groups as fit it, of
+# near-equal size. Validation passes run in batch-sized row chunks and
+# prediction in chunks of as many rows as half of it holds (_gru_forward);
+# neither keeps the steps for a backward pass, so each caches K*R*(3T+6)*h,
+# 0.44 of that at window 11: prediction's 202-row chunks of the desk profile
+# cache 0.89 MiB, not 2.0. At the desk profile (window 11, batch 32) a group
+# holds at most 12 models, so each share of a 16-cluster run on 2 CPUs is one
+# group; at h=200 a group is one model. On 2 vCPUs, BLAS on 1 thread, a desk
+# epoch of models of width 9 cost 489, 480, 441 and 454 us per model and batch
+# in stacks of 4, 8, 12 and 16. With two or more usable CPUs every share
+# trains in a forked child, outside the calling process: the children of a
+# 144-flow run peaked at 37.1 MiB, 2.1 MiB above groups of at most 6. On one
+# CPU the calling process trains, and its peak was 48.9 MiB (47.6 with groups
+# of 6).
 _WORKSPACE_FLOATS = 1 << 19
 
 
@@ -259,27 +269,37 @@ class _Scratch:
         return views
 
 
-def _time_major(batches: list[np.ndarray], scratch: _Scratch) -> list[np.ndarray]:
-    """(T, B, d_k + 1) copies of (B, T, d_k) batches, the last column ones."""
-    out = scratch.take("inputs", [(x.shape[1], x.shape[0], x.shape[2] + 1) for x in batches])
-    for x, tm in zip(batches, out):
-        tm[..., :-1] = x.transpose(1, 0, 2)
-        tm[..., -1] = 1.0
-    return out
-
-
 def _rows_with_ones(inputs: np.ndarray) -> tuple[np.ndarray, int]:
-    """(rows, stride): the rows of (n, T, d) windows, each with the trailing
-    1 of _time_major, where window s's step t is row s * stride + t. A
-    training batch is gathered time-major from them in one copy into a
-    reused buffer; fancy indexing of the windows would build a fresh batch,
-    which the glibc mmap threshold maps anew for each batch above 128 KiB."""
+    """(rows, stride): the rows of (n, T, d) windows in one new C-ordered
+    array, each with a trailing 1 that meets the gate biases, where window
+    s's step t is row s * stride + t. Windows of one series (make_windows)
+    share their rows, so they take n + T - 1 rows, stride 1, of any memory
+    order; other windows take n * T rows, stride T.
+
+    A training batch is gathered time-major from the rows in one copy into
+    a reused buffer; fancy indexing of the windows would build a fresh
+    batch, which the glibc mmap threshold maps anew for each batch above
+    128 KiB. Validation and prediction read them as _step_slabs, with no
+    copy at all."""
     n, t, d = inputs.shape
-    if inputs.strides[0] == inputs.strides[1]:  # windows of one series (make_windows)
-        rows, stride = np.concatenate([inputs[:, 0], inputs[-1, 1:]]), 1
+    one_series = n > 0 and inputs.strides[0] == inputs.strides[1]
+    rows = np.empty((n + t - 1 if one_series else n * t, d + 1))
+    if one_series:
+        rows[:n, :d] = inputs[:, 0]
+        rows[n:, :d] = inputs[-1, 1:]
     else:
-        rows, stride = inputs.reshape(n * t, d), t
-    return np.hstack([rows, np.ones((len(rows), 1))]), stride
+        rows[:, :d].reshape(n, t, d)[:] = inputs
+    rows[:, d] = 1.0
+    return rows, 1 if one_series else t
+
+
+def _step_slabs(rows: np.ndarray, stride: int, lo: int, count: int, steps: int) -> np.ndarray:
+    """The windows lo .. lo + count - 1 of _rows_with_ones's rows, time-major
+    and read-only: a (steps, count, d + 1) view whose [t, s] is step t of
+    window lo + s. Each step is a slab of rows `stride` apart."""
+    r, c = rows.strides
+    return np.lib.stride_tricks.as_strided(rows[lo * stride :], (steps, count, rows.shape[1]),
+                                           (r, stride * r, c), writeable=False)
 
 
 def _sigmoid_(x: np.ndarray) -> np.ndarray:
@@ -291,9 +311,9 @@ def _sigmoid_(x: np.ndarray) -> np.ndarray:
     return np.reciprocal(x, out=x)
 
 
-def _forward(v: _Views, xs: list[np.ndarray], scratch: _Scratch):
-    """Run every model of a stack over its batch from h = 0; the batches
-    come from _time_major and share T and B.
+def _forward(v: _Views, xs: list[np.ndarray], scratch: _Scratch, keep: bool = True):
+    """Run every model of a stack over its (T, B, d_k + 1) time-major batch
+    from h = 0, the last column of each step ones; the batches share T and B.
 
     Cell per step: update gate z, reset gate r, tanh candidate n on the
     reset-gated state, then h = (1 - z) * n + z * h_prev. The input
@@ -303,30 +323,35 @@ def _forward(v: _Views, xs: list[np.ndarray], scratch: _Scratch):
     the next pass overwrites: the pre-activations of z, r and n
     (3, T, K, B, h), the states h_0 .. h_T (T+1, K, B, h), z and r
     (T, 2, K, B, h), and n and r * h_prev (T, K, B, h). Each step's slice
-    of these is contiguous.
+    of these is contiguous. With keep=False, when no backward pass follows,
+    they hold the current step only (h_prev and h_next in two slots, which
+    the steps take in turn), so the cache is (3T + 6) K B h floats instead
+    of (8T + 1) K B h.
     """
     k, (t, b) = len(xs), xs[0].shape[:2]
     h = v.un.shape[-1]
+    slots = t if keep else 1
     pre, hs, zrs, ns, rhs = scratch.take("cache", [
-        (3, t, k, b, h), (t + 1, k, b, h), (t, 2, k, b, h), (t, k, b, h), (t, k, b, h)])
+        (3, t, k, b, h), (slots + 1, k, b, h), (slots, 2, k, b, h), (slots, k, b, h),
+        (slots, k, b, h)])
     for i, x in enumerate(xs):
         np.matmul(x[None], v.wx[i][:, None], out=pre[:, :, i])
     hs[0] = 0.0
     with np.errstate(over="ignore"):  # for _sigmoid_
         for s in range(t):
-            state, zr = hs[s], zrs[s]
+            state, zr = hs[s % (slots + 1)], zrs[s % slots]
             np.matmul(state, v.uzr, out=zr)
             zr += pre[:2, s]
             _sigmoid_(zr)
             z, r = zr
-            rh = np.multiply(r, state, out=rhs[s])
-            n = np.matmul(rh, v.un, out=ns[s])
+            rh = np.multiply(r, state, out=rhs[s % slots])
+            n = np.matmul(rh, v.un, out=ns[s % slots])
             n += pre[2, s]
             np.tanh(n, out=n)
-            nxt = np.subtract(state, n, out=hs[s + 1])
+            nxt = np.subtract(state, n, out=hs[(s + 1) % (slots + 1)])
             nxt *= z
             nxt += n
-    return hs[t], (pre, hs, zrs, ns, rhs)
+    return hs[t % (slots + 1)], (pre, hs, zrs, ns, rhs)
 
 
 def _readout(v: _Views, state: np.ndarray, i: int) -> np.ndarray:
@@ -397,16 +422,18 @@ def _sq_errors_and_grads(v: _Views, g: _Views, xs: list[np.ndarray], ys: list[np
     return np.array([np.vdot(e, e) for e in errs])
 
 
-def _dataset_mse(v: _Views, sets: list[WindowedDataset], rows: int,
-                 scratch: _Scratch) -> np.ndarray:
+def _dataset_mse(v: _Views, sets: list[WindowedDataset], rows: list[tuple[np.ndarray, int]],
+                 chunk: int, scratch: _Scratch) -> np.ndarray:
     """Mean squared error of every model of a stack on its own dataset,
-    from forward passes over `rows` windows at a time."""
+    whose inputs are given as _rows_with_ones, from forward passes over
+    `chunk` windows at a time."""
     total = np.zeros(len(sets))
-    for lo in range(0, sets[0].n_samples, rows):
-        xs = _time_major([ds.inputs[lo : lo + rows] for ds in sets], scratch)
-        state, _ = _forward(v, xs, scratch)
+    n, t = sets[0].inputs.shape[:2]
+    for lo in range(0, n, chunk):
+        xs = [_step_slabs(r, stride, lo, min(chunk, n - lo), t) for r, stride in rows]
+        state, _ = _forward(v, xs, scratch, keep=False)
         for i, ds in enumerate(sets):
-            err = _readout(v, state, i) - ds.targets[lo : lo + rows]
+            err = _readout(v, state, i) - ds.targets[lo : lo + chunk]
             total[i] += np.vdot(err, err)
     return total / np.array([ds.targets.size for ds in sets])
 
@@ -429,17 +456,21 @@ def _gru_forward(model: GruModel, inputs: np.ndarray, scratch: _Scratch) -> np.n
         )
     if x.shape[1] < 1:
         raise ValidationError("input history must contain at least one observation")
-    if not np.isfinite(x).all():
+    rows, stride = _rows_with_ones(x)
+    if not np.isfinite(rows).all():
         raise ValidationError("input contains NaN or Inf")
     stack = _Stack([model.input_size], model.hidden_size)
     v = stack.views(stack.pack([model.params]))
-    # row chunks of half the workspace, as many rows as two models take:
-    # prediction runs in the calling process, whose peak RSS a run reports
-    rows = _workspace_fit(2, x.shape[1], model.hidden_size)
-    pred = np.concatenate([
-        _readout(v, _forward(v, _time_major([x[lo : lo + rows]], scratch), scratch)[0], 0)
-        for lo in range(0, max(x.shape[0], 1), rows)
-    ])
+    # chunks of as many windows as a pass of two models takes in the
+    # workspace; a chunk of another size sums in another order and moves
+    # the predictions in their last bit
+    n, t = x.shape[:2]
+    chunk = _workspace_fit(2, t, model.hidden_size)
+    pred = np.empty((n, model.input_size))
+    for lo in range(0, n, chunk):
+        state, _ = _forward(v, [_step_slabs(rows, stride, lo, min(chunk, n - lo), t)], scratch,
+                            keep=False)
+        pred[lo : lo + chunk] = _readout(v, state, 0)
     return pred[0] if single else pred
 
 
@@ -487,6 +518,7 @@ def _train_group(
     m1, m2, grads = np.zeros(stack.size), np.zeros(stack.size), np.empty(stack.size)
     n = train_sets[0].n_samples
     rows, strides = zip(*(_rows_with_ones(ds.inputs) for ds in train_sets))
+    val_rows = [_rows_with_ones(ds.inputs) for ds in val_sets]
     steps = np.arange(train_sets[0].inputs.shape[1])[:, None]
     scratch = _Scratch()
     adam_t = 0
@@ -527,7 +559,8 @@ def _train_group(
                 sq_sum += sq
             train_loss = sq_sum / (n * stack.widths)
 
-            val_loss = _dataset_mse(pv, [val_sets[i] for i in live], cfg.batch_size, scratch)
+            val_loss = _dataset_mse(pv, [val_sets[i] for i in live], [val_rows[i] for i in live],
+                                    cfg.batch_size, scratch)
             if not np.isfinite(val_loss).all():
                 raise _diverged(f"validation loss non-finite at epoch {epoch + 1}", live, val_loss)
 
@@ -635,7 +668,8 @@ def train_partitioned(
             configs, train_sets, val_sets = [], [], []
             for label in group.tolist():
                 rows = partition.members(label)
-                series = flow_values[rows].T.copy()
+                # one copy of what training reads, in Fortran order
+                series = flow_values[rows, : max(train_range[1], val_range[1])].T
                 train_sets.append(make_windows(series[train_range[0] : train_range[1]],
                                                window_length))
                 val_sets.append(make_windows(series[val_range[0] : val_range[1]], window_length))
@@ -689,7 +723,8 @@ def predict_tm(
         ds = make_windows(flow_values[rows, lo:hi].T, window_length)
         pred_norm[:, rows] = _gru_forward(models[label], ds.inputs, scratch)
 
-    pred_bytes = np.maximum(denormalize_array(pred_norm, scale), 0.0)
+    pred_bytes = denormalize_array(pred_norm, scale)
+    np.maximum(pred_bytes, 0.0, out=pred_bytes)
     tm_pred = TmSeries(
         n_nodes=n_nodes,
         interval_seconds=interval_seconds,

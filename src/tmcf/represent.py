@@ -16,6 +16,11 @@ row's entropy computed once.
 The ACF and PSD features split their rows, and the dissimilarities their
 row pairs, through tmcf.parallel.split, each estimating its serial work by
 a cost per value below. Histograms cost too little per value to split.
+
+Memory is bounded by what a call returns: histograms and ACF features
+work through blocks of rows whose temporaries have a fixed size, and the
+dissimilarity matrix is mirrored inside the anonymous mapping that its
+shares fill, with no second M x M array.
 """
 
 from __future__ import annotations
@@ -36,8 +41,30 @@ DEFAULT_BINS = 50
 DEFAULT_SEGMENT_LENGTH = 256
 
 _ZERO_VAR_EPS = 1e-30
-_ACF_SLAB_ROWS = 64
 _ACF_TAU = 1e-3
+
+# An ACF slab takes at most _ACF_SLAB_ROWS rows, and at most as many as fit
+# one (rows, n_fft) float array in _ACF_SLAB_BYTES, at least one; its
+# temporaries peak at about 3.4 such arrays. pocketfft transforms a slab's
+# rows faster together: on the 2-vCPU benchmark host (CPU time, medians of
+# 5, traced peaks), 288 x 806 blocks (n_fft 2048, 32 rows a slab) took 22 ms
+# and peaked at 2.0 MiB, against 27-31 ms and 6.1 MiB in the former fixed
+# slabs of 64 rows; 72 x 38,707 blocks (n_fft 2^17, 8 rows a slab) took
+# 0.49-0.59 s and peaked at 27 MiB, against 0.54-0.63 s and 243 MiB in
+# slabs of 64 rows and 0.65-0.75 s in slabs of 1 row.
+_ACF_SLAB_ROWS = 32
+_ACF_SLAB_BYTES = 1 << 23
+# Values (flow x step) per row block of the histogram bin indices, at least
+# one row: each temporary of a block stays under glibc's 128-KiB mmap
+# threshold, so the heap reuses it while it is in cache. Same host, CPU time,
+# medians of 7, traced peaks: 144 x 806 blocks 7.6 -> 3.6 ms and 3.5 -> 0.5
+# MiB, 2304 x 806 72 -> 41 ms and 57 -> 1.9 MiB, 144 x 38,707 (a row a block)
+# 232 -> 200 ms and 170 -> 1.2 MiB, against whole-block temporaries.
+_HISTOGRAM_BLOCK_VALUES = 1 << 14
+# Rows per block of the in-place mirror of a dissimilarity matrix's upper
+# triangle. It took 1.1 ms at M=576 and 34 ms at M=2304 (16 to 128 rows within
+# 10% of it), where the fresh d + d.T took 2.6 and 86 ms.
+_MIRROR_ROWS = 64
 
 # Seconds of serial work per value (flow x step of the block, or pair x
 # feature), for the fork decision (see tmcf.parallel). Measured on the 2-vCPU
@@ -196,16 +223,22 @@ def _histogram_block(values: np.ndarray, bins: int) -> np.ndarray:
         raise ValidationError("flow must be a nonempty 1-D series")
     if bins < 1:
         raise ValidationError(f"bins must be >= 1, got {bins}")
-    if not np.isfinite(values).all():
-        raise ValidationError("flows must be finite to build histograms")
-    x = np.clip(values, 0.0, 1.0)
     edges = np.linspace(0.0, 1.0, bins + 1)
-    idx = (x * bins).astype(np.intp)
-    idx[idx == bins] -= 1
-    idx -= x < edges[idx]
-    idx += (x >= edges[idx + 1]) & (idx != bins - 1)
-    idx += np.arange(m)[:, None] * bins
-    return np.bincount(idx.ravel(), minlength=m * bins).reshape(m, bins) / t
+    counts = np.empty((m, bins), dtype=np.intp)
+    step = max(1, _HISTOGRAM_BLOCK_VALUES // t)
+    for lo in range(0, m, step):  # blocks of rows, so no temporary spans the block
+        block = values[lo : lo + step]
+        if not np.isfinite(block).all():
+            raise ValidationError("flows must be finite to build histograms")
+        x = np.clip(block, 0.0, 1.0)
+        idx = (x * bins).astype(np.intp)
+        idx[idx == bins] -= 1
+        idx -= x < edges[idx]
+        idx += (x >= edges[idx + 1]) & (idx != bins - 1)
+        rows = len(block)
+        idx += np.arange(rows)[:, None] * bins
+        counts[lo : lo + rows] = np.bincount(idx.ravel(), minlength=rows * bins).reshape(rows, bins)
+    return counts / t
 
 
 def _acf_block(values: np.ndarray, lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,8 +249,12 @@ def _acf_block(values: np.ndarray, lags: np.ndarray) -> tuple[np.ndarray, np.nda
     variance produce 0; a fully constant flow is flagged degenerate and gets
     0 at every lag, also where rounding leaves its centred copy nonzero.
 
-    The block is processed in slabs of _ACF_SLAB_ROWS rows, so no temporary
-    spans the whole block. Each flow is centred once on its mean, which
+    The block is processed in slabs of at most _ACF_SLAB_ROWS rows whose
+    (rows, n_fft) arrays take at most _ACF_SLAB_BYTES (but at least one
+    row), so the temporaries do not grow with the number of flows: 32 rows
+    at the benchmark's 806-step blocks, 8 at the paper's Abilene length.
+    Each row's transforms and sums are its own, so the features do not
+    depend on the slab size. Each flow is centred once on its mean, which
     leaves every correlation unchanged. For lag l and overlap n = T - l,
     the cross term sum(x[t+l] * x[t]) of every lag comes from one
     rfft/irfft autocorrelation (|F|^2 with n_fft >= 2T - 1, so nothing
@@ -244,21 +281,24 @@ def _acf_block(values: np.ndarray, lags: np.ndarray) -> tuple[np.ndarray, np.nda
     n = t - lags
     n_fft = 1 << (2 * t - 2).bit_length()  # a power of two >= 2T - 1
     lagged = lags != 0
-    for start in range(0, m, _ACF_SLAB_ROWS):
-        rows = slice(start, start + _ACF_SLAB_ROWS)
+    slab_rows = max(1, min(_ACF_SLAB_ROWS, _ACF_SLAB_BYTES // (8 * n_fft)))
+    for start in range(0, m, slab_rows):
+        rows = slice(start, start + slab_rows)
         x = values[rows] - values[rows].mean(axis=1, keepdims=True)
-        spectrum = np.fft.rfft(x, n=n_fft)
-        cross = np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, n=n_fft)[:, lags]
+        cross = _lag_products(x, n_fft, lags)
         sq = x * x
-        head, head_sq = np.cumsum(x, axis=1), np.cumsum(sq, axis=1)
-        tail, tail_sq = np.cumsum(x[:, ::-1], axis=1), np.cumsum(sq[:, ::-1], axis=1)
-        sum_b, sq_b = head[:, n - 1], head_sq[:, n - 1]  # segment [0, n)
-        sum_a, sq_a = tail[:, n - 1], tail_sq[:, n - 1]  # segment [l, T)
+        # each prefix sum in turn in one buffer, read where the segments end
+        part = np.empty_like(x)
+        sum_b = np.cumsum(x, axis=1, out=part)[:, n - 1]  # segment [0, n)
+        sq_b = np.cumsum(sq, axis=1, out=part)[:, n - 1]
+        energy = part[:, t - 1 :].copy()  # sum of x^2
+        sum_a = np.cumsum(x[:, ::-1], axis=1, out=part)[:, n - 1]  # segment [l, T)
+        sq_a = np.cumsum(sq[:, ::-1], axis=1, out=part)[:, n - 1]
         var_a = sq_a - sum_a * sum_a / n
         var_b = sq_b - sum_b * sum_b / n
         denom = np.sqrt(np.maximum(var_a * var_b, 0.0))
         shaky = ((var_a <= _ACF_TAU * sq_a) | (var_b <= _ACF_TAU * sq_b)
-                 | (denom <= _ACF_TAU * head_sq[:, -1:]) | (denom <= _ZERO_VAR_EPS / _ACF_TAU))
+                 | (denom <= _ACF_TAU * energy) | (denom <= _ZERO_VAR_EPS / _ACF_TAU))
         slab = np.divide(cross - sum_a * sum_b / n, denom,
                          out=np.zeros_like(denom), where=~shaky)
         np.clip(slab, -1.0, 1.0, out=slab)
@@ -270,6 +310,17 @@ def _acf_block(values: np.ndarray, lags: np.ndarray) -> tuple[np.ndarray, np.nda
     rho[:, ~lagged] = 1.0
     rho[degenerate] = 0.0
     return rho, degenerate
+
+
+def _lag_products(x: np.ndarray, n_fft: int, lags: np.ndarray) -> np.ndarray:
+    """sum(x[t + l] * x[t]) over t for each row of x and lag l, read from one
+    rfft/irfft autocorrelation; the spectrum is freed before the inverse
+    transform allocates its output."""
+    spectrum = np.fft.rfft(x, n=n_fft)
+    power = spectrum.real ** 2
+    power += spectrum.imag ** 2
+    del spectrum
+    return np.fft.irfft(power, n=n_fft)[:, lags]
 
 
 def _acf_at_lag(values: np.ndarray, lag: int) -> np.ndarray:
@@ -334,6 +385,8 @@ def pairwise_dissimilarity(reps: ReprMatrix, metric: str | None = None) -> Dissi
     JSD is only defined for histogram pmfs; ACF and PSD vectors use
     Euclidean distance. Only the upper triangle is computed and mirrored,
     so symmetry is exact. Its rows split in pairs (see _upper_triangle).
+    The matrix is the anonymous mapping the shares fill, mirrored in place
+    (_mirror_upper), so it is the only M x M array the call allocates.
     """
     if metric is None:
         metric = DEFAULT_METRIC[reps.kind]
@@ -359,8 +412,7 @@ def pairwise_dissimilarity(reps: ReprMatrix, metric: str | None = None) -> Dissi
         pair_seconds = _JSD_SECONDS_PER_VALUE * f
     else:
         raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
-    d = _upper_triangle(row, m, f, pair_seconds)
-    d = d + d.T
+    d = _mirror_upper(_upper_triangle(row, m, f, pair_seconds))
     if metric == "jsd":
         np.clip(d, 0.0, 1.0, out=d)
     return DissimilarityMatrix(d=d, metric=metric)
@@ -385,6 +437,23 @@ def _upper_triangle(row, m: int, f: int, pair_seconds: float) -> np.ndarray:
                 d[i, i + 1 :] = row(i, a[: m - i - 1], b[: m - i - 1])
 
     parallel.split(fill, m // 2, pair_seconds * m * (m - 1) / 2)
+    return d
+
+
+def _mirror_upper(d: np.ndarray) -> np.ndarray:
+    """d + d.T in place, for a matrix that is zero below its diagonal, a
+    block of _MIRROR_ROWS rows at a time: the block's columns below it get
+    its rows right of it plus their zeros (x + 0, so -0 becomes +0 as in
+    d + d.T), which the rows then copy back, and the block on the diagonal
+    is added to its transpose, which numpy reads from a copy because the
+    two overlap."""
+    m = len(d)
+    for lo in range(0, m, _MIRROR_ROWS):
+        hi = min(lo + _MIRROR_ROWS, m)
+        diag = d[lo:hi, lo:hi]
+        np.add(diag, diag.T, out=diag)
+        np.add(d[lo:hi, hi:].T, d[hi:, lo:hi], out=d[hi:, lo:hi])
+        d[lo:hi, hi:] = d[hi:, lo:hi].T
     return d
 
 

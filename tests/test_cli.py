@@ -15,6 +15,8 @@ from tmcf.errors import ConfigError
 from tmcf.pipeline import CHOICES, RunConfig, compare
 from tmcf.represent import ReprMatrix, pairwise_dissimilarity
 
+from test_cluster import DEFECTS, defective_matrix
+
 TRAIN_FLAGS = ["--epochs", "2", "--profile", "desk"]
 
 
@@ -341,6 +343,18 @@ def test_cluster_on_an_unreadable_matrix_is_a_data_error(tmp_path, capsys, name,
     assert not os.path.exists(tmp_path / "cluster")
 
 
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_cluster_rejects_a_defect_past_the_first_block(tmp_path, capsys, defect):
+    path = tmp_path / "matrix.npy"
+    np.save(path, defective_matrix(defect))
+    assert main([
+        "cluster", "--method", "hac", "--dissimilarity", str(path), "--linkage", "average",
+        "--k", "2", "--out-dir", str(tmp_path / "cluster"),
+    ]) == EXIT_DATA
+    assert DEFECTS[defect] in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "cluster")
+
+
 def write_config(tmp_path, **keys) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(keys))
@@ -477,7 +491,8 @@ def test_config_backed_steps_reproduce_a_run(tmp_path):
 
 def without_times_and_out_dir(manifest: dict) -> dict:
     for entry in manifest["stages"].values():
-        del entry["wall_time_seconds"]
+        for key in ("wall_time_seconds", "peak_rss_mib", "children_peak_rss_mib"):
+            del entry[key]
     del manifest["config"]["out_dir"]
     return manifest
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmcf import cluster
 from tmcf.cluster import LINKAGES, Partition, _validate_dissimilarity, cut, hac, naive_partition
 from tmcf.errors import ValidationError
 from tmcf.evaluate import ari
@@ -129,6 +130,60 @@ class TestHacHandCases:
         d = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(ValidationError):
             hac(d, "average")
+
+
+def defective_matrix(defect):
+    """A valid 300-flow matrix with one defect placed past the validator's
+    first row block."""
+    d = random_dissimilarity(np.random.default_rng(7), 300)
+    if defect == "nan":
+        d[299, 0] = np.nan
+    elif defect == "asymmetric":
+        d[250, 3] += 1e-9
+    elif defect == "negative":
+        d[260, 270] = d[270, 260] = -0.5
+    else:
+        d[299, 299] = 0.1
+    return d
+
+
+# the messages the validator gave when it checked the whole matrix at once
+DEFECTS = {
+    "nan": "dissimilarity matrix contains NaN or Inf",
+    "asymmetric": "dissimilarity matrix is not symmetric within 1e-12",
+    "negative": "dissimilarity matrix contains negative entries",
+    "diagonal": "dissimilarity matrix has a nonzero diagonal",
+}
+
+
+class TestBlockwiseValidation:
+    def test_the_defects_lie_past_the_first_block(self):
+        assert cluster._block_rows(300) < 250
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_each_defect_past_the_first_block_raises_its_message(self, defect, overwrite):
+        d = defective_matrix(defect)
+        with pytest.raises(ValidationError) as exc:
+            hac(d, "average", overwrite=overwrite)
+        assert str(exc.value) == DEFECTS[defect]
+
+    def test_the_first_failing_condition_is_reported(self):
+        # a negative pair in the first block, a NaN in the last: NaN is checked first
+        d = defective_matrix("nan")
+        d[1, 2] = d[2, 1] = -1.0
+        with pytest.raises(ValidationError, match="NaN or Inf"):
+            _validate_dissimilarity(d)
+
+    @pytest.mark.parametrize("linkage", LINKAGES)
+    def test_hac_leaves_the_callers_matrix_bit_unchanged(self, linkage):
+        d = random_dissimilarity(np.random.default_rng(3), 300)
+        before = d.tobytes()
+        want = hac(d, linkage)
+        assert d.tobytes() == before
+        # overwrite agglomerates in d itself, with the same merges
+        assert hac(d, linkage, overwrite=True).merges == want.merges
+        assert d.tobytes() != before
 
 
 def random_dissimilarity(rng, m, integral=False):

@@ -9,6 +9,7 @@ import hashlib
 import json
 import os
 import shutil
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -54,10 +55,14 @@ def crash(*args, **kwargs):
     raise RuntimeError("crash")
 
 
+# what a manifest records about one run's process rather than its outputs
+RUN_MEASURES = ("wall_time_seconds", "peak_rss_mib", "children_peak_rss_mib")
+
+
 def without_wall_times(obj):
     if isinstance(obj, dict):
         return {key: without_wall_times(value) for key, value in obj.items()
-                if key not in ("wall_time_seconds", "reused")}
+                if key not in (*RUN_MEASURES, "reused")}
     if isinstance(obj, list):
         return [without_wall_times(value) for value in obj]
     return obj
@@ -85,6 +90,48 @@ def permute_flows_in_place(path, perm):
         TmSeries(tm.n_nodes, tm.interval_seconds, flat.reshape(tm.values.shape), tm.timestamps),
         path,
     )
+
+
+def test_each_stage_records_the_peak_rss_so_far(trace, tmp_path):
+    stages = manifest(run_pipeline(config(trace, tmp_path / "run")))["stages"]
+    peaks = [stages[name]["peak_rss_mib"] for name in ("ingest", "cluster", "train", "evaluate")]
+    assert peaks == sorted(peaks) and peaks[0] > 0
+    # training forked no child here, but earlier tests may have
+    assert all(entry["children_peak_rss_mib"] >= 0 for entry in stages.values())
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak of the memory that tracemalloc traces during the call)"""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_prepare_allocates_one_flow_matrix_beside_the_trace(monkeypatch):
+    """Given the parsed trace, prepare's flows are a view of it and normalize
+    writes the one (M, T) matrix, so the call peaks at that matrix plus 256
+    KiB (numpy's iteration buffers, which read the transposed flows, and the
+    flows' statistics)."""
+    tm = TmSeries(12, 300, np.random.default_rng(0).random((2000, 12, 12)) * 1e6)
+    monkeypatch.setattr(pipeline, "load_tm_series", lambda *args, **kwargs: tm)
+    (_, flows_norm, _, _), peak = traced_peak(pipeline.prepare, RunConfig(trace="parsed"))
+    assert flows_norm.values.flags.c_contiguous
+    assert flows_norm.values.nbytes == tm.values.nbytes
+    assert peak <= tm.values.nbytes + 256 * 1024
+
+
+def test_cluster_features_adds_no_matrix_beside_the_dissimilarities(monkeypatch):
+    """The dissimilarity matrix lives in an anonymous mapping, which
+    tracemalloc does not see; mirroring it, checking it and agglomerating it
+    in place trace less than half of another M x M matrix."""
+    usable_cpus(monkeypatch, 1)
+    feats = ReprMatrix(np.random.default_rng(0).random((600, 8)), "acf")
+    dendro, peak = traced_peak(pipeline.cluster_features, feats, None, None)
+    assert dendro.n_leaves == 600
+    assert peak < 600 * 600 * 8 / 2
 
 
 def test_fresh_run_records_trace_hash_not_copy(trace, tmp_path):

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from tmcf.predict import (
     _Scratch,
     _Stack,
     _sq_errors_and_grads,
-    _time_major,
     cluster_seed,
     gru_forward,
     init_model,
@@ -115,6 +115,14 @@ class TestForward:
             gru_forward(model, bad)
 
 
+def time_major(batches):
+    """(T, B, d + 1) copies of (B, T, d) batches, the last column ones: the
+    inputs of _forward as tmcf.predict copied them before it read them as
+    step views of one array of rows."""
+    return [np.concatenate([x.transpose(1, 0, 2), np.ones((x.shape[1], x.shape[0], 1))], axis=2)
+            for x in batches]
+
+
 def stacked_loss_and_grads(models, batches, targets):
     """Sum over the models of each one's MSE, and its gradient as a flat
     vector in the stack layout, from the stacked core."""
@@ -125,10 +133,96 @@ def stacked_loss_and_grads(models, batches, targets):
 
     def loss_at(values):
         sq = _sq_errors_and_grads(stack.views(values), stack.views(grads),
-                                  _time_major(batches, scratch), targets, scratch)
+                                  time_major(batches), targets, scratch)
         return float(np.sum(sq / [y.size for y in targets]))
 
     return stack, flat, grads, loss_at
+
+
+def forward_on_copies(model, windows):
+    """gru_forward as it was computed before it read step views: each chunk
+    of windows copied time-major (time_major), then run through _forward."""
+    stack = _Stack([model.input_size], model.hidden_size)
+    v = stack.views(stack.pack([model.params]))
+    chunk = predict._workspace_fit(2, windows.shape[1], model.hidden_size)
+    scratch = _Scratch()
+    return np.concatenate([
+        predict._readout(v, predict._forward(v, time_major([windows[lo : lo + chunk]]),
+                                             scratch)[0], 0)
+        for lo in range(0, len(windows), chunk)])
+
+
+class TestStepViews:
+    """Validation and prediction read their windows as step views of one
+    array of rows where they once copied them time-major; both must give
+    the copies' numbers byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def chunks_of_five(self, monkeypatch):
+        # prediction chunks of 5 windows of 10 steps at hidden size 6, so
+        # that every case spans several chunks
+        monkeypatch.setattr(predict, "_WORKSPACE_FLOATS", 2 * 81 * 6 * 5)
+
+    @staticmethod
+    def model(d, seed=4):
+        return init_model(GruConfig(input_size=d, hidden_size=6, seed=seed))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_windows_of_one_series(self, order):
+        # predict_tm passes the windows of a Fortran-ordered series
+        series = np.asarray(np.random.default_rng(1).normal(size=(40, 3)), order=order)
+        windows = make_windows(series, 11).inputs
+        want = forward_on_copies(self.model(3), windows)
+        assert gru_forward(self.model(3), windows).tobytes() == want.tobytes()
+        one = forward_on_copies(self.model(3), windows[7][None])[0]
+        assert gru_forward(self.model(3), windows[7]).tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("layout", ["C", "steps_apart"])
+    def test_windows_of_no_one_series(self, layout):
+        batch = np.random.default_rng(2).normal(size=(23, 10, 3))
+        if layout == "steps_apart":
+            batch = np.ascontiguousarray(batch.transpose(0, 2, 1)).transpose(0, 2, 1)
+        want = forward_on_copies(self.model(3), batch)
+        assert gru_forward(self.model(3), batch).tobytes() == want.tobytes()
+
+    def test_validation_losses_of_a_stack(self):
+        rng = np.random.default_rng(3)
+        sets = [make_windows(np.asfortranarray(rng.normal(size=(30, d))), 11) for d in (2, 3)]
+        models = [self.model(2, seed=5), self.model(3, seed=6)]
+        stack = _Stack([2, 3], 6)
+        v = stack.views(stack.pack([m.params for m in models]))
+        got = predict._dataset_mse(v, sets, [predict._rows_with_ones(ds.inputs) for ds in sets],
+                                   4, _Scratch())
+        want, scratch = np.zeros(2), _Scratch()
+        for lo in range(0, 20, 4):
+            state, _ = predict._forward(v, time_major([ds.inputs[lo : lo + 4] for ds in sets]),
+                                        scratch)
+            for i, ds in enumerate(sets):
+                err = predict._readout(v, state, i) - ds.targets[lo : lo + 4]
+                want[i] += np.vdot(err, err)
+        want /= [ds.targets.size for ds in sets]
+        assert got.tobytes() == want.tobytes()
+
+
+def test_prediction_scratch_does_not_grow_with_the_windows():
+    """gru_forward's traced peak, less its result and its one array of input
+    rows (with that array's finiteness mask), is the same for 500 and 16,000
+    windows of 50 steps, and under a quarter of the workspace: a forward
+    pass with no backward pass after it caches (3T + 6) / (8T + 1) of the
+    half workspace that prediction's chunks are cut to."""
+    model = init_model(GruConfig(input_size=8, hidden_size=2, seed=0))
+    scratch = {}
+    for n in (500, 16000):
+        series = np.asfortranarray(np.random.default_rng(0).normal(size=(n + 50, 8)))
+        windows = make_windows(series, 51).inputs
+        tracemalloc.start()
+        pred = gru_forward(model, windows)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        rows = (n + 49) * 9  # floats of the windows' rows, each with a trailing 1
+        scratch[n] = peak - pred.nbytes - rows * 9
+    assert scratch[16000] <= scratch[500] + 16 * 1024
+    assert scratch[16000] <= 8 * predict._WORKSPACE_FLOATS // 4
 
 
 class TestGradients:
