@@ -248,6 +248,9 @@ class TestWindows:
         expected = np.stack([series[s : s + 6] for s in range(30 - 7 + 1)], axis=0)
         assert np.array_equal(ds.inputs, expected)
         assert np.array_equal(ds.targets, series[6:])
+        # the targets are a read-only view too
+        assert np.shares_memory(ds.targets, series)
+        assert not ds.targets.flags.writeable
 
     def test_exact_length_gives_one_sample(self):
         ds = make_windows(np.arange(4.0), 4)
