@@ -141,8 +141,8 @@ def cmd_represent(args) -> int:
     if config.representation == "naive":
         raise ConfigError("the naive baseline has no features; draw its partition "
                           "with tmcf cluster --method naive")
-    tm, flows_norm, _, ranges = prepare(config)
-    feats = represent(config, tm, flows_norm, ranges)
+    flows_norm, _, _, ranges = prepare(config)
+    feats = represent(config, flows_norm, ranges)
     os.makedirs(args.out_dir, exist_ok=True)
     written = write_features(feats, config.metric, args.out_dir)
     print(f"wrote {', '.join(written)} to {args.out_dir}")
@@ -178,7 +178,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_train(args) -> int:
     config = _checked(_build_run_config(args))
-    _, flows_norm, _, ranges = prepare(config)
+    flows_norm, _, _, ranges = prepare(config)
     part = load_partition(args.partition)
     train_models(config, flows_norm, ranges, part, model_dir=args.out_dir)
     print(f"trained {part.k} model(s); wrote models and train_report.json to {args.out_dir}")
@@ -187,10 +187,10 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _checked(_build_run_config(args))
-    tm, flows_norm, scale, ranges = prepare(config)
+    flows_norm, truth_bytes, scale, ranges = prepare(config)
     part = load_partition(args.partition)
     models = load_models(args.models, part)
-    report, _ = score(config, tm, flows_norm, scale, ranges, part, models)
+    report, _ = score(config, flows_norm, truth_bytes, scale, ranges, part, models)
     os.makedirs(args.out_dir, exist_ok=True)
     write_report(report, args.out_dir)
     print(f"rmse_normalized={report.rmse_normalized!r} "

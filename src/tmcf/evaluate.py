@@ -7,8 +7,10 @@ reads.
 Scalar RMSE pools the squared errors of every test sample and matrix entry
 (matching the single-sum definition), so it is NOT the mean of per-flow
 RMSEs. Physical RMSE converts byte-per-interval errors to Mbps before
-squaring. Partition agreement uses the adjusted Rand index and mutual
-information normalized by the arithmetic mean of the label entropies.
+squaring; it also takes normalized predictions with their scale, which it
+converts to bytes a row chunk at a time. Partition agreement uses the
+adjusted Rand index and mutual information normalized by the arithmetic mean
+of the label entropies.
 """
 
 from __future__ import annotations
@@ -18,15 +20,18 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .dataset import ScaleParams
 from .errors import ValidationError
+from .predict import predictions_in_bytes
 
 if TYPE_CHECKING:
     from .cluster import Partition
 
 BYTES_TO_MEGABITS = 8.0 / 1e6
 
-# Values per chunk when the predictions are scaled for the physical RMSE, so
-# that their scaled copy is 64 KiB at a time, not one more full array
+# Values per chunk, in whole rows, when the predictions are converted and
+# scaled for the physical RMSE, so that their copies are about 64 KiB at a
+# time, not one more full array
 _SCALE_CHUNK = 1 << 13
 
 # Kneedle's S: how far (in mean x steps) the difference curve must fall
@@ -99,22 +104,30 @@ class EvalReport:
         return asdict(self)
 
 
-def _squared_errors(truth, pred, factor: float | None = None) -> np.ndarray:
+def _squared_errors(truth, pred, factor: float | None = None, scale: ScaleParams | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """(truth - pred)^2, or with a factor (truth * factor - pred * factor)^2,
-    in one new C-ordered array; pred * factor is computed in chunks of
-    _SCALE_CHUNK values."""
+    in out (reshaped to pred's shape; default one new C-ordered array).
+    Given a scale, pred holds normalized predictions, which enter as
+    predictions_in_bytes(pred, scale). With a factor, pred is converted and
+    scaled a chunk of rows (along the first axis), about _SCALE_CHUNK
+    values, at a time."""
     t = np.asarray(truth, dtype=np.float64)
     p = np.asarray(pred, dtype=np.float64)
     if t.shape != p.shape:
         raise ValidationError(f"shape mismatch: truth {t.shape} vs pred {p.shape}")
-    sq = np.empty(p.shape)
+    sq = np.empty(p.shape) if out is None else out.reshape(p.shape)
     if factor is None:
         np.subtract(t, p, out=sq)
     else:
         np.multiply(t, factor, out=sq)
-        flat, p = sq.reshape(-1), p.reshape(-1)
-        for lo in range(0, flat.size, _SCALE_CHUNK):
-            flat[lo : lo + _SCALE_CHUNK] -= p[lo : lo + _SCALE_CHUNK] * factor
+        rows, p = sq.reshape(len(sq), -1), p.reshape(len(p), -1)
+        step = max(1, _SCALE_CHUNK // max(1, rows.shape[1]))
+        for lo in range(0, len(rows), step):
+            chunk = p[lo : lo + step]
+            if scale is not None:
+                chunk = predictions_in_bytes(chunk, scale)
+            rows[lo : lo + step] -= chunk * factor
     sq *= sq
     return sq
 
@@ -124,13 +137,17 @@ def rmse(truth, pred) -> float:
     return float(np.sqrt(np.mean(_squared_errors(truth, pred))))
 
 
-def rmse_physical(truth, pred, interval_seconds: int) -> float:
+def rmse_physical(truth, pred, interval_seconds: int, scale: ScaleParams | None = None,
+                  out: np.ndarray | None = None) -> float:
     """RMSE in Mbps of byte-per-interval traffic: errors are converted via
-    bytes * 8 / (interval_seconds * 1e6) before squaring."""
+    bytes * 8 / (interval_seconds * 1e6) before squaring. pred is in bytes
+    per interval or, given scale, holds normalized (samples, M) predictions,
+    converted by predictions_in_bytes a row chunk at a time. The squared
+    errors go to out when given, an array of pred's size."""
     if interval_seconds < 1:
         raise ValidationError(f"interval_seconds must be positive, got {interval_seconds}")
     factor = BYTES_TO_MEGABITS / interval_seconds
-    return float(np.sqrt(np.mean(_squared_errors(truth, pred, factor))))
+    return float(np.sqrt(np.mean(_squared_errors(truth, pred, factor, scale, out))))
 
 
 def per_flow_rmse(truth: np.ndarray, pred: np.ndarray) -> np.ndarray:
@@ -139,12 +156,13 @@ def per_flow_rmse(truth: np.ndarray, pred: np.ndarray) -> np.ndarray:
     return rmse_by_flow(truth, pred)[1]
 
 
-def rmse_by_flow(truth: np.ndarray, pred: np.ndarray) -> tuple[float, np.ndarray]:
+def rmse_by_flow(truth: np.ndarray, pred: np.ndarray,
+                 out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """(rmse, per_flow_rmse) of (samples, M) matrices, from one array of
-    squared errors."""
+    squared errors: out when given, an array of pred's size."""
     if np.shape(truth) != np.shape(pred) or np.ndim(truth) != 2:
         raise ValidationError("per-flow RMSE needs matching (samples, M) matrices")
-    sq = _squared_errors(truth, pred)
+    sq = _squared_errors(truth, pred, out=out)
     return float(np.sqrt(np.mean(sq))), np.sqrt(np.mean(sq, axis=0))
 
 

@@ -5,6 +5,17 @@ train and evaluate) calls the same steps, so all compute the same numbers
 from the same prepared trace: prepare (load, split, extract, fit scale,
 normalize), represent, train_models, score and write_report.
 
+prepare returns the normalized (M, T) flows, a copy of the raw values at
+the scored steps (the test windows' targets, which only the physical RMSE
+reads), the scale and the split, and releases the parsed trace. So from
+ingest on, the calling process and every forked training share hold one
+trace-sized matrix, the flows, for every K of a sweep too. Beside it, each
+stage holds what it makes: clustering the features and one M x M
+dissimilarity matrix, which HAC agglomerates in place; training, in each
+share, a copy of its clusters' flows up to the end of the validation range
+and their windows' rows; scoring pred_norm and one (samples, M) working
+array, the squared errors of both RMSEs.
+
 A run directory holds, by stage:
 
 - ingest: scale.json
@@ -70,7 +81,7 @@ from .dataset import (
     MISSING_POLICIES,
     TRACE_FORMATS,
     FlowSet,
-    TmSeries,
+    ScaleParams,
     extract_flows,
     fit_scale_params,
     load_tm_series,
@@ -90,7 +101,7 @@ from .evaluate import (
     rmse_physical,
 )
 from .evaluate import ari as ari_score
-from .predict import PROFILES, GruConfig, load_model, predict_tm, save_model, train_partitioned
+from .predict import PROFILES, GruConfig, load_model, predict_flows, save_model, train_partitioned
 
 METHODS = (*represent_mod.REPRESENTATIONS, "naive")
 
@@ -472,8 +483,12 @@ def write_sweep_csv(curve: SweepCurve, path: str) -> None:
 
 
 def prepare(config: RunConfig):
-    """Load, split, extract and normalize; returns (tm, flows_norm, scale, ranges).
-    Scale parameters are fit on the training and validation regions only."""
+    """Load, split, extract and normalize; returns (flows_norm, truth_bytes,
+    scale, ranges). Scale parameters are fit on the training and validation
+    regions only. truth_bytes is a (samples, M) copy of the trace at the
+    scored steps, the targets of the test windows, which only the physical
+    RMSE reads. The parsed trace is released on return, so the flows and
+    truth_bytes are all a run keeps of it."""
     tm = load_tm_series(
         config.trace,
         format=config.format,
@@ -484,14 +499,15 @@ def prepare(config: RunConfig):
     flows = extract_flows(tm)
     scale = fit_scale_params(flows, (0, ranges.val[1]))
     flows_norm = normalize(flows, scale)
-    return tm, flows_norm, scale, ranges
+    first, stop = ranges.test[0] + config.window_length - 1, ranges.test[1]
+    truth_bytes = tm.values[first:stop].reshape(stop - first, tm.n_flows).copy()
+    return flows_norm, truth_bytes, scale, ranges
 
 
-def represent(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, ranges):
+def represent(config: RunConfig, flows_norm: FlowSet, ranges):
     """Features of the training block, a ReprMatrix."""
-    train_block = flows_norm.values[:, : ranges.val[1]]
     return represent_mod.build_features(
-        FlowSet(tm.n_nodes, tm.interval_seconds, train_block),
+        replace(flows_norm, values=flows_norm.values[:, : ranges.val[1]]),
         config.representation,
         bins=config.bins,
         lags=config.lags,
@@ -506,12 +522,12 @@ def _check_k(k, m: int) -> None:
         raise ConfigError(f"k must lie in [1, {m}], got {k}")
 
 
-def build_dendrogram(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, ranges):
+def build_dendrogram(config: RunConfig, flows_norm: FlowSet, ranges):
     """Represent the training block and build its HAC dendrogram; returns
     (dendro, feats), both None for the naive baseline."""
     if config.representation == "naive":
         return None, None
-    feats = represent(config, tm, flows_norm, ranges)
+    feats = represent(config, flows_norm, ranges)
     return cluster_features(feats, config.metric, config.linkage), feats
 
 
@@ -566,21 +582,19 @@ def load_models(model_dir: str, part: Partition) -> dict:
     return models
 
 
-def score(config: RunConfig, tm: TmSeries, flows_norm: FlowSet, scale, ranges,
-          part: Partition, models: dict) -> tuple[EvalReport, np.ndarray]:
+def score(config: RunConfig, flows_norm: FlowSet, truth_bytes: np.ndarray, scale: ScaleParams,
+          ranges, part: Partition, models: dict) -> tuple[EvalReport, np.ndarray]:
     """Predict the test region and score it; returns the report and the
-    normalized predictions, the one array that predictions.npz keeps."""
-    pred_norm, tm_pred = predict_tm(
-        models, part, flows_norm.values, ranges.test, config.window_length,
-        scale, tm.n_nodes, tm.interval_seconds,
-    )
-    # the test windows' targets, views: build_eval_report copies neither
-    first, stop = ranges.test[0] + config.window_length - 1, ranges.test[1]
-    truth_norm = flows_norm.values[:, first:stop].T
-    truth_bytes = tm.values[first:stop]
-    report = build_eval_report(config, part, truth_norm, pred_norm, truth_bytes,
-                               tm_pred.values, tm.interval_seconds,
-                               train_block_len=ranges.val[1])
+    normalized predictions, the one array that predictions.npz keeps.
+    Besides them scoring holds one working array: the physical RMSE
+    converts pred_norm to bytes a row chunk at a time."""
+    pred_norm = predict_flows(models, part, flows_norm.values, ranges.test, config.window_length)
+    # the test windows' targets, a view that build_eval_report does not copy
+    first = ranges.test[0] + config.window_length - 1
+    truth_norm = flows_norm.values[:, first : ranges.test[1]].T
+    report = build_eval_report(config, part, truth_norm, pred_norm, truth_bytes, None,
+                               flows_norm.interval_seconds, train_block_len=ranges.val[1],
+                               scale=scale)
     return report, pred_norm
 
 
@@ -628,17 +642,17 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
 
     # --- ingest + extract + normalize -------------------------------------
     t0 = time.perf_counter()
-    tm, flows_norm, scale, ranges = prepare(config)
-    _check_k(config.k, tm.n_flows)
+    flows_norm, truth_bytes, scale, ranges = prepare(config)
+    _check_k(config.k, flows_norm.n_flows)
     manifest.remove_artifacts(previous.get(name, {}) for name in hashes if not reuse[name])
     os.makedirs(model_dir, exist_ok=True)
     if warnings:
         manifest.data["warnings"] = warnings
     dump_json(
         {
-            "n_nodes": tm.n_nodes,
-            "n_steps": tm.n_steps,
-            "interval_seconds": tm.interval_seconds,
+            "n_nodes": flows_norm.n_nodes,
+            "n_steps": flows_norm.n_steps,
+            "interval_seconds": flows_norm.interval_seconds,
             "splits": ranges.as_dict(),
             "normalize": "per_flow",
             "scale_min": [float(v) for v in scale.per_flow_min],
@@ -657,8 +671,9 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
         part = load_partition(os.path.join(run_dir, "partition.json"))
         manifest.reuse("cluster", previous["cluster"])
     else:
-        dendro, feats = build_dendrogram(config, tm, flows_norm, ranges)
-        part = make_partition(dendro, tm.n_flows, config.k, config.seed, config.representation)
+        dendro, feats = build_dendrogram(config, flows_norm, ranges)
+        part = make_partition(dendro, flows_norm.n_flows, config.k, config.seed,
+                              config.representation)
         cluster_artifacts = write_partition(part, dendro, run_dir)
         if feats is not None:
             cluster_artifacts += write_features(feats, config.metric, run_dir)
@@ -679,7 +694,7 @@ def run_pipeline(config: RunConfig, resume: bool = False) -> str:
 
     # --- predict + evaluate ---------------------------------------------------
     t0 = time.perf_counter()
-    report, pred_norm = score(config, tm, flows_norm, scale, ranges, part, models)
+    report, pred_norm = score(config, flows_norm, truth_bytes, scale, ranges, part, models)
     np.savez(os.path.join(run_dir, "predictions.npz"), pred_norm=pred_norm)
     write_report(report, run_dir)
     manifest.record("evaluate", hashes["evaluate"], time.perf_counter() - t0,
@@ -693,11 +708,17 @@ def build_eval_report(
     truth_norm: np.ndarray,
     pred_norm: np.ndarray,
     truth_bytes: np.ndarray,
-    pred_bytes: np.ndarray,
+    pred_bytes: np.ndarray | None,
     interval_seconds: int,
     train_block_len: int | None = None,
+    scale: ScaleParams | None = None,
 ) -> EvalReport:
-    rmse_normalized, flow_errors = rmse_by_flow(truth_norm, pred_norm)
+    """The report of (samples, M) predictions against their truths. The
+    physical RMSE reads pred_bytes or, when they are None, pred_norm through
+    scale, a row chunk at a time (score's way, which holds no predictions
+    in bytes). Both RMSE passes square their errors into one array."""
+    sq = np.empty(np.shape(pred_norm))
+    rmse_normalized, flow_errors = rmse_by_flow(truth_norm, pred_norm, out=sq)
     metadata = {
         "normalize": "per_flow",
         "scale_fit": "training_region_only",
@@ -709,11 +730,11 @@ def build_eval_report(
             train_block_len or truth_norm.shape[0], config.segment_length
         )
         metadata["normalize_power"] = config.normalize_power
-    physical = (
-        rmse_physical(truth_bytes, pred_bytes, interval_seconds)
-        if config.units == "bytes_per_interval"
-        else float("nan")
-    )
+    physical = float("nan")
+    if config.units == "bytes_per_interval":
+        physical = (rmse_physical(truth_bytes, pred_norm, interval_seconds, scale, out=sq)
+                    if pred_bytes is None
+                    else rmse_physical(truth_bytes, pred_bytes, interval_seconds, out=sq))
     return EvalReport(
         rmse_normalized=rmse_normalized,
         rmse_physical_mbps=physical,
@@ -734,12 +755,12 @@ def sweep(config: RunConfig) -> tuple[SweepCurve, dict]:
     require_valid(config)
     if not config.k_grid:
         raise ConfigError("sweep requires k_grid")
-    tm, flows_norm, scale, ranges = prepare(config)
+    flows_norm, truth_bytes, scale, ranges = prepare(config)
     k_grid = sorted(set(int(k) for k in config.k_grid))
     for k in k_grid:
-        _check_k(k, tm.n_flows)
+        _check_k(k, flows_norm.n_flows)
     # the dendrogram (None for naive) is cut at every K below
-    dendro, _ = build_dendrogram(config, tm, flows_norm, ranges)
+    dendro, _ = build_dendrogram(config, flows_norm, ranges)
 
     mean_rmse, rmse_std, mean_runtime = [], [], []
     for k in k_grid:
@@ -748,9 +769,10 @@ def sweep(config: RunConfig) -> tuple[SweepCurve, dict]:
         for rep in range(config.repetitions):
             t0 = time.perf_counter()
             rep_cfg = replace(config, k=k, seed=config.seed + rep)
-            part = make_partition(dendro, tm.n_flows, k, rep_cfg.seed, config.representation)
+            part = make_partition(dendro, flows_norm.n_flows, k, rep_cfg.seed,
+                                  config.representation)
             models = train_models(rep_cfg, flows_norm, ranges, part)
-            report, _ = score(rep_cfg, tm, flows_norm, scale, ranges, part, models)
+            report, _ = score(rep_cfg, flows_norm, truth_bytes, scale, ranges, part, models)
             vals.append(report.rmse_normalized)
             times.append(time.perf_counter() - t0)
         arr = np.asarray(vals)
@@ -772,18 +794,18 @@ def compare(config: RunConfig, out_dir: str) -> dict:
     """Cross-method comparison at matched K: pairwise ARI/NMI, per-flow error
     correlations, and cluster-size statistics, written as three CSVs."""
     require_valid(config)
-    tm, flows_norm, scale, ranges = prepare(config)
-    _check_k(config.k, tm.n_flows)
+    flows_norm, truth_bytes, scale, ranges = prepare(config)
+    _check_k(config.k, flows_norm.n_flows)
     os.makedirs(out_dir, exist_ok=True)
 
     partitions: dict[str, Partition] = {}
     flow_errs: dict[str, list[float]] = {}
     for method in METHODS:
         mcfg = replace(config, representation=method, metric=None, linkage=None)
-        dendro, _ = build_dendrogram(mcfg, tm, flows_norm, ranges)
-        part = make_partition(dendro, tm.n_flows, config.k, config.seed, method)
+        dendro, _ = build_dendrogram(mcfg, flows_norm, ranges)
+        part = make_partition(dendro, flows_norm.n_flows, config.k, config.seed, method)
         models = train_models(mcfg, flows_norm, ranges, part)
-        report, _ = score(mcfg, tm, flows_norm, scale, ranges, part, models)
+        report, _ = score(mcfg, flows_norm, truth_bytes, scale, ranges, part, models)
         partitions[method] = part
         flow_errs[method] = report.per_flow_rmse
 

@@ -30,11 +30,12 @@ process, not once per child. Prediction runs in the calling process, every
 cluster through one set of reused buffers.
 
 Each dataset's windows are copied once, into an array of rows with a
-trailing 1 (_rows_with_ones), which holds a series once. Training gathers
-each batch from it; validation and prediction read it in place as
-time-major step views (_step_slabs), and their forward passes, which no
-backward pass follows, cache one step. So prediction's scratch does not
-grow with the number of test windows.
+trailing 1 (_rows_with_ones), which holds a series once; prediction gathers
+a cluster's test steps into that layout straight from the flow matrix.
+Training gathers each batch from it; validation and prediction read it in
+place as time-major step views (_step_slabs), and their forward passes,
+which no backward pass follows, cache one step. So prediction's scratch
+does not grow with the number of test windows.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ MODEL_FORMAT_VERSION = 1
 # R window rows of T steps for K models of hidden size h caches K*R*(8T+1)*h.
 # Each training share splits its clusters into as few groups as fit it, of
 # near-equal size. Validation passes run in batch-sized row chunks and
-# prediction in chunks of as many rows as half of it holds (_gru_forward);
+# prediction in chunks of as many rows as half of it holds (_predict_rows);
 # neither keeps the steps for a backward pass, so each caches K*R*(3T+6)*h,
 # 0.44 of that at window 11: prediction's 202-row chunks of the desk profile
 # cache 0.89 MiB, not 2.0. At the desk profile (window 11, batch 32) a group
@@ -440,12 +441,6 @@ def _dataset_mse(v: _Views, sets: list[WindowedDataset], rows: list[tuple[np.nda
 
 def gru_forward(model: GruModel, inputs: np.ndarray) -> np.ndarray:
     """One-step-ahead prediction for a (T, d) window or a (B, T, d) batch."""
-    return _gru_forward(model, inputs, _Scratch())
-
-
-def _gru_forward(model: GruModel, inputs: np.ndarray, scratch: _Scratch) -> np.ndarray:
-    """gru_forward through the buffers of scratch, which a caller predicting
-    with several models passes to each in turn."""
     x = np.asarray(inputs, dtype=np.float64)
     single = x.ndim == 2
     if single:
@@ -457,6 +452,17 @@ def _gru_forward(model: GruModel, inputs: np.ndarray, scratch: _Scratch) -> np.n
     if x.shape[1] < 1:
         raise ValidationError("input history must contain at least one observation")
     rows, stride = _rows_with_ones(x)
+    pred = np.empty((x.shape[0], model.input_size))
+    _predict_rows(model, rows, stride, x.shape[1], _Scratch(), pred)
+    return pred[0] if single else pred
+
+
+def _predict_rows(model: GruModel, rows: np.ndarray, stride: int, steps: int,
+                  scratch: _Scratch, out: np.ndarray, cols=slice(None)) -> None:
+    """Predict the windows of `steps` steps that rows hold (laid out as
+    _rows_with_ones lays them out) into out[:, cols], one row per window,
+    through the buffers of scratch, which a caller predicting with several
+    models passes to each in turn."""
     if not np.isfinite(rows).all():
         raise ValidationError("input contains NaN or Inf")
     stack = _Stack([model.input_size], model.hidden_size)
@@ -464,14 +470,12 @@ def _gru_forward(model: GruModel, inputs: np.ndarray, scratch: _Scratch) -> np.n
     # chunks of as many windows as a pass of two models takes in the
     # workspace; a chunk of another size sums in another order and moves
     # the predictions in their last bit
-    n, t = x.shape[:2]
-    chunk = _workspace_fit(2, t, model.hidden_size)
-    pred = np.empty((n, model.input_size))
+    n = out.shape[0]
+    chunk = _workspace_fit(2, steps, model.hidden_size)
     for lo in range(0, n, chunk):
-        state, _ = _forward(v, [_step_slabs(rows, stride, lo, min(chunk, n - lo), t)], scratch,
-                            keep=False)
-        pred[lo : lo + chunk] = _readout(v, state, 0)
-    return pred[0] if single else pred
+        state, _ = _forward(v, [_step_slabs(rows, stride, lo, min(chunk, n - lo), steps)],
+                            scratch, keep=False)
+        out[lo : lo + chunk, cols] = _readout(v, state, 0)
 
 
 @dataclass
@@ -689,21 +693,22 @@ def train_partitioned(
     return {label: result for results, _ in outcomes for label, result in results.items()}
 
 
-def predict_tm(
+def predict_flows(
     models: dict[int, GruModel],
     partition: Partition,
     flow_values: np.ndarray,
     test_range: tuple[int, int],
     window_length: int,
-    scale: ScaleParams,
-    n_nodes: int,
-    interval_seconds: int,
-) -> tuple[np.ndarray, TmSeries]:
-    """One-step predictions over the test range, reassembled as a trace.
+) -> np.ndarray:
+    """One-step predictions of every flow over the test range: the
+    normalized (samples, M) matrix pred_norm, each flow predicted once per
+    step by its cluster's model.
 
-    Per-cluster predictions are scattered back to their flow indices, so
-    every flow is predicted exactly once per step. Returns the normalized
-    (samples, M) prediction matrix and the denormalized trace segment.
+    A cluster's test steps are gathered once, straight from flow_values
+    into the one array of rows that its forward passes read, and each
+    chunk's readout is written into the cluster's columns of pred_norm; the
+    clusters share one scratch. So prediction holds pred_norm, one
+    cluster's rows and a scratch that does not grow with the test range.
     """
     m = partition.n_items
     if flow_values.shape[0] != m:
@@ -719,18 +724,45 @@ def predict_tm(
     pred_norm = np.empty((n_samples, m), dtype=np.float64)
     scratch = _Scratch()
     for label in range(1, partition.k + 1):
-        rows = partition.members(label)
-        ds = make_windows(flow_values[rows, lo:hi].T, window_length)
-        pred_norm[:, rows] = _gru_forward(models[label], ds.inputs, scratch)
+        members = partition.members(label)
+        if models[label].input_size != members.size:
+            raise ValidationError(f"model {label} takes {models[label].input_size} flows, "
+                                  f"its cluster has {members.size}")
+        # the windows of one series as _rows_with_ones lays them out: every
+        # step but the last, which only a target reads, and a trailing 1
+        rows = np.empty((hi - lo - 1, members.size + 1))
+        for j, flow in enumerate(members.tolist()):
+            rows[:, j] = flow_values[flow, lo : hi - 1]
+        rows[:, -1] = 1.0
+        _predict_rows(models[label], rows, 1, window_length - 1, scratch, pred_norm, members)
+    return pred_norm
 
-    pred_bytes = denormalize_array(pred_norm, scale)
-    np.maximum(pred_bytes, 0.0, out=pred_bytes)
-    tm_pred = TmSeries(
-        n_nodes=n_nodes,
-        interval_seconds=interval_seconds,
-        values=pred_bytes.reshape(n_samples, n_nodes, n_nodes),
-    )
-    return pred_norm, tm_pred
+
+def predictions_in_bytes(pred_norm: np.ndarray, scale: ScaleParams) -> np.ndarray:
+    """Normalized (..., M) predictions as traffic in bytes per interval, in
+    a new array: denormalized, and clipped at zero, since traffic volumes
+    are nonnegative."""
+    out = denormalize_array(pred_norm, scale)
+    return np.maximum(out, 0.0, out=out)
+
+
+def predict_tm(
+    models: dict[int, GruModel],
+    partition: Partition,
+    flow_values: np.ndarray,
+    test_range: tuple[int, int],
+    window_length: int,
+    scale: ScaleParams,
+    n_nodes: int,
+    interval_seconds: int,
+) -> tuple[np.ndarray, TmSeries]:
+    """predict_flows's normalized predictions and, as a trace segment, the
+    same predictions in bytes (predictions_in_bytes). The pipeline scores
+    from pred_norm alone, which evaluate.rmse_physical converts a row chunk
+    at a time; this form is for callers that want the predicted matrices."""
+    pred_norm = predict_flows(models, partition, flow_values, test_range, window_length)
+    values = predictions_in_bytes(pred_norm, scale).reshape(-1, n_nodes, n_nodes)
+    return pred_norm, TmSeries(n_nodes=n_nodes, interval_seconds=interval_seconds, values=values)
 
 
 # ---------------------------------------------------------------------------

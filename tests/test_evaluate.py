@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmcf import evaluate
 from tmcf.cluster import naive_partition
+from tmcf.dataset import ScaleParams
 from tmcf.errors import ValidationError
 from tmcf.evaluate import (
     SweepCurve,
@@ -19,6 +21,7 @@ from tmcf.evaluate import (
     rmse,
     rmse_physical,
 )
+from tmcf.predict import predictions_in_bytes
 
 
 def brute_force_ari(a, b):
@@ -119,6 +122,18 @@ class TestRmsePhysical:
         assert rmse_physical(truth, pred, 300) == pytest.approx(
             3.0 * rmse_physical(truth, pred, 900), rel=1e-12
         )
+
+    def test_normalized_predictions_score_as_their_bytes(self, monkeypatch):
+        # chunks of 3 rows of 4 flows, so that the conversion spans several
+        monkeypatch.setattr(evaluate, "_SCALE_CHUNK", 12)
+        rng = np.random.default_rng(4)
+        pred_norm = rng.normal(size=(10, 4))  # negative bytes are clipped
+        scale = ScaleParams(np.array([0.0, 1e3, 5.0, 7.0]), np.array([1e6, 2e6, 5.0, 9e5]))
+        truth = rng.random((10, 4)) * 1e6
+        want = rmse_physical(truth, predictions_in_bytes(pred_norm, scale), 300)
+        assert rmse_physical(truth, pred_norm, 300, scale) == want
+        sq = np.empty(40)
+        assert rmse_physical(truth, pred_norm, 300, scale, out=sq) == want
 
 
 class TestAri:

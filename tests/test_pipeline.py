@@ -10,13 +10,16 @@ import json
 import os
 import shutil
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from tmcf import pipeline, predict
-from tmcf.dataset import TmSeries, load_tm_series, write_canonical_csv
+from tmcf.cluster import Partition
+from tmcf.dataset import (FlowSet, ScaleParams, TmSeries, load_tm_series, split,
+                          write_canonical_csv)
 from tmcf.pipeline import (RunConfig, compare, file_sha256, run_pipeline, sweep,
                            trace_file_sha256)
 from tmcf.represent import ReprMatrix, pairwise_dissimilarity
@@ -112,15 +115,60 @@ def traced_peak(fn, *args):
 
 def test_prepare_allocates_one_flow_matrix_beside_the_trace(monkeypatch):
     """Given the parsed trace, prepare's flows are a view of it and normalize
-    writes the one (M, T) matrix, so the call peaks at that matrix plus 256
-    KiB (numpy's iteration buffers, which read the transposed flows, and the
-    flows' statistics)."""
+    writes the one (M, T) matrix, and the raw values of the scored steps are
+    copied once. So the call peaks at that matrix plus those steps' bytes
+    plus 256 KiB (numpy's iteration buffers, which read the transposed
+    flows, and the flows' statistics), and no array it returns shares
+    memory with the trace."""
     tm = TmSeries(12, 300, np.random.default_rng(0).random((2000, 12, 12)) * 1e6)
     monkeypatch.setattr(pipeline, "load_tm_series", lambda *args, **kwargs: tm)
-    (_, flows_norm, _, _), peak = traced_peak(pipeline.prepare, RunConfig(trace="parsed"))
+    cfg = RunConfig(trace="parsed")
+    (flows_norm, truth_bytes, scale, ranges), peak = traced_peak(pipeline.prepare, cfg)
+    scored = tm.values[ranges.test[0] + cfg.window_length - 1 : ranges.test[1]]
     assert flows_norm.values.flags.c_contiguous
     assert flows_norm.values.nbytes == tm.values.nbytes
-    assert peak <= tm.values.nbytes + 256 * 1024
+    assert truth_bytes.tobytes() == scored.tobytes()
+    assert peak <= tm.values.nbytes + scored.nbytes + 256 * 1024
+    for array in (flows_norm.values, truth_bytes, scale.per_flow_min, scale.per_flow_max):
+        assert not np.shares_memory(array, tm.values)
+
+
+def test_prepare_releases_the_parsed_trace(monkeypatch):
+    parsed = []
+
+    def load(*args, **kwargs):
+        tm = TmSeries(4, 300, np.random.default_rng(0).random((400, 4, 4)))
+        parsed.append(weakref.ref(tm.values))
+        return tm
+
+    monkeypatch.setattr(pipeline, "load_tm_series", load)
+    prepared = pipeline.prepare(RunConfig(trace="parsed"))
+    assert prepared[0].n_nodes == 4
+    assert parsed[0]() is None
+
+
+def test_score_holds_the_predictions_and_one_working_array():
+    """score's traced peak is pred_norm and one more (samples, M) array plus
+    1 MiB. While it predicts, that place holds one cluster's rows and the
+    forward passes' scratch. While it scores, it holds the squared errors,
+    which both RMSE passes share, and the physical RMSE's 64-KiB row
+    chunks: the predictions in bytes are never made whole."""
+    rng = np.random.default_rng(0)
+    n_nodes, n_steps, k = 12, 10000, 4
+    m = n_nodes * n_nodes
+    flows_norm = FlowSet(n_nodes, 300, rng.random((m, n_steps)))
+    cfg = RunConfig(trace="unused", k=k, profile="desk")
+    ranges = split(n_steps, cfg.train_frac, cfg.val_frac, cfg.window_length)
+    samples = ranges.test[1] - ranges.test[0] - cfg.window_length + 1
+    truth_bytes = rng.random((samples, m)) * 1e6
+    scale = ScaleParams(np.zeros(m), np.full(m, 1e6))
+    part = Partition(np.arange(m) % k + 1, k)
+    models = {label: predict.init_model(cfg.gru_config(m // k)) for label in range(1, k + 1)}
+    (report, pred_norm), peak = traced_peak(pipeline.score, cfg, flows_norm, truth_bytes, scale,
+                                            ranges, part, models)
+    assert pred_norm.shape == (samples, m)
+    assert np.isfinite(report.rmse_physical_mbps)
+    assert peak <= 2 * pred_norm.nbytes + 1024 * 1024
 
 
 def test_cluster_features_adds_no_matrix_beside_the_dissimilarities(monkeypatch):
@@ -390,7 +438,7 @@ def test_resume_keeps_the_fresh_run_stage_entries(trace, tmp_path):
 @pytest.mark.parametrize("step,finished", [
     ("build_dendrogram", ["ingest"]),
     ("train_partitioned", ["ingest", "cluster"]),
-    ("predict_tm", ["ingest", "cluster", "train"]),
+    ("predict_flows", ["ingest", "cluster", "train"]),
 ])
 def test_resume_after_a_crash_in_each_stage_finishes_the_run(trace, tmp_path, monkeypatch,
                                                              step, finished):
@@ -509,7 +557,7 @@ def test_resume_with_nothing_changed_parses_predicts_and_writes_nothing(trace, t
     if earlier_format:
         store_matrix_and_bytes(run_dir)
     before = bytes_and_mtimes(run_dir)
-    for name in ("load_tm_series", "predict_tm", "load_model"):
+    for name in ("load_tm_series", "predict_flows", "load_model"):
         monkeypatch.setattr(pipeline, name, crash)
     assert run_pipeline(cfg, resume=True) == run_dir
     assert bytes_and_mtimes(run_dir) == before

@@ -25,6 +25,7 @@ from tmcf.predict import (
     init_model,
     load_model,
     predict_tm,
+    predictions_in_bytes,
     save_model,
     train,
     train_partitioned,
@@ -169,7 +170,7 @@ class TestStepViews:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_windows_of_one_series(self, order):
-        # predict_tm passes the windows of a Fortran-ordered series
+        # training and validation read the windows of a Fortran-ordered series
         series = np.asarray(np.random.default_rng(1).normal(size=(40, 3)), order=order)
         windows = make_windows(series, 11).inputs
         want = forward_on_copies(self.model(3), windows)
@@ -430,6 +431,21 @@ class TestPredictTm:
         ds = make_windows(norm[0, 170:200][:, None], 8)
         direct = gru_forward(models[1], ds.inputs)
         assert np.array_equal(pred_norm[:, 0], direct[:, 0])
+
+    def test_each_cluster_is_predicted_as_gru_forward_predicts_its_windows(self):
+        norm, scale, part, models = self._setup()
+        pred_norm, tm_pred = predict_tm(models, part, norm, (170, 200), 8, scale, 2, 300)
+        for label, model in models.items():
+            rows = part.members(label)
+            windows = make_windows(norm[rows, 170:200].T, 8).inputs
+            assert pred_norm[:, rows].tobytes() == gru_forward(model, windows).tobytes()
+        assert tm_pred.values.tobytes() == predictions_in_bytes(pred_norm, scale).tobytes()
+
+    def test_model_of_another_width_rejected(self):
+        norm, scale, part, models = self._setup()
+        models[1] = init_model(GruConfig(input_size=3, hidden_size=4))
+        with pytest.raises(ValidationError, match="model 1 takes 3 flows"):
+            predict_tm(models, part, norm, (170, 200), 8, scale, 2, 300)
 
     def test_missing_model_rejected(self):
         norm, scale, part, models = self._setup()
