@@ -135,7 +135,7 @@ def _validate_dissimilarity(d: np.ndarray) -> np.ndarray:
         diff = np.subtract(d[rows, rows.start :], d[rows.start :, rows].T)
         if np.abs(diff, out=diff).max() > 1e-12:
             raise ValidationError("dissimilarity matrix is not symmetric within 1e-12")
-    if np.abs(np.diag(d)).max() > 0:
+    if np.diag(d).any():  # not a max, which a 0 x 0 matrix has none of
         raise ValidationError("dissimilarity matrix has a nonzero diagonal")
     return d
 

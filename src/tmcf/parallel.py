@@ -35,10 +35,12 @@ import signal
 # letting it exit and reaping it took 2-4 ms (2.3 ms from a bare
 # interpreter), and a call over two children 7-13 ms before any work. At
 # 30 ms per share a layer splits in two from about 60 ms of work: the parse,
-# ACF features, JSD distances and PSD distances of a 576-flow trace do (about
-# 0.2, 0.08, 0.065 and, estimated, 0.12 s), while its 0.03 s Euclidean
-# distances of ACF vectors, its PSD features, every layer of a 144-flow trace
-# and every test-sized input stay serial.
+# JSD distances and PSD distances of a 576-flow trace do (about 0.2, 0.065
+# and, estimated, 0.12 s), and so do the ACF features of a 144-flow trace of
+# the paper's length (0.25 s), while the 576-flow trace's 0.02-s ACF
+# features, its 0.03-s Euclidean distances of ACF vectors, its PSD features,
+# every layer of a 144-flow trace of 806 steps and every test-sized input
+# stay serial.
 _MIN_SHARE_SECONDS = 0.03
 
 

@@ -8,10 +8,10 @@ dissimilarity matrix consumed by the clustering stage.
 Each representation pays only for its own work. scipy.signal is imported
 inside the PSD code, so importing tmcf and running histogram or ACF
 features never load it (nor the scipy.stats and scipy.interpolate it
-pulls in). The ACF reads every lag from one FFT autocorrelation per
-row slab, recomputing with the direct formula only the entries where that
-closed form is ill-conditioned. JSD uses the entropy form, with each
-row's entropy computed once.
+pulls in). The ACF sums each lag's products directly, a row slab at a
+time, in O(M T L) for L lags and no FFT, recomputing with the direct
+formula only the entries where its closed form is ill-conditioned. JSD
+uses the entropy form, with each row's entropy computed once.
 
 The ACF and PSD features split their rows, and the dissimilarities their
 row pairs, through tmcf.parallel.split, each estimating its serial work by
@@ -44,16 +44,20 @@ _ZERO_VAR_EPS = 1e-30
 _ACF_TAU = 1e-3
 
 # An ACF slab takes at most _ACF_SLAB_ROWS rows, and at most as many as fit
-# one (rows, n_fft) float array in _ACF_SLAB_BYTES, at least one; its
-# temporaries peak at about 3.4 such arrays. pocketfft transforms a slab's
-# rows faster together: on the 2-vCPU benchmark host (CPU time, medians of
-# 5, traced peaks), 288 x 806 blocks (n_fft 2048, 32 rows a slab) took 22 ms
-# and peaked at 2.0 MiB, against 27-31 ms and 6.1 MiB in the former fixed
-# slabs of 64 rows; 72 x 38,707 blocks (n_fft 2^17, 8 rows a slab) took
-# 0.49-0.59 s and peaked at 27 MiB, against 0.54-0.63 s and 243 MiB in
-# slabs of 64 rows and 0.65-0.75 s in slabs of 1 row.
+# _ACF_SLAB_VALUES values (1 MiB of floats), at least one; its three (rows, T)
+# buffers are allocated once per call. On the 2-vCPU benchmark host (CPU
+# time, medians of 3-9, glibc mmap threshold 128 KiB, traced peaks), 576 x
+# 806 blocks with 30 lags took 18-24 ms in slabs of 32 rows and peaked at
+# 0.86 MiB, against 21-22 ms in slabs of 16 and 30-42 ms in slabs of 8;
+# 144 x 38,707 blocks (3 rows a slab) took 245 ms and peaked at 2.7 MiB,
+# against 371-378 ms in slabs of 1 row and 198 ms but 8.9 MiB in slabs of 10.
 _ACF_SLAB_ROWS = 32
-_ACF_SLAB_BYTES = 1 << 23
+_ACF_SLAB_VALUES = 1 << 17
+# Columns per einsum call of an ACF lag sum. numpy 2.4's einsum sums a row
+# of more than 8,192 values in another order when its operands have one row
+# than when they have several; chunks of at most 8,192 columns give each row
+# the same sum in a slab of any size, and so in a share of any size.
+_ACF_SUM_COLUMNS = 8192
 # Values (flow x step) per row block of the histogram bin indices, at least
 # one row: each temporary of a block stays under glibc's 128-KiB mmap
 # threshold, so the heap reuses it while it is in cache. Same host, CPU time,
@@ -67,11 +71,16 @@ _HISTOGRAM_BLOCK_VALUES = 1 << 14
 _MIRROR_ROWS = 64
 
 # Seconds of serial work per value (flow x step of the block, or pair x
-# feature), for the fork decision (see tmcf.parallel). Measured on the 2-vCPU
-# benchmark host: ACF and PSD of 576 x 806 blocks in 0.08 and 0.04 s, and the
-# Euclidean and JSD matrices of 576 flows (30 lags, 50 bins) in 0.028 and
-# 0.065 s (glibc mmap threshold 128 KiB, medians of 7).
-_ACF_SECONDS_PER_CELL = 1.7e-7
+# feature), and for the ACF also per flow x step x lag, for the fork decision
+# (see tmcf.parallel). Measured on the 2-vCPU benchmark host: the ACF of
+# 576 x 806 blocks in 12.4 ms at 1 lag and 24 ms at 30, and of 144 x 38,707
+# blocks in 123 and 250 ms (CPU time, medians of 3-5), so a 576 x 806 ACF
+# stays in the calling process and a 144 x 38,707 one splits; the PSD of
+# 576 x 806 blocks in 0.04 s, and the Euclidean and JSD matrices of 576
+# flows (30 lags, 50 bins) in 0.028 and 0.065 s (glibc mmap threshold
+# 128 KiB, medians of 7).
+_ACF_SECONDS_PER_CELL = 2.5e-8
+_ACF_SECONDS_PER_CELL_LAG = 8e-10
 _PSD_SECONDS_PER_CELL = 9e-8
 _EUCLIDEAN_SECONDS_PER_VALUE = 5.7e-9
 _JSD_SECONDS_PER_VALUE = 7.9e-9
@@ -176,7 +185,8 @@ def build_features(
             lags = default_lags(interval_seconds)
         lags = np.asarray(sorted(set(int(l) for l in lags)), dtype=np.int64)
         parts = parallel.split(lambda lo, hi: _acf_block(values[lo:hi], lags), len(values),
-                               _ACF_SECONDS_PER_CELL * values.size)
+                               (_ACF_SECONDS_PER_CELL + _ACF_SECONDS_PER_CELL_LAG * lags.size)
+                               * values.size)
         feats, degenerate = (np.concatenate(arrays) for arrays in zip(*parts))
         meta = {
             "lags": lags.tolist(),
@@ -249,23 +259,31 @@ def _acf_block(values: np.ndarray, lags: np.ndarray) -> tuple[np.ndarray, np.nda
     variance produce 0; a fully constant flow is flagged degenerate and gets
     0 at every lag, also where rounding leaves its centred copy nonzero.
 
-    The block is processed in slabs of at most _ACF_SLAB_ROWS rows whose
-    (rows, n_fft) arrays take at most _ACF_SLAB_BYTES (but at least one
-    row), so the temporaries do not grow with the number of flows: 32 rows
-    at the benchmark's 806-step blocks, 8 at the paper's Abilene length.
-    Each row's transforms and sums are its own, so the features do not
-    depend on the slab size. Each flow is centred once on its mean, which
-    leaves every correlation unchanged. For lag l and overlap n = T - l,
-    the cross term sum(x[t+l] * x[t]) of every lag comes from one
-    rfft/irfft autocorrelation (|F|^2 with n_fft >= 2T - 1, so nothing
-    wraps), and each segment's sum and sum of squares from prefix sums
-    (for [0, n)) and suffix sums (for [l, T)). That closed form subtracts
+    The block is processed in slabs of at most _ACF_SLAB_ROWS rows and
+    _ACF_SLAB_VALUES values (but at least one row), so the temporaries do
+    not grow with the number of flows: 32 rows at the benchmark's 806-step
+    blocks, 3 at the paper's Abilene length. Each row's sums are its own,
+    so the features do not depend on the slab size. Each flow is centred
+    once on its mean, which leaves every correlation unchanged. For lag l
+    and overlap n = T - l, the cross term sum(x[t+l] * x[t]) is a row-wise
+    dot product of two views of the slab (_lag_sums), and each segment's
+    sum and sum of squares comes from running sums over the whole row:
+    prefix sums for [0, n) and suffix sums for [l, T). The row total less
+    running sums over only the first or last `max(lags)` steps would be
+    cheaper, but it loses digits where those steps hold most of a flow's
+    energy: 5.7e-12 from the per-flow formula for a noise flow with a spike
+    1e5 times its scale at step 0, T = 40,000. The cost is O(M T L) for L
+    lags, where the former FFT autocorrelation, zero-padded to n_fft >= 2T
+    - 1, cost O(M n_fft log n_fft) whatever the lags: for 576 x 806 blocks
+    (CPU time, medians of 7, centring included) the direct sums took 7.4,
+    12.4, 41 and 93 ms at 14, 30, 120 and 288 lags, and the FFT 40 ms at
+    each, so they break even near 120 lags. The closed form subtracts
     nearly equal sums where a segment is almost constant, so an entry is
     recomputed with the direct formula of _acf_at_lag when a segment's
-    variance is <= _ACF_TAU times its sum of squares, or the denominator
-    is <= _ACF_TAU times the flow's energy (sum of x^2) or within a factor
-    1 / _ACF_TAU of the direct formula's zero-variance cut-off. Elsewhere it
-    agrees with the direct formula to about 1e-13 or better.
+    variance is <= _ACF_TAU times its sum of squares, or the denominator is
+    <= _ACF_TAU times the flow's energy (sum of x^2) or within a factor
+    1 / _ACF_TAU of the direct formula's zero-variance cut-off. Elsewhere
+    it agrees with the direct formula to about 1e-13 or better.
     """
     m, t = values.shape
     if lags.size == 0:
@@ -279,16 +297,17 @@ def _acf_block(values: np.ndarray, lags: np.ndarray) -> tuple[np.ndarray, np.nda
     degenerate = np.ptp(values, axis=1) == 0.0
     rho = np.zeros((m, lags.size), dtype=np.float64)
     n = t - lags
-    n_fft = 1 << (2 * t - 2).bit_length()  # a power of two >= 2T - 1
     lagged = lags != 0
-    slab_rows = max(1, min(_ACF_SLAB_ROWS, _ACF_SLAB_BYTES // (8 * n_fft)))
+    slab_rows = max(1, min(_ACF_SLAB_ROWS, _ACF_SLAB_VALUES // t))
+    # the centred slab, its squares and the running sums, reused by every slab
+    buffers = np.empty((3, min(slab_rows, m), t))
     for start in range(0, m, slab_rows):
         rows = slice(start, start + slab_rows)
-        x = values[rows] - values[rows].mean(axis=1, keepdims=True)
-        cross = _lag_products(x, n_fft, lags)
-        sq = x * x
+        x, sq, part = buffers[:, : min(slab_rows, m - start)]
+        np.subtract(values[rows], values[rows].mean(axis=1, keepdims=True), out=x)
+        cross = _lag_sums(x, lags)
+        np.multiply(x, x, out=sq)
         # each prefix sum in turn in one buffer, read where the segments end
-        part = np.empty_like(x)
         sum_b = np.cumsum(x, axis=1, out=part)[:, n - 1]  # segment [0, n)
         sq_b = np.cumsum(sq, axis=1, out=part)[:, n - 1]
         energy = part[:, t - 1 :].copy()  # sum of x^2
@@ -312,15 +331,19 @@ def _acf_block(values: np.ndarray, lags: np.ndarray) -> tuple[np.ndarray, np.nda
     return rho, degenerate
 
 
-def _lag_products(x: np.ndarray, n_fft: int, lags: np.ndarray) -> np.ndarray:
-    """sum(x[t + l] * x[t]) over t for each row of x and lag l, read from one
-    rfft/irfft autocorrelation; the spectrum is freed before the inverse
-    transform allocates its output."""
-    spectrum = np.fft.rfft(x, n=n_fft)
-    power = spectrum.real ** 2
-    power += spectrum.imag ** 2
-    del spectrum
-    return np.fft.irfft(power, n=n_fft)[:, lags]
+def _lag_sums(x: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """sum(x[t + l] * x[t]) over t for each row of x and lag l: a row-wise
+    dot product of two views of x, taken by einsum in column chunks of at
+    most _ACF_SUM_COLUMNS. einsum calls no BLAS, whose dot product may
+    split a long row over threads and so make the sum depend on the BLAS
+    thread count."""
+    t = x.shape[1]
+    sums = np.zeros((len(x), lags.size))
+    for i, lag in enumerate(lags):
+        for lo in range(0, t - lag, _ACF_SUM_COLUMNS):
+            hi = min(lo + _ACF_SUM_COLUMNS, t - lag)
+            sums[:, i] += np.einsum("ij,ij->i", x[:, lag + lo : lag + hi], x[:, lo:hi])
+    return sums
 
 
 def _acf_at_lag(values: np.ndarray, lag: int) -> np.ndarray:

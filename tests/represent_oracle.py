@@ -8,9 +8,10 @@ divergence of two pmfs, and pairwise_jsd the former KL-form JSD matrix
 unchanged but for their imports and for acf_rep giving a constant flow 0 at
 every lag, as its docstring always stated. The whole-block histogram and PSD
 features of tmcf.represent.build_features must equal them bit for bit; the
-FFT-based ACF features and the entropy-form JSD matrix must agree within
-1e-12. pairwise_rows is the entropy-form matrix as it was computed before its
-rows reused two buffers, with fresh temporaries per row; the matrices of
+ACF features, which take each segment's sums in another order and correlate
+by a closed form, and the entropy-form JSD matrix must agree within 1e-12.
+pairwise_rows is the entropy-form matrix as it was computed before its rows
+reused two buffers, with fresh temporaries per row; the matrices of
 tmcf.represent.pairwise_dissimilarity must equal it bit for bit.
 """
 

@@ -343,6 +343,17 @@ def test_cluster_on_an_unreadable_matrix_is_a_data_error(tmp_path, capsys, name,
     assert not os.path.exists(tmp_path / "cluster")
 
 
+def test_cluster_on_an_empty_matrix_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "empty.npy"
+    np.save(path, np.zeros((0, 0)))
+    assert main([
+        "cluster", "--method", "hac", "--dissimilarity", str(path), "--linkage", "average",
+        "--k", "2", "--out-dir", str(tmp_path / "cluster"),
+    ]) == EXIT_DATA
+    assert f"{path}: need at least 2 items to cluster" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "cluster")
+
+
 @pytest.mark.parametrize("defect", DEFECTS)
 def test_cluster_rejects_a_defect_past_the_first_block(tmp_path, capsys, defect):
     path = tmp_path / "matrix.npy"

@@ -121,6 +121,11 @@ class TestHacHandCases:
         # {0,1} vs {10}: mean(10, 9) = 9.5
         assert dendro.merges[1][2] == pytest.approx(9.5)
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_fewer_than_two_items_rejected(self, m):
+        with pytest.raises(ValidationError, match="^need at least 2 items to cluster$"):
+            hac(np.zeros((m, m)), "average")
+
     def test_asymmetric_input_rejected(self):
         d = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -468,6 +469,20 @@ class TestSplitParse:
         forks = count_forks(monkeypatch)
         load_tm_series(str(path))
         assert forks == []
+
+    def test_a_share_streams_its_text(self, tmp_path):
+        # the range is read as np.loadtxt consumes it, not copied whole
+        path = tmp_path / "trace.csv"
+        path.write_text(canonical_text(40_000))
+        size = os.path.getsize(path)
+        tracemalloc.start()
+        try:
+            block = dataset._parse_range(str(path), 0, size, 1, True, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (40_000, 5)
+        assert peak < block.nbytes + size // 4
 
     def test_a_cut_after_a_carriage_return(self, tmp_path, monkeypatch):
         # a cut aimed between the CR and the LF of a CRLF line moves past the LF

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,8 +301,8 @@ ORACLE_CASES = [
 
 def assert_matches_oracle(block, kind, kwargs):
     """Histogram and PSD features equal the oracle's bit for bit. The ACF
-    reads its lags from an FFT, so it agrees within 1e-12 (NaN where the
-    oracle gives NaN)."""
+    sums each segment in another order and correlates by a closed form, so
+    it agrees within 1e-12 (NaN where the oracle gives NaN)."""
     want = oracle.build_features(block, kind, **kwargs)
     got = build_features(block, kind, **kwargs)
     if kind == "acf":
@@ -344,7 +345,9 @@ def test_import_and_help_leave_scipy_signal_unloaded():
     # scipy.signal pulls in scipy.stats and scipy.interpolate; only the PSD
     # representation needs it. Training forks its worker processes with os
     # alone, so no process-pool module loads either; mmap loads only for a
-    # dissimilarity matrix, numpy.random only to seed or draw.
+    # dissimilarity matrix, numpy.random only to seed or draw. The ACF sums
+    # its lags directly: numpy.fft, whose first transform leaves its plan
+    # cache resident, stays unloaded.
     code = textwrap.dedent("""
         import contextlib, io, json, sys
         import numpy as np
@@ -359,7 +362,10 @@ def test_import_and_help_leave_scipy_signal_unloaded():
         heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate", "multiprocessing",
                  "concurrent.futures", "numpy.random", "mmap")
         loaded = [name for name in heavy if name in sys.modules]
-        feats = build_features(np.random.default_rng(0).random((3, 64)), "psd", fs=12.0)
+        block = np.random.default_rng(0).random((40, 2000))
+        build_features(block, "acf", interval_seconds=300)
+        loaded += [name for name in ("numpy.fft",) if name in sys.modules]
+        feats = build_features(block[:3, :64], "psd", fs=12.0)
         print(json.dumps({"loaded": loaded, "psd_shape": list(feats.features.shape)}))
     """)
     src = os.path.dirname(os.path.dirname(represent.__file__))
@@ -411,6 +417,31 @@ class TestBlockFeaturesMatchPerFlowOracle:
                       for values in redone for row in values}
         assert {130, 131, 134} <= recomputed
 
+    def test_acf_at_the_papers_length(self):
+        # a few 5-minute flows of about 40,000 steps, with rows whose first
+        # or last step holds most of their energy, where segment sums taken
+        # as the row total less the steps a lag leaves out lose digits
+        block = paper_length_acf_block()
+        lags = default_lags(300)
+        assert_matches_oracle(block, "acf", {"lags": lags})
+        rho = build_features(block, "acf", lags=lags).features
+        assert np.isnan(rho[6]).all()
+        # each row alone, in a slab of one row, gives the block's bytes
+        for i, row in enumerate(block):
+            assert build_features(row[None, :], "acf", lags=lags).features.tobytes() \
+                == rho[i].tobytes()
+
+    def test_acf_memory_does_not_grow_with_a_padded_transform(self):
+        # three (3, T) buffers: the centred slab, its squares, running sums
+        block = np.random.default_rng(14).random((4, 40_000))
+        tracemalloc.start()
+        try:
+            build_features(block, "acf", interval_seconds=300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * block.nbytes
+
     @pytest.mark.parametrize("kind,kwargs,block", [
         ("histogram", {}, np.zeros((2, 0))),
         ("psd", {"fs": 12.0}, np.zeros((2, 0))),
@@ -443,6 +474,27 @@ class TestBlockFeaturesMatchPerFlowOracle:
             "segment_length": data.draw(st.one_of(st.none(), st.integers(2, t))),
             "normalize_power": data.draw(st.booleans()),
         })
+
+
+def paper_length_acf_block():
+    """Flows of the paper's Abilene length: random, daily, flat with an
+    early or a late spike, a slow ramp, NaN, and noise under a spike 1e5
+    times its scale at the first or the last step."""
+    rng = np.random.default_rng(15)
+    t = 40_000
+    block = rng.random((9, t))
+    block[1] = np.sin(2 * np.pi * np.arange(t) / 288) + 0.1 * rng.standard_normal(t)
+    block[2] = 0.3 + 1e-8 * rng.standard_normal(t)
+    block[2, 3] = 5.0
+    block[3] = 0.3 + 1e-8 * rng.standard_normal(t)
+    block[3, -4] = 5.0
+    block[4] = 1e-3 * np.arange(t) + 1e-7 * rng.standard_normal(t)
+    block[6, 20_000] = np.nan
+    block[7] = rng.standard_normal(t)
+    block[7, 0] = 1e5
+    block[8] = rng.standard_normal(t)
+    block[8, -1] = 1e5
+    return block
 
 
 def adversarial_acf_block():
@@ -536,6 +588,17 @@ class TestSplitRows:
         for kind, kwargs, metric, make in self.CASES:
             pairwise_dissimilarity(build_features(make(), kind, **kwargs), metric)
         assert forks == []
+
+    @pytest.mark.parametrize("shape,shares", [((576, 806), 1), ((144, 38_707), 2)])
+    def test_acf_splits_by_its_estimated_cost(self, monkeypatch, shape, shares):
+        # 30 lags: the benchmark's 576-flow block is too little work to
+        # fork for, a 144-flow block of the paper's length is not
+        block = np.broadcast_to(np.random.default_rng(16).random(shape[1]), shape)
+        usable_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        build_features(block, "acf", interval_seconds=300)
+        assert len(forks) == shares - 1
+        assert_no_children()
 
     def test_an_error_in_a_share_is_raised_here(self, monkeypatch):
         block = feature_corpus()
