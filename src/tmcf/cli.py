@@ -153,6 +153,8 @@ def cmd_cluster(args) -> int:
     if args.method == "naive":
         if args.flows is None or args.seed is None:
             raise ConfigError("--method naive requires --flows (number of flows) and --seed")
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         dendro, method = None, "naive"
     elif (args.features is None) == (args.dissimilarity is None):
         raise ConfigError("--method hac requires exactly one of --features, --dissimilarity")

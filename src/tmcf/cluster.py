@@ -9,8 +9,8 @@ member index of each side), lexicographically smallest first. A merged
 cluster keeps the smaller slot of its two sides, so a slot's index is its
 smallest member, and the tie-break is the smallest slot pair (a, b).
 
-hac() caches each slot's row minimum over the slots after it, so a merge
-costs O(M) reads plus the rows it invalidates, not an O(M^2) rescan; its
+hac() caches each live slot's minimum over its whole row, so a merge costs
+O(M) reads plus the rows whose minimum it moves, not an O(M^2) rescan; its
 merges and heights are bit-identical to the rescanning definition.
 """
 
@@ -150,17 +150,18 @@ def hac(d: np.ndarray, linkage: str = "average", overwrite: bool = False) -> Den
     Complete linkage propagates cross-pair maxima; average linkage keeps
     the running SUM of original cross-pair distances and divides by the
     member-pair count on demand, so every reported height equals the
-    definitional computation (not a rounded running mean).
+    definitional computation (not a rounded running mean), and rejects a
+    matrix whose sum, at least twice any cross-cluster sum, overflows.
 
-    Each slot i caches row_min[i] and row_arg[i], the minimum of row i's
-    linkage values over the slots j > i and its first argmin, so a merge
-    reads the minimum in O(M) instead of rescanning the M x M matrix. The
-    surviving slot of a merge is the smaller index, so a slot's index is
-    always its smallest member; the tie-break is therefore the
-    lexicographically smallest slot pair (a, b), which is
-    a = argmin(row_min), b = row_arg[a]. After a merge only row a, the
-    rows whose argmin was a or b, and column a change, so only those
-    entries are recomputed.
+    Each live slot i caches row_min[i] and row_arg[i], the minimum of row
+    i's linkage values over every other live slot and its first argmin, so
+    a merge reads the minimum in O(M) instead of rescanning the M x M
+    matrix. The surviving slot of a merge is the smaller index, so a slot's
+    index is always its smallest member, and the tie-break, the
+    lexicographically smallest slot pair, is a = argmin(row_min),
+    b = row_arg[a] > a. A merge rewrites column a and kills column b: rows
+    whose argmin was a or b are recomputed, and every other row compares
+    its minimum with its new value in column a.
     """
     if linkage not in LINKAGES:
         raise ValidationError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
@@ -168,6 +169,9 @@ def hac(d: np.ndarray, linkage: str = "average", overwrite: bool = False) -> Den
     m = d.shape[0]
     if m < 2:
         raise ValidationError("need at least 2 items to cluster")
+    with np.errstate(over="ignore"):  # an infinite sum would read as a dead slot
+        if linkage == "average" and not np.isfinite(d.sum()):
+            raise ValidationError("dissimilarity matrix sum overflows average linkage")
 
     # work holds the pairwise max (complete) or the cross-distance sum (average)
     work = d if overwrite else d.copy()
@@ -181,23 +185,20 @@ def hac(d: np.ndarray, linkage: str = "average", overwrite: bool = False) -> Den
         division as work / np.outer(sizes, sizes)."""
         return w if linkage == "complete" else w / (sizes_i * sizes_j)
 
-    cols = np.arange(m)
     row_min = np.empty(m)
     row_arg = np.empty(m, dtype=np.int64)
-
     block_rows = _block_rows(m)
 
     def refresh(rows: np.ndarray) -> None:
-        """Recompute row_min and row_arg of rows over their columns j > i,
-        a block of rows (_block_rows) at a time."""
+        """Recompute row_min and row_arg of rows, a block of rows
+        (_block_rows) at a time."""
         for lo in range(0, len(rows), block_rows):
             block = rows[lo : lo + block_rows]
             vals = linkage_values(work[block], sizes[block, None], sizes)
-            vals[cols <= block[:, None]] = np.inf
             row_arg[block] = vals.argmin(axis=1)
             row_min[block] = vals.min(axis=1)
 
-    refresh(cols)
+    refresh(np.arange(m))
 
     for step in range(m - 1):
         a = int(row_min.argmin())
@@ -206,31 +207,25 @@ def hac(d: np.ndarray, linkage: str = "average", overwrite: bool = False) -> Den
         new_size = int(sizes[a] + sizes[b])
         merges.append((int(min(ids[a], ids[b])), int(max(ids[a], ids[b])), height, new_size))
 
+        # the infinite diagonal and dead slots stay infinite in updated
         if linkage == "complete":
-            updated = np.maximum(work[a, :], work[b, :])
+            updated = np.maximum(work[a], work[b])
         else:
-            updated = work[a, :] + work[b, :]
-        work[a, :] = updated
-        work[:, a] = updated
-        work[a, a] = np.inf
-        work[b, :] = np.inf
-        work[:, b] = np.inf
+            updated = work[a] + work[b]
+        work[a] = work[:, a] = updated
+        work[b] = work[:, b] = np.inf
         sizes[a] = new_size
         ids[a] = m + step
 
         # a dead slot never becomes a minimum again; -1 keeps it out of the
         # argmin tests below
-        row_min[b] = np.inf
-        row_arg[b] = -1
-        above = row_arg[:a]
-        stale = (above == a) | (above == b)
-        col_a = linkage_values(work[:a, a], sizes[:a], sizes[a])
-        better = (col_a < row_min[:a]) | ((col_a == row_min[:a]) & (a < above))
-        take = np.flatnonzero(better & ~stale)
-        row_min[take] = col_a[take]
+        row_min[b], row_arg[b] = np.inf, -1
+        col = linkage_values(updated, sizes, new_size)
+        stale = (row_arg == a) | (row_arg == b)
+        take = ~stale & ((col < row_min) | ((col == row_min) & (a < row_arg)))
+        row_min[take] = col[take]
         row_arg[take] = a
-        between = np.flatnonzero(row_arg[a + 1 : b] == b) + a + 1
-        refresh(np.concatenate((np.flatnonzero(stale), [a], between)))
+        refresh(np.flatnonzero(stale))
 
     return Dendrogram(n_leaves=m, merges=merges)
 

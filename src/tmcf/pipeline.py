@@ -232,6 +232,8 @@ def validate_config(config: RunConfig, trace_required: bool = True) -> tuple[lis
                      "hidden_size", "epochs")
         if (value := getattr(config, name)) is not None and value < 1
     ]
+    if config.seed < 0:  # numpy's generators take no negative seed
+        errors.append(f"seed must be >= 0, got {config.seed}")
     # the knee search needs at least 3 points
     if config.k_grid is not None and (
         len(set(config.k_grid)) < 3 or any(k < 1 for k in config.k_grid)

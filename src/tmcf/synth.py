@@ -62,6 +62,8 @@ class SynthSpec:
             raise ValidationError(f"n_nodes must be positive, got {self.n_nodes}")
         if self.n_steps < 2:
             raise ValidationError(f"n_steps must be >= 2, got {self.n_steps}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         total = sum(g.n_flows for g in self.groups)
         if total != self.n_nodes**2:
             raise ValidationError(

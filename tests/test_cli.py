@@ -366,6 +366,21 @@ def test_cluster_rejects_a_defect_past_the_first_block(tmp_path, capsys, defect)
     assert not os.path.exists(tmp_path / "cluster")
 
 
+@pytest.mark.parametrize("k", ["1", "2"])
+def test_cluster_on_a_matrix_whose_average_linkage_overflows_is_a_data_error(tmp_path, capsys,
+                                                                            k):
+    # it wrote a dendrogram with a self-merge at height inf (k=2), or failed
+    # on "labels must lie in 1..1" (k=1)
+    path = tmp_path / "big.npy"
+    np.save(path, np.full((4, 4), 1e308) - np.diag(np.full(4, 1e308)))
+    assert main([
+        "cluster", "--method", "hac", "--dissimilarity", str(path), "--linkage", "average",
+        "--k", k, "--out-dir", str(tmp_path / "cluster"),
+    ]) == EXIT_DATA
+    assert f"{path}: dissimilarity matrix sum overflows" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "cluster")
+
+
 def write_config(tmp_path, **keys) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(keys))
@@ -644,6 +659,51 @@ def test_a_config_that_cannot_run_does_not_validate(tmp_path, capsys, command, f
     assert main([command, "--config", config, "--out-dir", str(run_dir), *flags]) == EXIT_CONFIG
     assert "config ok" not in capsys.readouterr().out
     assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("run", ["--k", "2"]),
+    ("sweep", ["--k-grid", "1,2,3"]),
+    ("compare", ["--k", "2"]),
+    ("represent", []),
+    ("train", ["--partition", "partition.json"]),
+    ("evaluate", ["--partition", "partition.json", "--models", "models"]),
+    ("validate", []),
+])
+def test_a_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys, command, flags):
+    # numpy's generators reject it, and run failed only after its clustering
+    # stage had written partition.json and dendrogram.csv
+    trace = synth_trace(tmp_path)
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    argv = [command, "--trace", trace, "--seed", "-1", "--out-dir", str(out_dir), *flags]
+    assert main(argv + TRAIN_FLAGS) == EXIT_CONFIG
+    out, err = capsys.readouterr()  # validate prints its errors to stdout
+    assert "seed must be >= 0, got -1" in out + err
+    assert not out_dir.exists()
+
+
+def test_a_resume_with_a_negative_seed_leaves_the_run_directory_as_it_was(tmp_path, capsys):
+    trace = synth_trace(tmp_path)
+    run_dir = str(tmp_path / "run")
+    run_k2(trace, run_dir, "--resume")
+    before = files(run_dir)
+    capsys.readouterr()
+    assert main(["run", "--trace", trace, "--out-dir", run_dir, "--k", "2", "--resume",
+                 "--seed", "-1", *TRAIN_FLAGS]) == EXIT_CONFIG
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert files(run_dir) == before
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["cluster", "--method", "naive", "--flows", "16", "--k", "2"], EXIT_CONFIG),
+    (["synth", "--nodes", "2", "--steps", "10", "--group", "4:4:1.0:0.1:sine"], EXIT_DATA),
+], ids=["cluster-naive", "synth"])
+def test_a_negative_seed_of_a_step_without_a_config(tmp_path, capsys, argv, code):
+    out_dir = tmp_path / "out"
+    assert main([*argv, "--seed", "-1", "--out-dir", str(out_dir)]) == code
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def no_parse(*args, **kwargs):

@@ -5,10 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.cluster.hierarchy import linkage as scipy_linkage
+from scipy.spatial.distance import squareform
+
 from tmcf import cluster
-from tmcf.cluster import LINKAGES, Partition, _validate_dissimilarity, cut, hac, naive_partition
+from tmcf.cluster import (LINKAGES, Dendrogram, Partition, _block_rows, _validate_dissimilarity,
+                          cut, hac, naive_partition)
+from tmcf.dataset import write_canonical_csv
 from tmcf.errors import ValidationError
 from tmcf.evaluate import ari
+from tmcf.pipeline import RunConfig, prepare, represent
+from tmcf.represent import pairwise_dissimilarity
+from tmcf.synth import GroupSpec, SynthSpec, generate
 
 
 def brute_force_hac(dist, linkage):
@@ -92,10 +100,117 @@ def reference_hac(d, linkage="average"):
     return merges
 
 
+# hac() as it was before it cached full-row minima, verbatim: each slot's
+# minimum over the slots after it. The oracle hac() must equal exactly.
+def upper_minimum_hac(d: np.ndarray, linkage: str = "average", overwrite: bool = False) -> Dendrogram:
+    """Agglomerate a symmetric nonnegative dissimilarity matrix.
+
+    hac works on a copy of d, or with overwrite on d itself, which it then
+    leaves overwritten: the pipeline hands over the matrix it computed, so a
+    run holds one M x M matrix, not two.
+
+    Complete linkage propagates cross-pair maxima; average linkage keeps
+    the running SUM of original cross-pair distances and divides by the
+    member-pair count on demand, so every reported height equals the
+    definitional computation (not a rounded running mean).
+
+    Each slot i caches row_min[i] and row_arg[i], the minimum of row i's
+    linkage values over the slots j > i and its first argmin, so a merge
+    reads the minimum in O(M) instead of rescanning the M x M matrix. The
+    surviving slot of a merge is the smaller index, so a slot's index is
+    always its smallest member; the tie-break is therefore the
+    lexicographically smallest slot pair (a, b), which is
+    a = argmin(row_min), b = row_arg[a]. After a merge only row a, the
+    rows whose argmin was a or b, and column a change, so only those
+    entries are recomputed.
+    """
+    if linkage not in LINKAGES:
+        raise ValidationError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
+    d = _validate_dissimilarity(d)
+    m = d.shape[0]
+    if m < 2:
+        raise ValidationError("need at least 2 items to cluster")
+
+    # work holds the pairwise max (complete) or the cross-distance sum (average)
+    work = d if overwrite else d.copy()
+    np.fill_diagonal(work, np.inf)
+    sizes = np.ones(m, dtype=np.int64)
+    ids = np.arange(m)  # current dendrogram id per slot
+    merges: list[tuple[int, int, float, int]] = []
+
+    def linkage_values(w, sizes_i, sizes_j):
+        """Linkage values of work entries w: the same int64 product and
+        division as work / np.outer(sizes, sizes)."""
+        return w if linkage == "complete" else w / (sizes_i * sizes_j)
+
+    cols = np.arange(m)
+    row_min = np.empty(m)
+    row_arg = np.empty(m, dtype=np.int64)
+
+    block_rows = _block_rows(m)
+
+    def refresh(rows: np.ndarray) -> None:
+        """Recompute row_min and row_arg of rows over their columns j > i,
+        a block of rows (_block_rows) at a time."""
+        for lo in range(0, len(rows), block_rows):
+            block = rows[lo : lo + block_rows]
+            vals = linkage_values(work[block], sizes[block, None], sizes)
+            vals[cols <= block[:, None]] = np.inf
+            row_arg[block] = vals.argmin(axis=1)
+            row_min[block] = vals.min(axis=1)
+
+    refresh(cols)
+
+    for step in range(m - 1):
+        a = int(row_min.argmin())
+        b = int(row_arg[a])
+        height = float(row_min[a])
+        new_size = int(sizes[a] + sizes[b])
+        merges.append((int(min(ids[a], ids[b])), int(max(ids[a], ids[b])), height, new_size))
+
+        if linkage == "complete":
+            updated = np.maximum(work[a, :], work[b, :])
+        else:
+            updated = work[a, :] + work[b, :]
+        work[a, :] = updated
+        work[:, a] = updated
+        work[a, a] = np.inf
+        work[b, :] = np.inf
+        work[:, b] = np.inf
+        sizes[a] = new_size
+        ids[a] = m + step
+
+        # a dead slot never becomes a minimum again; -1 keeps it out of the
+        # argmin tests below
+        row_min[b] = np.inf
+        row_arg[b] = -1
+        above = row_arg[:a]
+        stale = (above == a) | (above == b)
+        col_a = linkage_values(work[:a, a], sizes[:a], sizes[a])
+        better = (col_a < row_min[:a]) | ((col_a == row_min[:a]) & (a < above))
+        take = np.flatnonzero(better & ~stale)
+        row_min[take] = col_a[take]
+        row_arg[take] = a
+        between = np.flatnonzero(row_arg[a + 1 : b] == b) + a + 1
+        refresh(np.concatenate((np.flatnonzero(stale), [a], between)))
+
+    return Dendrogram(n_leaves=m, merges=merges)
+
+
 def assert_same_merges(got, want):
     """Exact merge tuples, heights compared bit for bit."""
     assert got == want
     assert [g[2].hex() for g in got] == [w[2].hex() for w in want]
+
+
+def assert_matches_oracles(d, linkage, reference=True):
+    """hac(d) merges exactly as the former hac and, with reference, as the
+    rescanning reference_hac; returns its merges."""
+    got = hac(d, linkage).merges
+    assert_same_merges(got, upper_minimum_hac(d, linkage).merges)
+    if reference:
+        assert_same_merges(got, reference_hac(d, linkage))
+    return got
 
 
 def line_points_matrix():
@@ -244,7 +359,7 @@ def duplicated_points_dissimilarity(rng, m):
 
 
 class TestHacReference:
-    """hac() against the former O(M^3) implementation: same merges, ties included."""
+    """hac() against the former hac and the O(M^3) rescan: same merges, ties included."""
 
     @pytest.mark.parametrize("linkage", LINKAGES)
     @pytest.mark.parametrize("kind", ["random", "integral", "duplicated", "zero"])
@@ -260,23 +375,22 @@ class TestHacReference:
                 d = duplicated_points_dissimilarity(rng, m)
             else:
                 d = np.zeros((m, m))
-            assert_same_merges(hac(d, linkage).merges, reference_hac(d, linkage))
+            assert_matches_oracles(d, linkage)
 
     def test_merged_value_rounding_onto_a_row_minimum(self):
         # After {1, 3} merge, fl((1 + 2**-52 + 1) / 2) == 1.0 ties row 0's
         # cached minimum at column 2; the tie-break must move to slot 1.
         up = 1.0 + 2**-52
         d = np.array([[0, up, 1, 1], [up, 0, 3, 0.5], [1, 3, 0, 3], [1, 0.5, 3, 0]])
-        merges = hac(d, "average").merges
+        merges = assert_matches_oracles(d, "average")
         assert merges[1] == (0, 4, 1.0, 3)
-        assert_same_merges(merges, reference_hac(d, "average"))
 
     @pytest.mark.parametrize("linkage", LINKAGES)
     def test_matches_reference_m200(self, linkage):
         rng = np.random.default_rng(201)
         d = random_dissimilarity(rng, 200, integral=True)
         d[:40, :40] = 0.0  # a block of identical flows, as all-zero OD flows give
-        assert_same_merges(hac(d, linkage).merges, reference_hac(d, linkage))
+        assert_matches_oracles(d, linkage)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -294,7 +408,88 @@ class TestHacReference:
         d = np.zeros((m, m))
         d[np.triu_indices(m, 1)] = upper
         d = d + d.T
-        assert_same_merges(hac(d, linkage).merges, reference_hac(d, linkage))
+        assert_matches_oracles(d, linkage)
+
+
+# the planted groups of the benchmark's workloads (perfbench/workloads.py):
+# (shape, period in steps, amplitude in bytes, noise std), a quarter of the flows each
+BENCHMARK_GROUPS = (
+    ("sine", 288, 1.0e6, 5.0e4),
+    ("square", 96, 8.0e5, 1.0e4),
+    ("bursty-lognormal", 12, 2.0e6, 1.0e4),
+    ("sine", 144, 6.0e5, 2.4e5),
+)
+
+
+def benchmark_dissimilarity(tmp_path, n_nodes, representation, metric):
+    """The matrix a benchmark workload's run clusters, on the trace of seed 1300."""
+    groups = [GroupSpec(n_nodes**2 // 4, period, amplitude, noise, shape)
+              for shape, period, amplitude, noise in BENCHMARK_GROUPS]
+    tm, _ = generate(SynthSpec(n_nodes=n_nodes, n_steps=1008, groups=groups, seed=1300))
+    trace = str(tmp_path / "trace.csv")
+    write_canonical_csv(tm, trace)
+    config = RunConfig(trace=trace, representation=representation, metric=metric)
+    flows_norm, _, _, ranges = prepare(config)
+    return pairwise_dissimilarity(represent(config, flows_norm, ranges), metric).d
+
+
+class TestHacOnLargeMatrices:
+    @pytest.mark.parametrize("n_nodes,representation,metric", [
+        (12, "histogram", "jsd"), (24, "acf", "euclidean"),
+    ], ids=["abilene-hist-k16", "wide-acf-k16"])
+    def test_a_benchmark_matrix_matches_both_oracles(self, tmp_path, n_nodes, representation,
+                                                     metric):
+        d = benchmark_dissimilarity(tmp_path, n_nodes, representation, metric)
+        assert d.shape == (n_nodes**2, n_nodes**2)
+        for linkage in LINKAGES:
+            assert_matches_oracles(d, linkage)
+
+    @pytest.mark.parametrize("linkage", LINKAGES)
+    def test_m2304_matches_the_former_hac(self, linkage):
+        d = random_dissimilarity(np.random.default_rng(202), 2304)
+        assert_same_merges(hac(d, linkage).merges,
+                           upper_minimum_hac(d, linkage, overwrite=True).merges)
+
+
+class TestHacScipy:
+    """scipy's linkage as a second oracle, on tie-free matrices only: scipy
+    does not follow hac's smallest-slot-pair rule on ties. Its average
+    linkage keeps a running mean, so heights agree within 1e-14 relative."""
+
+    @pytest.mark.parametrize("linkage", LINKAGES)
+    def test_matches_scipy_on_tie_free_matrices(self, linkage):
+        rng = np.random.default_rng(300)
+        for m in [3, 4, 5, *rng.integers(6, 201, size=20).tolist()]:
+            d = random_dissimilarity(rng, m)
+            want = scipy_linkage(squareform(d, checks=False), linkage)
+            got = hac(d, linkage).merges
+            assert [g[:2] for g in got] == [tuple(sorted(pair)) for pair in
+                                            want[:, :2].astype(int).tolist()]
+            assert [g[3] for g in got] == want[:, 3].astype(int).tolist()
+            heights = np.array([g[2] for g in got])
+            if linkage == "complete":
+                assert np.array_equal(heights, want[:, 2])
+            else:
+                np.testing.assert_allclose(heights, want[:, 2], rtol=1e-14, atol=0)
+
+
+class TestHacOverflow:
+    def test_average_linkage_rejects_a_matrix_whose_sum_overflows(self):
+        # summed, two clusters' cross distances read inf, a dead slot: the
+        # merges were (0, 1), (2, 3), then (4, 4) at height inf
+        d = np.full((4, 4), 1e308)
+        np.fill_diagonal(d, 0.0)
+        with pytest.raises(ValidationError, match="^dissimilarity matrix sum overflows"):
+            hac(d, "average")
+        # complete linkage takes maxima, which never overflow
+        assert hac(d, "complete").merges == [(0, 1, 1e308, 2), (2, 4, 1e308, 3),
+                                             (3, 5, 1e308, 4)]
+
+    def test_average_linkage_takes_a_matrix_whose_sum_is_finite(self):
+        d = np.full((4, 4), 1e307)
+        np.fill_diagonal(d, 0.0)
+        assert hac(d, "average").merges == [(0, 1, 1e307, 2), (2, 4, 1e307, 3),
+                                            (3, 5, 1e307, 4)]
 
 
 class TestCut:

@@ -377,6 +377,34 @@ def test_import_and_help_leave_scipy_signal_unloaded():
     assert result == {"loaded": [], "psd_shape": [3, 33]}
 
 
+def test_a_histogram_and_an_acf_run_leave_scipy_cluster_unloaded(tmp_path):
+    # scipy's linkage is a test oracle of hac, never the program's HAC
+    code = textwrap.dedent("""
+        import json, sys
+        from tmcf.dataset import write_canonical_csv
+        from tmcf.pipeline import RunConfig, run_pipeline
+        from tmcf.synth import GroupSpec, SynthSpec, generate
+        root = sys.argv[1]
+        tm, _ = generate(SynthSpec(n_nodes=4, n_steps=400, seed=5, groups=[
+            GroupSpec(8, 24, 1.0, 0.1, "sine"), GroupSpec(8, 7, 1.0, 0.1, "square")]))
+        write_canonical_csv(tm, root + "/trace.csv")
+        for representation in ("histogram", "acf"):
+            run_pipeline(RunConfig(trace=root + "/trace.csv", representation=representation,
+                                   k=2, epochs=1, profile="desk",
+                                   out_dir=root + "/" + representation))
+        print(json.dumps(sorted(name for name in sys.modules
+                                if name.startswith("scipy.cluster"))))
+    """)
+    src = os.path.dirname(os.path.dirname(represent.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, env=env, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    for representation in ("histogram", "acf"):
+        assert os.path.exists(tmp_path / representation / "dendrogram.csv")
+
+
 class TestBlockFeaturesMatchPerFlowOracle:
     @pytest.mark.parametrize("kind,kwargs", ORACLE_CASES)
     def test_corpus(self, kind, kwargs):
