@@ -12,9 +12,9 @@ ingest on, the calling process and every forked training share hold one
 trace-sized matrix, the flows, for every K of a sweep too. Beside it, each
 stage holds what it makes: clustering the features and one M x M
 dissimilarity matrix, which HAC agglomerates in place; training, in each
-share, a copy of its clusters' flows up to the end of the validation range
-and their windows' rows; scoring pred_norm and one (samples, M) working
-array, the squared errors of both RMSEs.
+share, one copy of each of its clusters' flows over the training and
+validation steps, as the rows its windows read; scoring pred_norm and one
+(samples, M) working array, the squared errors of both RMSEs.
 
 A run directory holds, by stage:
 
@@ -28,7 +28,8 @@ A run directory holds, by stage:
   bytes and the truths are recomputed from it, the trace and scale.json) and
   eval_report.json (which also lists each flow's normalized RMSE)
 
-plus manifest.json: the config, versions and, per stage, its hash,
+plus manifest.json: the config, versions (of tmcf, numpy and Python; a run
+imports nothing else outside the standard library) and, per stage, its hash,
 wall_time_seconds, peak_rss_mib and children_peak_rss_mib (the peak RSS so
 far of the run's process and of its largest child) and artifacts, a {name:
 sha256} map; the ingest entry also records trace_sha256, the hash of the
@@ -71,7 +72,6 @@ from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import cluster as cluster_mod
@@ -344,7 +344,6 @@ class Manifest:
             "versions": {
                 "tmcf": __version__,
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
                 "python": platform.python_version(),
             },
             "stages": {},

@@ -29,10 +29,11 @@ every cluster's seed before it forks, so numpy.random is loaded once per
 process, not once per child. Prediction runs in the calling process, every
 cluster through one set of reused buffers.
 
-Each dataset's windows are copied once, into an array of rows with a
-trailing 1 (_rows_with_ones), which holds a series once; prediction gathers
-a cluster's test steps into that layout straight from the flow matrix.
-Training gathers each batch from it; validation and prediction read it in
+Windows are read from an array of rows with a trailing 1 (_rows_with_ones),
+which holds a series once. Training and prediction gather a cluster's steps
+into that layout straight from the flow matrix (_flow_rows), one copy per
+cluster, and its training and validation windows and targets are views of
+it. Training gathers each batch from it; validation and prediction read it in
 place as time-major step views (_step_slabs), and their forward passes,
 which no backward pass follows, cache one step. So prediction's scratch
 does not grow with the number of test windows.
@@ -50,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cluster import Partition
-from .dataset import ScaleParams, TmSeries, WindowedDataset, denormalize_array, make_windows
+from .dataset import ScaleParams, TmSeries, WindowedDataset, denormalize_array
 from .errors import NumericalError, ValidationError
 from .parallel import deal
 
@@ -294,6 +295,28 @@ def _rows_with_ones(inputs: np.ndarray) -> tuple[np.ndarray, int]:
     return rows, 1 if one_series else t
 
 
+def _flow_rows(flow_values: np.ndarray, members: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Steps lo .. hi - 1 of the member flows of the (M, T) matrix as the
+    rows of one series, laid out as _rows_with_ones lays them out: row t
+    holds step lo + t of each member, then a 1. A flow at a time, in one
+    copy."""
+    rows = np.empty((hi - lo, members.size + 1))
+    for j, flow in enumerate(members.tolist()):
+        rows[:, j] = flow_values[flow, lo:hi]
+    rows[:, -1] = 1.0
+    return rows
+
+
+class _Windows(NamedTuple):
+    """Windows of `steps` steps laid out as _rows_with_ones lays them out
+    (window s's step t is row s * stride + t), with their targets."""
+
+    rows: np.ndarray
+    stride: int
+    steps: int
+    targets: np.ndarray
+
+
 def _step_slabs(rows: np.ndarray, stride: int, lo: int, count: int, steps: int) -> np.ndarray:
     """The windows lo .. lo + count - 1 of _rows_with_ones's rows, time-major
     and read-only: a (steps, count, d + 1) view whose [t, s] is step t of
@@ -423,20 +446,18 @@ def _sq_errors_and_grads(v: _Views, g: _Views, xs: list[np.ndarray], ys: list[np
     return np.array([np.vdot(e, e) for e in errs])
 
 
-def _dataset_mse(v: _Views, sets: list[WindowedDataset], rows: list[tuple[np.ndarray, int]],
-                 chunk: int, scratch: _Scratch) -> np.ndarray:
-    """Mean squared error of every model of a stack on its own dataset,
-    whose inputs are given as _rows_with_ones, from forward passes over
-    `chunk` windows at a time."""
+def _dataset_mse(v: _Views, sets: list[_Windows], chunk: int, scratch: _Scratch) -> np.ndarray:
+    """Mean squared error of every model of a stack on its own windows,
+    from forward passes over `chunk` windows at a time."""
     total = np.zeros(len(sets))
-    n, t = sets[0].inputs.shape[:2]
+    n, t = len(sets[0].targets), sets[0].steps
     for lo in range(0, n, chunk):
-        xs = [_step_slabs(r, stride, lo, min(chunk, n - lo), t) for r, stride in rows]
+        xs = [_step_slabs(w.rows, w.stride, lo, min(chunk, n - lo), t) for w in sets]
         state, _ = _forward(v, xs, scratch, keep=False)
-        for i, ds in enumerate(sets):
-            err = _readout(v, state, i) - ds.targets[lo : lo + chunk]
+        for i, w in enumerate(sets):
+            err = _readout(v, state, i) - w.targets[lo : lo + chunk]
             total[i] += np.vdot(err, err)
-    return total / np.array([ds.targets.size for ds in sets])
+    return total / np.array([w.targets.size for w in sets])
 
 
 def gru_forward(model: GruModel, inputs: np.ndarray) -> np.ndarray:
@@ -501,15 +522,16 @@ def _diverged(message: str, live: list[int], losses: np.ndarray) -> NumericalErr
 
 def _train_group(
     configs: list[GruConfig],
-    train_sets: list[WindowedDataset],
-    val_sets: list[WindowedDataset],
+    train_sets: list[_Windows],
+    val_sets: list[_Windows],
 ) -> list[tuple[GruModel, TrainReport]]:
     """Train one model per config in one stack; see train for the rules.
 
     The configs differ only in input_size and seed, and the training sets
-    have the same number of windows, so every model takes the same Adam
-    steps. A model that stops early leaves the stack after that epoch: its
-    parameters and Adam moments are packed out, and it is not computed on.
+    have the same number and length of windows, so every model takes the
+    same Adam steps. A model that stops early leaves the stack after that
+    epoch: its parameters and Adam moments are packed out, and it is not
+    computed on.
     """
     cfg = configs[0]
     models = [init_model(c) for c in configs]
@@ -520,10 +542,8 @@ def _train_group(
     stack = _Stack([c.input_size for c in configs], cfg.hidden_size)
     params = stack.pack([m.params for m in models])
     m1, m2, grads = np.zeros(stack.size), np.zeros(stack.size), np.empty(stack.size)
-    n = train_sets[0].n_samples
-    rows, strides = zip(*(_rows_with_ones(ds.inputs) for ds in train_sets))
-    val_rows = [_rows_with_ones(ds.inputs) for ds in val_sets]
-    steps = np.arange(train_sets[0].inputs.shape[1])[:, None]
+    n = len(train_sets[0].targets)
+    steps = np.arange(train_sets[0].steps)[:, None]
     scratch = _Scratch()
     adam_t = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -533,11 +553,12 @@ def _train_group(
             sq_sum = np.zeros(len(live))
             for lo in range(0, n, cfg.batch_size):
                 batch = [(i, order[lo : lo + cfg.batch_size]) for i, order in zip(live, orders)]
-                xs = scratch.take("inputs", [(len(steps), len(j), rows[i].shape[1])
+                xs = scratch.take("inputs", [(len(steps), len(j), train_sets[i].rows.shape[1])
                                              for i, j in batch])
                 for (i, j), x in zip(batch, xs):
                     # the indices are in range; mode "raise" would buffer the copy
-                    np.take(rows[i], steps + strides[i] * j, axis=0, out=x, mode="clip")
+                    w = train_sets[i]
+                    np.take(w.rows, steps + w.stride * j, axis=0, out=x, mode="clip")
                 sq = _sq_errors_and_grads(pv, gv, xs, [train_sets[i].targets[j] for i, j in batch],
                                           scratch)
                 if not np.isfinite(sq).all():
@@ -563,8 +584,7 @@ def _train_group(
                 sq_sum += sq
             train_loss = sq_sum / (n * stack.widths)
 
-            val_loss = _dataset_mse(pv, [val_sets[i] for i in live], [val_rows[i] for i in live],
-                                    cfg.batch_size, scratch)
+            val_loss = _dataset_mse(pv, [val_sets[i] for i in live], cfg.batch_size, scratch)
             if not np.isfinite(val_loss).all():
                 raise _diverged(f"validation loss non-finite at epoch {epoch + 1}", live, val_loss)
 
@@ -623,7 +643,9 @@ def train(
             f"dataset width {train_ds.n_dims} does not match config input_size "
             f"{config.input_size}"
         )
-    return _train_group([config], [train_ds], [val_ds])[0]
+    train_set, val_set = (_Windows(*_rows_with_ones(ds.inputs), ds.inputs.shape[1], ds.targets)
+                          for ds in (train_ds, val_ds))
+    return _train_group([config], [train_set], [val_set])[0]
 
 
 def cluster_seed(base_seed: int, cluster_id: int) -> int:
@@ -654,6 +676,12 @@ def train_partitioned(
         raise ValidationError(
             f"partition covers {partition.n_items} flows, matrix has {flow_values.shape[0]}"
         )
+    lo, hi = min(train_range[0], val_range[0]), max(train_range[1], val_range[1])
+    if (window_length < 2 or lo < 0 or hi > flow_values.shape[1]
+            or min(train_range[1] - train_range[0], val_range[1] - val_range[0]) < window_length):
+        raise ValidationError(f"training range {train_range} and validation range {val_range} "
+                              f"of {flow_values.shape[1]} steps must each fit a window of "
+                              f"{window_length} >= 2 steps")
     widths = np.bincount(partition.labels, minlength=partition.k + 1)[1:]
     # a model's matmul work per window step, 6h(d+1) + 9h^2 multiply-adds, over 3h
     costs = [2 * (int(d) + 1) + 3 * config.hidden_size for d in widths]
@@ -671,15 +699,14 @@ def train_partitioned(
         for group in np.array_split(np.add(indices, 1), -(-len(indices) // fit)):
             configs, train_sets, val_sets = [], [], []
             for label in group.tolist():
-                rows = partition.members(label)
-                # one copy of what training reads, in Fortran order
-                series = flow_values[rows, : max(train_range[1], val_range[1])].T
-                train_sets.append(make_windows(series[train_range[0] : train_range[1]],
-                                               window_length))
-                val_sets.append(make_windows(series[val_range[0] : val_range[1]], window_length))
-                configs.append(
-                    replace(config, input_size=rows.size, seed=seeds[label])
-                )
+                members = partition.members(label)
+                # one copy of what training reads; both sets' windows and
+                # targets are views of it
+                rows = _flow_rows(flow_values, members, lo, hi)
+                for sets, (start, stop) in ((train_sets, train_range), (val_sets, val_range)):
+                    sets.append(_Windows(rows[start - lo :], 1, window_length - 1,
+                                         rows[start - lo + window_length - 1 : stop - lo, :-1]))
+                configs.append(replace(config, input_size=members.size, seed=seeds[label]))
             try:
                 results.update(zip(group.tolist(), _train_group(configs, train_sets, val_sets)))
             except NumericalError as exc:
@@ -728,12 +755,8 @@ def predict_flows(
         if models[label].input_size != members.size:
             raise ValidationError(f"model {label} takes {models[label].input_size} flows, "
                                   f"its cluster has {members.size}")
-        # the windows of one series as _rows_with_ones lays them out: every
-        # step but the last, which only a target reads, and a trailing 1
-        rows = np.empty((hi - lo - 1, members.size + 1))
-        for j, flow in enumerate(members.tolist()):
-            rows[:, j] = flow_values[flow, lo : hi - 1]
-        rows[:, -1] = 1.0
+        # every step but the last, which only a target reads
+        rows = _flow_rows(flow_values, members, lo, hi - 1)
         _predict_rows(models[label], rows, 1, window_length - 1, scratch, pred_norm, members)
     return pred_norm
 

@@ -5,20 +5,20 @@ flows are then compared with Jensen-Shannon divergence (histograms) or
 Euclidean distance (ACF/PSD vectors) to build the symmetric M x M
 dissimilarity matrix consumed by the clustering stage.
 
-Each representation pays only for its own work. scipy.signal is imported
-inside the PSD code, so importing tmcf and running histogram or ACF
-features never load it (nor the scipy.stats and scipy.interpolate it
-pulls in). The ACF sums each lag's products directly, a row slab at a
-time, in O(M T L) for L lags and no FFT, recomputing with the direct
-formula only the entries where its closed form is ill-conditioned. JSD
-uses the entropy form, with each row's entropy computed once.
+Everything here is numpy, and each representation pays only for its own
+work. The PSD is Welch's estimate, one rfft per segment offset over a slab
+of rows, and only a PSD call loads numpy.fft; scipy.signal.welch is its test
+oracle, not a dependency. The ACF sums each lag's products directly, a row
+slab at a time, in O(M T L) for L lags and no FFT, recomputing with the
+direct formula only the entries where its closed form is ill-conditioned.
+JSD uses the entropy form, with each row's entropy computed once.
 
 The ACF and PSD features split their rows, and the dissimilarities their
 row pairs, through tmcf.parallel.split, each estimating its serial work by
 a cost per value below. Histograms cost too little per value to split.
 
-Memory is bounded by what a call returns: histograms and ACF features
-work through blocks of rows whose temporaries have a fixed size, and the
+Memory is bounded by what a call returns: every representation works
+through blocks of rows whose temporaries have a fixed size, and the
 dissimilarity matrix is mirrored inside the anonymous mapping that its
 shares fill, with no second M x M array.
 """
@@ -65,6 +65,11 @@ _ACF_SUM_COLUMNS = 8192
 # MiB, 2304 x 806 72 -> 41 ms and 57 -> 1.9 MiB, 144 x 38,707 (a row a block)
 # 232 -> 200 ms and 170 -> 1.2 MiB, against whole-block temporaries.
 _HISTOGRAM_BLOCK_VALUES = 1 << 14
+# Values per segment of a PSD slab, at least one row: 64 rows of 256 steps,
+# whose temporaries stay near that threshold. Same host: 2304 x 806 blocks took
+# 17 ms and peaked at 4.8 MiB, against 19-22 ms in slabs of 16 to 256 rows and
+# 24 ms and 15.9 MiB in one slab; 144 x 38,707 blocks 52 against 54 ms.
+_PSD_SLAB_VALUES = 1 << 14
 # Rows per block of the in-place mirror of a dissimilarity matrix's upper
 # triangle. It took 1.1 ms at M=576 and 34 ms at M=2304 (16 to 128 rows within
 # 10% of it), where the fresh d + d.T took 2.6 and 86 ms.
@@ -75,13 +80,15 @@ _MIRROR_ROWS = 64
 # (see tmcf.parallel). Measured on the 2-vCPU benchmark host: the ACF of
 # 576 x 806 blocks in 12.4 ms at 1 lag and 24 ms at 30, and of 144 x 38,707
 # blocks in 123 and 250 ms (CPU time, medians of 3-5), so a 576 x 806 ACF
-# stays in the calling process and a 144 x 38,707 one splits; the PSD of
-# 576 x 806 blocks in 0.04 s, and the Euclidean and JSD matrices of 576
-# flows (30 lags, 50 bins) in 0.028 and 0.065 s (glibc mmap threshold
-# 128 KiB, medians of 7).
+# stays in the calling process and a 144 x 38,707 one splits; the PSD
+# (256-step segments) of 576 x 806, 2304 x 806 and 144 x 38,707 blocks in
+# 4.0-4.1, 13.5-15.1 and 52-53 ms (medians of 9; scipy.signal.welch, which
+# it replaced, took 11.5 and 46.5 ms on the first two), so none of them
+# splits; and the Euclidean and JSD matrices of 576 flows (30 lags, 50 bins)
+# in 0.028 and 0.065 s (glibc mmap threshold 128 KiB, medians of 7).
 _ACF_SECONDS_PER_CELL = 2.5e-8
 _ACF_SECONDS_PER_CELL_LAG = 8e-10
-_PSD_SECONDS_PER_CELL = 9e-8
+_PSD_SECONDS_PER_CELL = 9e-9
 _EUCLIDEAN_SECONDS_PER_VALUE = 5.7e-9
 _JSD_SECONDS_PER_VALUE = 7.9e-9
 
@@ -197,13 +204,20 @@ def build_features(
             if interval_seconds is None:
                 raise ValidationError("psd needs explicit fs or an interval to derive it")
             fs = 3600.0 / interval_seconds
-        # loaded here, before any fork, so that no share loads it again
-        from scipy import signal
-
-        parts = parallel.split(
-            lambda lo, hi: _psd_block(values[lo:hi], signal.welch, fs, segment_length),
-            len(values), _PSD_SECONDS_PER_CELL * values.size)
-        freqs, feats = parts[0][0], np.concatenate([power for _, power in parts])
+        settings = welch_settings(values.shape[1], segment_length)
+        t, nper = values.shape[1], settings["segment_length"]
+        if t == 0:
+            raise ValidationError("flow must be a nonempty 1-D series")
+        if fs <= 0:
+            raise ValidationError(f"sampling frequency must be positive, got {fs}")
+        if nper < 1:
+            raise ValidationError(f"segment length must be >= 1, got {nper}")
+        if t < nper:
+            raise ValidationError(f"series of {t} samples is shorter than one segment ({nper})")
+        # loads numpy.fft here, before any fork, so that no share loads it again
+        freqs = np.fft.rfftfreq(nper, 1.0 / fs)
+        feats = np.concatenate(parallel.split(lambda lo, hi: _psd_block(values[lo:hi], fs, nper),
+                                              len(values), _PSD_SECONDS_PER_CELL * values.size))
         if normalize_power:
             mass = feats.sum(axis=1, keepdims=True)
             feats = np.divide(feats, mass, out=np.zeros_like(feats), where=mass > 0)
@@ -212,7 +226,7 @@ def build_features(
             "freqs": freqs.tolist(),
             "normalize_power": bool(normalize_power),
         }
-        meta.update(welch_settings(values.shape[1], segment_length))
+        meta.update(settings)
     else:
         raise ValidationError(f"unknown representation {kind!r}; expected {REPRESENTATIONS}")
     return ReprMatrix(features=feats, kind=kind, meta=meta)
@@ -361,45 +375,47 @@ def _acf_at_lag(values: np.ndarray, lag: int) -> np.ndarray:
     return rho
 
 
-def _psd_block(
-    values: np.ndarray, welch, fs: float, segment_length: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided Welch PSD of every flow with density normalization;
-    returns (freqs, power).
+def _psd_block(values: np.ndarray, fs: float, nper: int) -> np.ndarray:
+    """One-sided Welch PSD of every flow (Welch 1967), density-scaled, at
+    the frequencies np.fft.rfftfreq(nper, 1 / fs), for settings that
+    build_features has checked.
 
-    Segments of min(256, T) samples, 50% overlap, Hann window. Each flow's
-    mean is removed once before segmentation (rather than per segment) so
-    that the spectrum integrates to the series variance even when a period
-    exceeds the segment length. fs is in samples per hour, putting the
-    frequency axis in cycles per hour. welch is scipy.signal.welch, which
-    build_features imports on the first PSD call: it loads scipy.stats and
-    scipy.interpolate as well, which importing tmcf and every other
-    representation then never pay for.
+    Segments of nper samples, nper // 2 overlap, periodic Hann window (as
+    scipy.signal.get_window("hann", nper) gives it: ones for one sample);
+    trailing samples that fill no segment are dropped. Each flow's mean is
+    removed once before segmentation (rather than per segment) so that the
+    spectrum integrates to the series variance even when a period exceeds
+    the segment length. fs is in samples per hour, putting the frequency
+    axis in cycles per hour. The block is processed in slabs of
+    _PSD_SLAB_VALUES // nper rows (at least one): one rfft per segment
+    offset transforms that segment of every row of the slab, centred and
+    windowed in one reused buffer, and |X|^2 accumulates into the slab's
+    rows of the (M, nper // 2 + 1) result, so no temporary grows with M or
+    T. Each row is transformed and summed alone, so its power does not
+    depend on the other rows of the block.
     """
-    t = values.shape[1]
-    if t == 0:
-        raise ValidationError("flow must be a nonempty 1-D series")
-    if fs <= 0:
-        raise ValidationError(f"sampling frequency must be positive, got {fs}")
-    nper = welch_settings(t, segment_length)["segment_length"]
-    if nper < 1:
-        raise ValidationError(f"segment length must be >= 1, got {nper}")
-    if t < nper:
-        raise ValidationError(
-            f"series of {t} samples is shorter than one segment ({nper})"
-        )
-    freqs, power = welch(
-        values - values.mean(axis=1, keepdims=True),
-        fs=fs,
-        window="hann",
-        nperseg=nper,
-        noverlap=nper // 2,
-        detrend=False,
-        return_onesided=True,
-        scaling="density",
-        axis=-1,
-    )
-    return freqs, np.maximum(power, 0.0)
+    m, t = values.shape
+    step = nper - nper // 2
+    n_seg = (t - nper // 2) // step
+    # 0.5 - 0.5 cos(2 pi n / nper), in the form that gives scipy's bits
+    window = np.ones(1)
+    if nper > 1:
+        window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nper + 1)[:-1])
+    power = np.zeros((m, nper // 2 + 1))
+    slab_rows = max(1, _PSD_SLAB_VALUES // nper)
+    segment = np.empty((min(slab_rows, m), nper))
+    for start in range(0, m, slab_rows):
+        slab = values[start : start + slab_rows]
+        mean = slab.mean(axis=1, keepdims=True)
+        acc, seg = power[start : start + slab_rows], segment[: len(slab)]
+        for lo in range(0, n_seg * step, step):
+            np.subtract(slab[:, lo : lo + nper], mean, out=seg)
+            seg *= window
+            spectrum = np.fft.rfft(seg, axis=1)
+            acc += spectrum.real ** 2 + spectrum.imag ** 2
+    power *= 1.0 / (fs * (window * window).sum() * n_seg)
+    power[:, 1 : (nper + 1) // 2] *= 2.0  # one-sided: every bin but DC and Nyquist
+    return np.maximum(power, 0.0, out=power)
 
 
 def pairwise_dissimilarity(reps: ReprMatrix, metric: str | None = None) -> DissimilarityMatrix:

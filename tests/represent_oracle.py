@@ -6,10 +6,13 @@ build one feature vector, and build_features stacks them. jsd is the scalar
 divergence of two pmfs, and pairwise_jsd the former KL-form JSD matrix
 (_jsd_row, _safe_log2). The functions below are the former implementation,
 unchanged but for their imports and for acf_rep giving a constant flow 0 at
-every lag, as its docstring always stated. The whole-block histogram and PSD
-features of tmcf.represent.build_features must equal them bit for bit; the
-ACF features, which take each segment's sums in another order and correlate
-by a closed form, and the entropy-form JSD matrix must agree within 1e-12.
+every lag, as its docstring always stated. psd_rep is scipy.signal.welch,
+which tmcf no longer imports. The whole-block histogram features of
+tmcf.represent.build_features must equal them bit for bit; the ACF
+features, which take each segment's sums in another order and correlate by
+a closed form, and the entropy-form JSD matrix must agree within 1e-12, and
+the PSD features, whose Welch averages its segments in another order,
+within 1e-14 of each flow's largest value.
 pairwise_rows is the entropy-form matrix as it was computed before its rows
 reused two buffers, with fresh temporaries per row; the matrices of
 tmcf.represent.pairwise_dissimilarity must equal it bit for bit.

@@ -1,6 +1,6 @@
 """Module boundaries of the tmcf package: no module reaches into another's
-private names, so each underscore name can change with its module alone;
-tmcf.parallel alone forks and decides how work splits; and RunConfig alone
+private names, so each underscore name can change with its module alone; no
+module names scipy, a test-only dependency; tmcf.parallel alone forks and decides how work splits; and RunConfig alone
 declares the run settings, which every config-backed CLI subcommand takes as
 flags."""
 
@@ -27,6 +27,28 @@ def test_no_module_imports_a_private_name_of_another(path):
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert private == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_names_scipy(path):
+    # scipy is a test oracle only; pyproject.toml lists it in the test extra
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]  # an importlib or __import__ argument
+        else:
+            names = []
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 # the names through which a module would fork or size its own split

@@ -192,8 +192,9 @@ class TestStepViews:
         models = [self.model(2, seed=5), self.model(3, seed=6)]
         stack = _Stack([2, 3], 6)
         v = stack.views(stack.pack([m.params for m in models]))
-        got = predict._dataset_mse(v, sets, [predict._rows_with_ones(ds.inputs) for ds in sets],
-                                   4, _Scratch())
+        windows = [predict._Windows(*predict._rows_with_ones(ds.inputs), 10, ds.targets)
+                   for ds in sets]
+        got = predict._dataset_mse(v, windows, 4, _Scratch())
         want, scratch = np.zeros(2), _Scratch()
         for lo in range(0, 20, 4):
             state, _ = predict._forward(v, time_major([ds.inputs[lo : lo + 4] for ds in sets]),
@@ -382,6 +383,37 @@ class TestPartitionedTraining:
         )
         assert set(local) == set(range(1, 7))
         assert all(local[c][0].input_size == 1 for c in local)
+
+    @pytest.mark.parametrize("train_range,val_range,window_length", [
+        ((0, 120), (120, 160), 1),
+        ((0, 120), (120, 127), 8),
+        ((0, 120), (120, 161), 8),
+        ((-1, 120), (120, 160), 8),
+    ])
+    def test_ranges_that_fit_no_window_rejected(self, train_range, val_range, window_length):
+        cfg = GruConfig(input_size=1, hidden_size=4, epochs=1, seed=0)
+        with pytest.raises(ValidationError, match="must each fit a window"):
+            train_partitioned(Partition(np.ones(6, dtype=int), 1), self._flows(), cfg,
+                              train_range, val_range, window_length)
+
+    def test_a_clusters_windows_and_targets_are_views_of_one_copy(self, monkeypatch):
+        seen, train_group = [], predict._train_group
+
+        def spy(configs, train_sets, val_sets):
+            seen.extend(zip(train_sets, val_sets))
+            return train_group(configs, train_sets, val_sets)
+
+        monkeypatch.setattr(predict, "_train_group", spy)
+        usable_cpus(monkeypatch, 1)  # the share, and so the spy, runs in this process
+        cfg = GruConfig(input_size=1, hidden_size=4, epochs=1, seed=0)
+        values = self._flows()
+        train_partitioned(Partition(np.array([1, 2, 2, 1, 2, 2]), 2), values, cfg, (0, 120),
+                          (120, 160), 8)
+        assert len(seen) == 2
+        for train_set, val_set in seen:
+            rows = train_set.rows.base
+            assert rows.shape == (160, train_set.rows.shape[1])
+            assert all(a.base is rows for a in (val_set.rows, train_set.targets, val_set.targets))
 
     def test_cluster_seed_is_stable(self):
         assert cluster_seed(42, 3) == cluster_seed(42, 3)

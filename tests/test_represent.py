@@ -300,16 +300,29 @@ ORACLE_CASES = [
 
 
 def assert_matches_oracle(block, kind, kwargs):
-    """Histogram and PSD features equal the oracle's bit for bit. The ACF
-    sums each segment in another order and correlates by a closed form, so
-    it agrees within 1e-12 (NaN where the oracle gives NaN)."""
+    """Histogram features equal the oracle's bit for bit, and so do the
+    metadata, PSD frequencies included. The ACF sums each segment in
+    another order and correlates by a closed form, so it agrees within 1e-12
+    (NaN where the oracle gives NaN). The PSD averages its segments in
+    another order than scipy's welch: see assert_psd_close."""
     want = oracle.build_features(block, kind, **kwargs)
     got = build_features(block, kind, **kwargs)
     if kind == "acf":
         np.testing.assert_allclose(got.features, want.features, rtol=0, atol=1e-12)
+    elif kind == "psd":
+        assert_psd_close(got.features, want.features)
     else:
         assert np.array_equal(got.features, want.features), kind
     assert got.meta == want.meta
+
+
+def assert_psd_close(got, want):
+    """Each row within 1e-14 of its largest oracle value (the run lengths
+    of test_psd_at_run_lengths read at most 1.8e-15), zero where the
+    oracle's row is zero, and NaN where it is NaN."""
+    peak = np.abs(want).max(axis=1, keepdims=True, initial=0.0)
+    peak[peak == 0.0] = 1.0
+    np.testing.assert_allclose(got / peak, want / peak, rtol=0, atol=1e-14)
 
 
 def jsd_corpus(kind):
@@ -341,46 +354,25 @@ class TestJsdMatrixMatchesKlOracle:
                 assert pairs == [merge[:2] for merge in hac(want, linkage).merges]
 
 
-def test_import_and_help_leave_scipy_signal_unloaded():
-    # scipy.signal pulls in scipy.stats and scipy.interpolate; only the PSD
-    # representation needs it. Training forks its worker processes with os
-    # alone, so no process-pool module loads either; mmap loads only for a
-    # dissimilarity matrix, numpy.random only to seed or draw. The ACF sums
-    # its lags directly: numpy.fft, whose first transform leaves its plan
-    # cache resident, stays unloaded.
+def test_no_run_loads_scipy_and_only_a_psd_run_loads_numpy_fft(tmp_path):
+    # scipy is a test oracle (scipy.signal.welch of the PSD, scipy.cluster of
+    # HAC), never a module of a run. Training forks its worker processes
+    # with os alone, so no process-pool module loads either; mmap loads only
+    # for a dissimilarity matrix, numpy.random only to seed or draw. The ACF
+    # sums its lags directly: numpy.fft, whose first transform leaves its
+    # plan cache resident, loads only for the PSD.
     code = textwrap.dedent("""
         import contextlib, io, json, sys
-        import numpy as np
         import tmcf
         from tmcf import cli
-        from tmcf.represent import build_features
         with contextlib.redirect_stdout(io.StringIO()):
             try:
                 cli.main(["--help"])
             except SystemExit:
                 pass
-        heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate", "multiprocessing",
-                 "concurrent.futures", "numpy.random", "mmap")
-        loaded = [name for name in heavy if name in sys.modules]
-        block = np.random.default_rng(0).random((40, 2000))
-        build_features(block, "acf", interval_seconds=300)
-        loaded += [name for name in ("numpy.fft",) if name in sys.modules]
-        feats = build_features(block[:3, :64], "psd", fs=12.0)
-        print(json.dumps({"loaded": loaded, "psd_shape": list(feats.features.shape)}))
-    """)
-    src = os.path.dirname(os.path.dirname(represent.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"loaded": [], "psd_shape": [3, 33]}
-
-
-def test_a_histogram_and_an_acf_run_leave_scipy_cluster_unloaded(tmp_path):
-    # scipy's linkage is a test oracle of hac, never the program's HAC
-    code = textwrap.dedent("""
-        import json, sys
+        heavy = ("multiprocessing", "concurrent.futures", "numpy.random", "mmap", "numpy.fft")
+        loaded = {"help": [name for name in sys.modules
+                           if name.startswith("scipy") or name in heavy]}
         from tmcf.dataset import write_canonical_csv
         from tmcf.pipeline import RunConfig, run_pipeline
         from tmcf.synth import GroupSpec, SynthSpec, generate
@@ -388,27 +380,40 @@ def test_a_histogram_and_an_acf_run_leave_scipy_cluster_unloaded(tmp_path):
         tm, _ = generate(SynthSpec(n_nodes=4, n_steps=400, seed=5, groups=[
             GroupSpec(8, 24, 1.0, 0.1, "sine"), GroupSpec(8, 7, 1.0, 0.1, "square")]))
         write_canonical_csv(tm, root + "/trace.csv")
-        for representation in ("histogram", "acf"):
-            run_pipeline(RunConfig(trace=root + "/trace.csv", representation=representation,
-                                   k=2, epochs=1, profile="desk",
-                                   out_dir=root + "/" + representation))
-        print(json.dumps(sorted(name for name in sys.modules
-                                if name.startswith("scipy.cluster"))))
+        for method in ("histogram", "acf", "naive", "psd"):
+            run_pipeline(RunConfig(trace=root + "/trace.csv", representation=method, k=2,
+                                   epochs=1, profile="desk", out_dir=root + "/" + method))
+            loaded[method] = sorted(name for name in sys.modules
+                                    if name.startswith("scipy") or name == "numpy.fft")
+        print(json.dumps(loaded))
     """)
     src = os.path.dirname(os.path.dirname(represent.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                           text=True, env=env, check=True)
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
-    for representation in ("histogram", "acf"):
-        assert os.path.exists(tmp_path / representation / "dendrogram.csv")
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "help": [], "histogram": [], "acf": [], "naive": [], "psd": ["numpy.fft"]}
+    for method in ("histogram", "acf", "naive", "psd"):
+        assert os.path.exists(tmp_path / method / "eval_report.json")
 
 
 class TestBlockFeaturesMatchPerFlowOracle:
     @pytest.mark.parametrize("kind,kwargs", ORACLE_CASES)
     def test_corpus(self, kind, kwargs):
         assert_matches_oracle(feature_corpus(), kind, kwargs)
+
+    @pytest.mark.parametrize("t,segment_length", [
+        (806, None), (1008, None), (777, 255), (48_384, None), (300, 300), (200, None),
+        (129, 64), (41, 3), (40, 2), (40, 1)])
+    def test_psd_at_run_lengths(self, t, segment_length):
+        # the benchmark's and the paper's lengths, an odd segment, a single
+        # segment (T = 300 = nperseg), T below the default 256, odd T, and
+        # one-sample segments, whose window scipy takes as ones
+        block = np.random.default_rng(17).lognormal(size=(8, t))
+        for normalize_power in (False, True):
+            assert_matches_oracle(block, "psd", {"fs": 12.0, "segment_length": segment_length,
+                                                 "normalize_power": normalize_power})
 
     def test_corpus_marks_the_constant_flows_degenerate(self):
         reps = build_features(feature_corpus(), "acf", lags=[0, 2, 3])
@@ -469,6 +474,19 @@ class TestBlockFeaturesMatchPerFlowOracle:
         finally:
             tracemalloc.stop()
         assert peak < 3 * block.nbytes
+
+    def test_psd_memory_does_not_grow_with_the_block(self):
+        # slabs of 64 rows, centred and windowed a segment at a time: the
+        # features and their normalized copy (0.40 of the block here), where
+        # a centred copy of the block would take it whole
+        block = np.random.default_rng(14).random((512, 806))
+        tracemalloc.start()
+        try:
+            build_features(block, "psd", interval_seconds=300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block.nbytes / 2
 
     @pytest.mark.parametrize("kind,kwargs,block", [
         ("histogram", {}, np.zeros((2, 0))),
@@ -617,14 +635,18 @@ class TestSplitRows:
             pairwise_dissimilarity(build_features(make(), kind, **kwargs), metric)
         assert forks == []
 
-    @pytest.mark.parametrize("shape,shares", [((576, 806), 1), ((144, 38_707), 2)])
-    def test_acf_splits_by_its_estimated_cost(self, monkeypatch, shape, shares):
-        # 30 lags: the benchmark's 576-flow block is too little work to
-        # fork for, a 144-flow block of the paper's length is not
+    @pytest.mark.parametrize("kind,shape,shares", [
+        ("acf", (576, 806), 1), ("acf", (144, 38_707), 2),
+        ("psd", (2304, 806), 1), ("psd", (144, 38_707), 1), ("psd", (288, 38_707), 2)])
+    def test_features_split_by_their_estimated_cost(self, monkeypatch, kind, shape, shares):
+        # 30 lags: the benchmark's 576-flow ACF block is too little work to
+        # fork for, a 144-flow block of the paper's length is not; the Welch
+        # PSD takes 15 ms at 2304 x 806 and 52 ms at 144 x 38,707, which
+        # fork for nothing, and twice that at 288 flows, which splits
         block = np.broadcast_to(np.random.default_rng(16).random(shape[1]), shape)
         usable_cpus(monkeypatch, 2)
         forks = count_forks(monkeypatch)
-        build_features(block, "acf", interval_seconds=300)
+        build_features(block, kind, interval_seconds=300)
         assert len(forks) == shares - 1
         assert_no_children()
 
