@@ -48,11 +48,9 @@ from .predict import (
     GruConfig,
     GruModel,
     TrainReport,
-    gru_forward,
     load_model,
     predict_tm,
     save_model,
-    train,
     train_partitioned,
 )
 from .represent import (

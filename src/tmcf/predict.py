@@ -29,14 +29,14 @@ every cluster's seed before it forks, so numpy.random is loaded once per
 process, not once per child. Prediction runs in the calling process, every
 cluster through one set of reused buffers.
 
-Windows are read from an array of rows with a trailing 1 (_rows_with_ones),
-which holds a series once. Training and prediction gather a cluster's steps
-into that layout straight from the flow matrix (_flow_rows), one copy per
-cluster, and its training and validation windows and targets are views of
-it. Training gathers each batch from it; validation and prediction read it in
-place as time-major step views (_step_slabs), and their forward passes,
-which no backward pass follows, cache one step. So prediction's scratch
-does not grow with the number of test windows.
+Windows are read from one series of a cluster's steps, gathered straight
+from the flow matrix into an array of rows, each with a trailing 1
+(_flow_rows): one copy per cluster, in which window s starts at row s. Its
+training and validation windows and targets are views of it. Training
+gathers each batch from it; validation and prediction read it in place as
+time-major step views (_step_slabs), and their forward passes, which no
+backward pass follows, cache one step. So prediction's scratch does not
+grow with the number of test windows.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cluster import Partition
-from .dataset import ScaleParams, TmSeries, WindowedDataset, denormalize_array
+from .dataset import ScaleParams, TmSeries, denormalize_array
 from .errors import NumericalError, ValidationError
 from .parallel import deal
 
@@ -77,7 +77,7 @@ MODEL_FORMAT_VERSION = 1
 # R window rows of T steps for K models of hidden size h caches K*R*(8T+1)*h.
 # Each training share splits its clusters into as few groups as fit it, of
 # near-equal size. Validation passes run in batch-sized row chunks and
-# prediction in chunks of as many rows as half of it holds (_predict_rows);
+# prediction in chunks of as many rows as half of it holds (predict_flows);
 # neither keeps the steps for a backward pass, so each caches K*R*(3T+6)*h,
 # 0.44 of that at window 11: prediction's 202-row chunks of the desk profile
 # cache 0.89 MiB, not 2.0. At the desk profile (window 11, batch 32) a group
@@ -271,35 +271,17 @@ class _Scratch:
         return views
 
 
-def _rows_with_ones(inputs: np.ndarray) -> tuple[np.ndarray, int]:
-    """(rows, stride): the rows of (n, T, d) windows in one new C-ordered
-    array, each with a trailing 1 that meets the gate biases, where window
-    s's step t is row s * stride + t. Windows of one series (make_windows)
-    share their rows, so they take n + T - 1 rows, stride 1, of any memory
-    order; other windows take n * T rows, stride T.
-
-    A training batch is gathered time-major from the rows in one copy into
-    a reused buffer; fancy indexing of the windows would build a fresh
-    batch, which the glibc mmap threshold maps anew for each batch above
-    128 KiB. Validation and prediction read them as _step_slabs, with no
-    copy at all."""
-    n, t, d = inputs.shape
-    one_series = n > 0 and inputs.strides[0] == inputs.strides[1]
-    rows = np.empty((n + t - 1 if one_series else n * t, d + 1))
-    if one_series:
-        rows[:n, :d] = inputs[:, 0]
-        rows[n:, :d] = inputs[-1, 1:]
-    else:
-        rows[:, :d].reshape(n, t, d)[:] = inputs
-    rows[:, d] = 1.0
-    return rows, 1 if one_series else t
-
-
 def _flow_rows(flow_values: np.ndarray, members: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Steps lo .. hi - 1 of the member flows of the (M, T) matrix as the
-    rows of one series, laid out as _rows_with_ones lays them out: row t
-    holds step lo + t of each member, then a 1. A flow at a time, in one
-    copy."""
+    rows of one new C-ordered series: row t holds step lo + t of each
+    member, then a 1 that meets the gate biases. A flow at a time, in one
+    copy.
+
+    Window s of this series is rows s .. s + steps - 1. A training batch is
+    gathered time-major from the rows in one copy into a reused buffer;
+    fancy indexing of the windows would build a fresh batch, which the glibc
+    mmap threshold maps anew for each batch above 128 KiB. Validation and
+    prediction read them as _step_slabs, with no copy at all."""
     rows = np.empty((hi - lo, members.size + 1))
     for j, flow in enumerate(members.tolist()):
         rows[:, j] = flow_values[flow, lo:hi]
@@ -308,22 +290,21 @@ def _flow_rows(flow_values: np.ndarray, members: np.ndarray, lo: int, hi: int) -
 
 
 class _Windows(NamedTuple):
-    """Windows of `steps` steps laid out as _rows_with_ones lays them out
-    (window s's step t is row s * stride + t), with their targets."""
+    """Windows of `steps` steps of a series of rows laid out as _flow_rows
+    lays them out (window s's step t is row s + t), with their targets."""
 
     rows: np.ndarray
-    stride: int
     steps: int
     targets: np.ndarray
 
 
-def _step_slabs(rows: np.ndarray, stride: int, lo: int, count: int, steps: int) -> np.ndarray:
-    """The windows lo .. lo + count - 1 of _rows_with_ones's rows, time-major
-    and read-only: a (steps, count, d + 1) view whose [t, s] is step t of
-    window lo + s. Each step is a slab of rows `stride` apart."""
+def _step_slabs(rows: np.ndarray, lo: int, count: int, steps: int) -> np.ndarray:
+    """The windows lo .. lo + count - 1 of a series of rows, time-major and
+    read-only: a (steps, count, d + 1) view whose [t, s] is step t of
+    window lo + s, that is row lo + s + t."""
     r, c = rows.strides
-    return np.lib.stride_tricks.as_strided(rows[lo * stride :], (steps, count, rows.shape[1]),
-                                           (r, stride * r, c), writeable=False)
+    return np.lib.stride_tricks.as_strided(rows[lo:], (steps, count, rows.shape[1]), (r, r, c),
+                                           writeable=False)
 
 
 def _sigmoid_(x: np.ndarray) -> np.ndarray:
@@ -452,51 +433,12 @@ def _dataset_mse(v: _Views, sets: list[_Windows], chunk: int, scratch: _Scratch)
     total = np.zeros(len(sets))
     n, t = len(sets[0].targets), sets[0].steps
     for lo in range(0, n, chunk):
-        xs = [_step_slabs(w.rows, w.stride, lo, min(chunk, n - lo), t) for w in sets]
+        xs = [_step_slabs(w.rows, lo, min(chunk, n - lo), t) for w in sets]
         state, _ = _forward(v, xs, scratch, keep=False)
         for i, w in enumerate(sets):
             err = _readout(v, state, i) - w.targets[lo : lo + chunk]
             total[i] += np.vdot(err, err)
     return total / np.array([w.targets.size for w in sets])
-
-
-def gru_forward(model: GruModel, inputs: np.ndarray) -> np.ndarray:
-    """One-step-ahead prediction for a (T, d) window or a (B, T, d) batch."""
-    x = np.asarray(inputs, dtype=np.float64)
-    single = x.ndim == 2
-    if single:
-        x = x[None, :, :]
-    if x.ndim != 3 or x.shape[2] != model.input_size:
-        raise ValidationError(
-            f"input must have trailing dimension {model.input_size}, got shape {inputs.shape}"
-        )
-    if x.shape[1] < 1:
-        raise ValidationError("input history must contain at least one observation")
-    rows, stride = _rows_with_ones(x)
-    pred = np.empty((x.shape[0], model.input_size))
-    _predict_rows(model, rows, stride, x.shape[1], _Scratch(), pred)
-    return pred[0] if single else pred
-
-
-def _predict_rows(model: GruModel, rows: np.ndarray, stride: int, steps: int,
-                  scratch: _Scratch, out: np.ndarray, cols=slice(None)) -> None:
-    """Predict the windows of `steps` steps that rows hold (laid out as
-    _rows_with_ones lays them out) into out[:, cols], one row per window,
-    through the buffers of scratch, which a caller predicting with several
-    models passes to each in turn."""
-    if not np.isfinite(rows).all():
-        raise ValidationError("input contains NaN or Inf")
-    stack = _Stack([model.input_size], model.hidden_size)
-    v = stack.views(stack.pack([model.params]))
-    # chunks of as many windows as a pass of two models takes in the
-    # workspace; a chunk of another size sums in another order and moves
-    # the predictions in their last bit
-    n = out.shape[0]
-    chunk = _workspace_fit(2, steps, model.hidden_size)
-    for lo in range(0, n, chunk):
-        state, _ = _forward(v, [_step_slabs(rows, stride, lo, min(chunk, n - lo), steps)],
-                            scratch, keep=False)
-        out[lo : lo + chunk, cols] = _readout(v, state, 0)
 
 
 @dataclass
@@ -525,7 +467,8 @@ def _train_group(
     train_sets: list[_Windows],
     val_sets: list[_Windows],
 ) -> list[tuple[GruModel, TrainReport]]:
-    """Train one model per config in one stack; see train for the rules.
+    """Train one model per config in one stack; see train_partitioned for
+    the rules.
 
     The configs differ only in input_size and seed, and the training sets
     have the same number and length of windows, so every model takes the
@@ -557,8 +500,7 @@ def _train_group(
                                              for i, j in batch])
                 for (i, j), x in zip(batch, xs):
                     # the indices are in range; mode "raise" would buffer the copy
-                    w = train_sets[i]
-                    np.take(w.rows, steps + w.stride * j, axis=0, out=x, mode="clip")
+                    np.take(train_sets[i].rows, steps + j, axis=0, out=x, mode="clip")
                 sq = _sq_errors_and_grads(pv, gv, xs, [train_sets[i].targets[j] for i, j in batch],
                                           scratch)
                 if not np.isfinite(sq).all():
@@ -625,29 +567,6 @@ def _train_group(
     return results
 
 
-def train(
-    config: GruConfig,
-    train_ds: WindowedDataset,
-    val_ds: WindowedDataset,
-) -> tuple[GruModel, TrainReport]:
-    """Minimize MSE with Adam over seeded shuffled mini-batches.
-
-    Validation loss is checked once per epoch; training stops early after
-    `patience` consecutive epochs whose improvement over the best seen loss
-    is at most MIN_DELTA, and the best-validation parameters are restored.
-    """
-    if train_ds.n_samples < 1 or val_ds.n_samples < 1:
-        raise ValidationError("training and validation sets must be nonempty")
-    if train_ds.n_dims != config.input_size or val_ds.n_dims != config.input_size:
-        raise ValidationError(
-            f"dataset width {train_ds.n_dims} does not match config input_size "
-            f"{config.input_size}"
-        )
-    train_set, val_set = (_Windows(*_rows_with_ones(ds.inputs), ds.inputs.shape[1], ds.targets)
-                          for ds in (train_ds, val_ds))
-    return _train_group([config], [train_set], [val_set])[0]
-
-
 def cluster_seed(base_seed: int, cluster_id: int) -> int:
     """Stable per-cluster seed, independent of training order."""
     return int(np.random.SeedSequence((base_seed, cluster_id)).generate_state(1)[0])
@@ -671,6 +590,12 @@ def train_partitioned(
     workspace. A non-finite loss stops a group and its share with
     NumericalError; of several, the one of the lowest diverging cluster id
     is raised. Results are keyed by cluster id.
+
+    Each model minimizes MSE with Adam over seeded shuffled mini-batches.
+    Validation loss is checked once per epoch; training stops early after
+    `patience` consecutive epochs whose improvement over the best seen loss
+    is at most MIN_DELTA, and the best-validation parameters are restored.
+    To train a single cluster, pass a one-cluster Partition.
     """
     if partition.n_items != flow_values.shape[0]:
         raise ValidationError(
@@ -704,7 +629,7 @@ def train_partitioned(
                 # targets are views of it
                 rows = _flow_rows(flow_values, members, lo, hi)
                 for sets, (start, stop) in ((train_sets, train_range), (val_sets, val_range)):
-                    sets.append(_Windows(rows[start - lo :], 1, window_length - 1,
+                    sets.append(_Windows(rows[start - lo :], window_length - 1,
                                          rows[start - lo + window_length - 1 : stop - lo, :-1]))
                 configs.append(replace(config, input_size=members.size, seed=seeds[label]))
             try:
@@ -743,21 +668,33 @@ def predict_flows(
     missing = [label for label in range(1, partition.k + 1) if label not in models]
     if missing:
         raise ValidationError(f"missing models for clusters {missing}")
-    lo, hi = test_range
-    n_samples = (hi - lo) - window_length + 1
-    if n_samples < 1:
-        raise ValidationError("test range does not fit one window")
+    start, stop = test_range
+    steps, n_samples = window_length - 1, stop - start - window_length + 1
+    if window_length < 2 or start < 0 or stop > flow_values.shape[1] or n_samples < 1:
+        raise ValidationError(f"test range {test_range} of {flow_values.shape[1]} steps must "
+                              f"fit a window of {window_length} >= 2 steps")
 
     pred_norm = np.empty((n_samples, m), dtype=np.float64)
     scratch = _Scratch()
     for label in range(1, partition.k + 1):
-        members = partition.members(label)
-        if models[label].input_size != members.size:
-            raise ValidationError(f"model {label} takes {models[label].input_size} flows, "
+        model, members = models[label], partition.members(label)
+        if model.input_size != members.size:
+            raise ValidationError(f"model {label} takes {model.input_size} flows, "
                                   f"its cluster has {members.size}")
         # every step but the last, which only a target reads
-        rows = _flow_rows(flow_values, members, lo, hi - 1)
-        _predict_rows(models[label], rows, 1, window_length - 1, scratch, pred_norm, members)
+        rows = _flow_rows(flow_values, members, start, stop - 1)
+        if not np.isfinite(rows).all():
+            raise ValidationError(f"the flows of cluster {label} hold NaN or Inf")
+        stack = _Stack([model.input_size], model.hidden_size)
+        v = stack.views(stack.pack([model.params]))
+        # chunks of as many windows as a pass of two models takes in the
+        # workspace; a chunk of another size sums in another order and moves
+        # the predictions in their last bit
+        chunk = _workspace_fit(2, steps, model.hidden_size)
+        for lo in range(0, n_samples, chunk):
+            state, _ = _forward(v, [_step_slabs(rows, lo, min(chunk, n_samples - lo), steps)],
+                                scratch, keep=False)
+            pred_norm[lo : lo + chunk, members] = _readout(v, state, 0)
     return pred_norm
 
 

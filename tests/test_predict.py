@@ -21,13 +21,12 @@ from tmcf.predict import (
     _Stack,
     _sq_errors_and_grads,
     cluster_seed,
-    gru_forward,
     init_model,
     load_model,
+    predict_flows,
     predict_tm,
     predictions_in_bytes,
     save_model,
-    train,
     train_partitioned,
 )
 
@@ -40,13 +39,26 @@ def tiny_model(d=1, hidden=2, seed=0):
     return init_model(GruConfig(input_size=d, hidden_size=hidden, seed=seed))
 
 
-def windows_from(rng, n, steps, d, target_fn=None):
+def windows_from(rng, n, steps, d):
     inputs = rng.normal(size=(n, steps, d))
-    if target_fn is None:
-        targets = rng.normal(size=(n, d))
-    else:
-        targets = target_fn(inputs)
-    return WindowedDataset(inputs=inputs, targets=targets, window_length=steps + 1)
+    return WindowedDataset(inputs=inputs, targets=rng.normal(size=(n, d)), window_length=steps + 1)
+
+
+def one_cluster(d):
+    return Partition(np.ones(d, dtype=int), 1)
+
+
+def predict_one(model, values, window_length, test_range=None):
+    """predict_flows of one model whose cluster holds every flow of the
+    (d, T) matrix values, over the whole matrix by default."""
+    return predict_flows({1: model}, one_cluster(len(values)), values,
+                         test_range or (0, values.shape[1]), window_length)
+
+
+def train_one(cfg, values, train_range, val_range, window_length):
+    """train_partitioned of one cluster that holds every flow of values."""
+    return train_partitioned(one_cluster(len(values)), values, cfg, train_range, val_range,
+                             window_length)[1]
 
 
 class TestForward:
@@ -55,7 +67,8 @@ class TestForward:
         for name in model.params:
             model.params[name][:] = 0.0
         model.params["bo"][:] = [0.7, -0.3]
-        out = gru_forward(model, np.random.default_rng(0).normal(size=(5, 2)))
+        out = predict_one(model, np.random.default_rng(0).normal(size=(2, 9)), 6)
+        assert out.shape == (4, 2)
         assert np.allclose(out, [0.7, -0.3])
 
     def test_hand_evaluated_single_step(self):
@@ -84,16 +97,8 @@ class TestForward:
         h1 = (1.0 - z1) * n1
         expected = h0 - h1 + 0.25
 
-        out = gru_forward(model, np.array([[1.0]]))
-        assert out[0] == pytest.approx(expected, abs=1e-12)
-
-    def test_batch_matches_per_window(self):
-        model = tiny_model(d=3, hidden=4, seed=5)
-        rng = np.random.default_rng(1)
-        batch = rng.normal(size=(6, 7, 3))
-        joint = gru_forward(model, batch)
-        single = np.stack([gru_forward(model, batch[i]) for i in range(6)])
-        assert np.allclose(joint, single, atol=1e-12)
+        out = predict_one(model, np.array([[1.0, 0.0]]), 2)  # step 1 is the target only
+        assert out[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_saturated_gates_take_their_limit_without_a_warning(self):
         # exp(-x) overflows below x = -709, and a RuntimeWarning fails this suite
@@ -102,18 +107,16 @@ class TestForward:
         p["bz"][:] = p["br"][:] = -1e4  # z = r = 0, so h = n = tanh(wn x + bn)
         x = np.array([[1.0], [2.0]])
         h = np.tanh(p["wn"][:, 0] * 2.0 + p["bn"])
-        assert gru_forward(model, x)[0] == pytest.approx(p["wo"][0] @ h + p["bo"][0], abs=1e-12)
+        out = predict_one(model, np.array([[1.0, 2.0, 0.0]]), 3)
+        assert out[0, 0] == pytest.approx(p["wo"][0] @ h + p["bo"][0], abs=1e-12)
         _, flat, grads, loss_at = stacked_loss_and_grads([model], [x[None]], [np.zeros((1, 1))])
         assert np.isfinite(loss_at(flat)) and np.isfinite(grads).all()
 
-    def test_shape_and_finiteness_validation(self):
-        model = tiny_model(d=2, hidden=2)
-        with pytest.raises(ValidationError):
-            gru_forward(model, np.zeros((4, 3)))
-        bad = np.zeros((1, 3, 2))
-        bad[0, 0, 0] = np.nan
-        with pytest.raises(ValidationError):
-            gru_forward(model, bad)
+    def test_non_finite_input_rejected(self):
+        values = np.zeros((2, 6))
+        values[0, 2] = np.nan
+        with pytest.raises(ValidationError, match="NaN or Inf"):
+            predict_one(tiny_model(d=2, hidden=2), values, 4)
 
 
 def time_major(batches):
@@ -141,7 +144,7 @@ def stacked_loss_and_grads(models, batches, targets):
 
 
 def forward_on_copies(model, windows):
-    """gru_forward as it was computed before it read step views: each chunk
+    """Prediction as it was computed before it read step views: each chunk
     of windows copied time-major (time_major), then run through _forward."""
     stack = _Stack([model.input_size], model.hidden_size)
     v = stack.views(stack.pack([model.params]))
@@ -170,30 +173,24 @@ class TestStepViews:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_windows_of_one_series(self, order):
-        # training and validation read the windows of a Fortran-ordered series
-        series = np.asarray(np.random.default_rng(1).normal(size=(40, 3)), order=order)
-        windows = make_windows(series, 11).inputs
+        # prediction gathers its rows from a C- or a Fortran-ordered flow matrix
+        values = np.asarray(np.random.default_rng(1).normal(size=(3, 40)), order=order)
+        windows = make_windows(values.T, 11).inputs
         want = forward_on_copies(self.model(3), windows)
-        assert gru_forward(self.model(3), windows).tobytes() == want.tobytes()
-        one = forward_on_copies(self.model(3), windows[7][None])[0]
-        assert gru_forward(self.model(3), windows[7]).tobytes() == one.tobytes()
-
-    @pytest.mark.parametrize("layout", ["C", "steps_apart"])
-    def test_windows_of_no_one_series(self, layout):
-        batch = np.random.default_rng(2).normal(size=(23, 10, 3))
-        if layout == "steps_apart":
-            batch = np.ascontiguousarray(batch.transpose(0, 2, 1)).transpose(0, 2, 1)
-        want = forward_on_copies(self.model(3), batch)
-        assert gru_forward(self.model(3), batch).tobytes() == want.tobytes()
+        assert predict_one(self.model(3), values, 11).tobytes() == want.tobytes()
+        one = forward_on_copies(self.model(3), windows[7:8])
+        assert predict_one(self.model(3), values, 11, (7, 18)).tobytes() == one.tobytes()
 
     def test_validation_losses_of_a_stack(self):
         rng = np.random.default_rng(3)
-        sets = [make_windows(np.asfortranarray(rng.normal(size=(30, d))), 11) for d in (2, 3)]
+        series = [np.asfortranarray(rng.normal(size=(30, d))) for d in (2, 3)]
+        sets = [make_windows(s, 11) for s in series]
         models = [self.model(2, seed=5), self.model(3, seed=6)]
         stack = _Stack([2, 3], 6)
         v = stack.views(stack.pack([m.params for m in models]))
-        windows = [predict._Windows(*predict._rows_with_ones(ds.inputs), 10, ds.targets)
-                   for ds in sets]
+        # each series's rows with a trailing 1, as _flow_rows lays them out
+        windows = [predict._Windows(np.column_stack([s, np.ones(len(s))]), 10, ds.targets)
+                   for s, ds in zip(series, sets)]
         got = predict._dataset_mse(v, windows, 4, _Scratch())
         want, scratch = np.zeros(2), _Scratch()
         for lo in range(0, 20, 4):
@@ -207,18 +204,18 @@ class TestStepViews:
 
 
 def test_prediction_scratch_does_not_grow_with_the_windows():
-    """gru_forward's traced peak, less its result and its one array of input
-    rows (with that array's finiteness mask), is the same for 500 and 16,000
-    windows of 50 steps, and under a quarter of the workspace: a forward
-    pass with no backward pass after it caches (3T + 6) / (8T + 1) of the
-    half workspace that prediction's chunks are cut to."""
+    """predict_flows's traced peak, less pred_norm and its cluster's one
+    array of rows (with that array's finiteness mask), is the same for 500
+    and 16,000 windows of 50 steps, and under a quarter of the workspace: a
+    forward pass with no backward pass after it caches (3T + 6) / (8T + 1)
+    of the half workspace that prediction's chunks are cut to."""
     model = init_model(GruConfig(input_size=8, hidden_size=2, seed=0))
+    part = one_cluster(8)
     scratch = {}
     for n in (500, 16000):
-        series = np.asfortranarray(np.random.default_rng(0).normal(size=(n + 50, 8)))
-        windows = make_windows(series, 51).inputs
+        values = np.random.default_rng(0).normal(size=(8, n + 50))
         tracemalloc.start()
-        pred = gru_forward(model, windows)
+        pred = predict_flows({1: model}, part, values, (0, n + 50), 51)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         rows = (n + 49) * 9  # floats of the windows' rows, each with a trailing 1
@@ -302,33 +299,30 @@ class TestGradients:
                        for w in other)
 
     def test_single_adam_step_does_not_increase_loss(self):
-        # one batch per epoch and one epoch: exactly one Adam step
-        rng = np.random.default_rng(8)
-        ds = windows_from(rng, 16, 6, 2)
+        # 16 windows of 6 steps in one batch and one epoch: exactly one Adam step
+        values = np.random.default_rng(8).normal(size=(2, 22))
         cfg = GruConfig(input_size=2, hidden_size=4, epochs=1, batch_size=16, seed=7)
-        model, report = train(cfg, ds, ds)
-        loss_after = float(np.mean((gru_forward(model, ds.inputs) - ds.targets) ** 2))
+        model, report = train_one(cfg, values, (0, 22), (0, 22), 7)
+        loss_after = float(np.mean((predict_one(model, values, 7) - values[:, 6:].T) ** 2))
         assert loss_after <= report.train_losses[0]
 
 
 class TestTraining:
     def test_learns_constant_target(self):
-        rng = np.random.default_rng(2)
-        train_ds = windows_from(rng, 320, 4, 1, target_fn=lambda x: np.full((320, 1), 0.3))
-        val_ds = windows_from(rng, 64, 4, 1, target_fn=lambda x: np.full((64, 1), 0.3))
+        values = np.full((1, 390), 0.3)
         cfg = GruConfig(input_size=1, hidden_size=4, epochs=100, seed=0)
-        model, report = train(cfg, train_ds, val_ds)
+        # 320 training and 64 validation windows of 3 steps
+        model, report = train_one(cfg, values, (0, 323), (323, 390), 4)
         assert report.train_losses[report.epochs_run - 1] < 1e-4 or report.stopped_early
-        preds = gru_forward(model, val_ds.inputs)
+        preds = predict_one(model, values, 4, (323, 390))
         assert float(np.mean((preds - 0.3) ** 2)) < 1e-4
 
     def test_plateau_triggers_early_stop(self):
-        # targets are pure noise, so validation cannot keep improving
-        rng = np.random.default_rng(3)
-        train_ds = windows_from(rng, 64, 3, 1)
-        val_ds = windows_from(rng, 32, 3, 1)
+        # the flow is pure noise, so validation cannot keep improving; 320
+        # training and 64 validation windows of 3 steps
+        values = np.random.default_rng(3).normal(size=(1, 390))
         cfg = GruConfig(input_size=1, hidden_size=4, epochs=100, seed=1)
-        _, report = train(cfg, train_ds, val_ds)
+        _, report = train_one(cfg, values, (0, 323), (323, 390), 4)
         assert report.stopped_early
         assert report.epochs_run < 100
         best = report.val_losses[report.best_epoch]
@@ -336,32 +330,20 @@ class TestTraining:
             assert best <= later + MIN_DELTA + 1e-15
 
     def test_identical_seeds_identical_curves(self):
-        rng = np.random.default_rng(4)
-        train_ds = windows_from(rng, 50, 3, 2)
-        val_ds = windows_from(rng, 20, 3, 2)
+        values = np.random.default_rng(4).normal(size=(2, 76))
         cfg = GruConfig(input_size=2, hidden_size=4, epochs=8, patience=50, seed=9)
-        m1, r1 = train(cfg, train_ds, val_ds)
-        m2, r2 = train(cfg, train_ds, val_ds)
+        (m1, r1), (m2, r2) = (train_one(cfg, values, (0, 53), (53, 76), 4) for _ in range(2))
         assert r1.train_losses == r2.train_losses
         assert r1.val_losses == r2.val_losses
         for name in m1.params:
             assert np.array_equal(m1.params[name], m2.params[name])
 
     def test_divergent_loss_aborts(self):
-        rng = np.random.default_rng(5)
-        inputs = rng.normal(size=(8, 3, 1))
-        targets = np.full((8, 1), 1e200)  # squared error overflows to inf
-        ds = WindowedDataset(inputs=inputs, targets=targets, window_length=4)
+        values = np.random.default_rng(5).normal(size=(1, 22))
+        values[0, 3:] = 1e200  # every target; the squared error overflows to inf
         cfg = GruConfig(input_size=1, hidden_size=2, epochs=3, seed=0)
-        with pytest.raises(NumericalError):
-            train(cfg, ds, ds)
-
-    def test_width_mismatch_rejected(self):
-        rng = np.random.default_rng(6)
-        ds = windows_from(rng, 10, 3, 2)
-        cfg = GruConfig(input_size=3, hidden_size=4, epochs=1)
-        with pytest.raises(ValidationError):
-            train(cfg, ds, ds)
+        with pytest.raises(NumericalError, match="non-finite loss at epoch 1"):
+            train_one(cfg, values, (0, 11), (11, 22), 4)
 
 
 class TestPartitionedTraining:
@@ -453,25 +435,28 @@ class TestPredictTm:
         b, _ = predict_tm(reordered, part, norm, (170, 200), 8, scale, 2, 300)
         assert np.array_equal(a, b)
 
-    def test_single_flow_cluster_column_matches_local_model(self):
+    @pytest.mark.parametrize("labels", [[1, 2, 2, 1], [1, 2, 2, 2]])
+    def test_each_cluster_is_predicted_as_a_partition_of_its_own_flows(self, labels):
         norm, scale, _, _ = self._setup()
-        part = Partition(np.array([1, 2, 2, 2]), 2)
-        cfg = GruConfig(input_size=1, hidden_size=4, epochs=2, seed=3)
-        results = train_partitioned(part, norm, cfg, (0, 140), (140, 170), 8)
+        part = Partition(np.array(labels), 2)
+        results = train_partitioned(part, norm, GruConfig(input_size=1, hidden_size=4, epochs=2,
+                                                          seed=3), (0, 140), (140, 170), 8)
         models = {label: mr[0] for label, mr in results.items()}
-        pred_norm, _ = predict_tm(models, part, norm, (170, 200), 8, scale, 2, 300)
-        ds = make_windows(norm[0, 170:200][:, None], 8)
-        direct = gru_forward(models[1], ds.inputs)
-        assert np.array_equal(pred_norm[:, 0], direct[:, 0])
-
-    def test_each_cluster_is_predicted_as_gru_forward_predicts_its_windows(self):
-        norm, scale, part, models = self._setup()
         pred_norm, tm_pred = predict_tm(models, part, norm, (170, 200), 8, scale, 2, 300)
         for label, model in models.items():
             rows = part.members(label)
-            windows = make_windows(norm[rows, 170:200].T, 8).inputs
-            assert pred_norm[:, rows].tobytes() == gru_forward(model, windows).tobytes()
+            alone = predict_one(model, norm[rows], 8, (170, 200))
+            assert pred_norm[:, rows].tobytes() == alone.tobytes()
         assert tm_pred.values.tobytes() == predictions_in_bytes(pred_norm, scale).tobytes()
+
+    @pytest.mark.parametrize("test_range,window_length", [
+        ((30, 60), 8), ((-5, 20), 8), ((40, 46), 8), ((0, 50), 1)])
+    def test_test_range_that_fits_no_window_rejected(self, test_range, window_length):
+        model = init_model(GruConfig(input_size=4, hidden_size=4))
+        values = np.random.default_rng(0).random((4, 50))
+        with pytest.raises(ValidationError, match=fr"test range \({test_range[0]}, "
+                                                  fr"{test_range[1]}\) of 50 steps must fit"):
+            predict_one(model, values, window_length, test_range)
 
     def test_model_of_another_width_rejected(self):
         norm, scale, part, models = self._setup()
@@ -699,9 +684,9 @@ class TestStackedTrainerMatchesOracle:
         path = str(tmp_path / "cluster_1.bin")
         save_model(model, path)
         back = load_model(path)
-        x = rng.normal(size=(7, 5, 3))
-        assert np.allclose(gru_forward(back, x), oracle.gru_forward(model, x),
-                           rtol=0, atol=1e-12)
+        values = rng.normal(size=(3, 12))  # 7 windows of 5 steps
+        want = oracle.gru_forward(model, make_windows(values.T, 6).inputs)
+        assert np.allclose(predict_one(back, values, 6), want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.usefixtures("deadline")
