@@ -21,22 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
+from .parallel import block_rows
 
 LINKAGES = ("complete", "average")
 
 # every representation has a conventional linkage; callers may override
 DEFAULT_LINKAGE = {"histogram": "complete", "acf": "average", "psd": "average"}
-
-# Floats per row block of the passes over a whole M x M matrix: the checks of
-# _validate_dissimilarity and hac's refreshes of its row-minimum cache, whose
-# first fill reads every row. A block's temporaries hold about this many
-# floats each, so no pass allocates a second M x M matrix, and stay under
-# glibc's 128-KiB mmap threshold, so the heap reuses them while they are in
-# cache. On the 2-vCPU benchmark host (CPU time, medians of 5) the checks of
-# an M=2304 matrix took 45 ms, against 133 ms on whole-matrix temporaries, and
-# hac in place with them 0.82 s, against 1.07 s on a copy (M=576: 1.3 against
-# 5.4 ms, and 38 against 52 ms).
-_BLOCK_FLOATS = 1 << 14
 
 
 @dataclass
@@ -111,21 +101,16 @@ class Partition:
         )
 
 
-def _block_rows(m: int) -> int:
-    """Rows of an M x M matrix per block of about _BLOCK_FLOATS floats."""
-    return max(1, _BLOCK_FLOATS // max(m, 1))
-
-
 def _validate_dissimilarity(d: np.ndarray) -> np.ndarray:
     """d as float64, checked square, finite, nonnegative, symmetric within
     1e-12 and zero on the diagonal, in this order, so that a matrix with
     several defects fails on the first. Each condition is checked over row
-    blocks (_block_rows), the symmetry of block [lo, hi) against the columns
-    from lo on, which covers every pair once or twice."""
+    blocks (tmcf.parallel.block_rows), the symmetry of block [lo, hi)
+    against the columns from lo on, which covers every pair once or twice."""
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValidationError(f"dissimilarity matrix must be square, got {d.shape}")
-    step = _block_rows(d.shape[0])
+    step = block_rows(d.shape[0])
     blocks = [slice(lo, lo + step) for lo in range(0, d.shape[0], step)]
     if not all(np.isfinite(d[rows]).all() for rows in blocks):
         raise ValidationError("dissimilarity matrix contains NaN or Inf")
@@ -187,13 +172,12 @@ def hac(d: np.ndarray, linkage: str = "average", overwrite: bool = False) -> Den
 
     row_min = np.empty(m)
     row_arg = np.empty(m, dtype=np.int64)
-    block_rows = _block_rows(m)
 
     def refresh(rows: np.ndarray) -> None:
         """Recompute row_min and row_arg of rows, a block of rows
-        (_block_rows) at a time."""
-        for lo in range(0, len(rows), block_rows):
-            block = rows[lo : lo + block_rows]
+        (tmcf.parallel.block_rows) at a time."""
+        for lo in range(0, len(rows), block_rows(m)):
+            block = rows[lo : lo + block_rows(m)]
             vals = linkage_values(work[block], sizes[block, None], sizes)
             row_arg[block] = vals.argmin(axis=1)
             row_min[block] = vals.min(axis=1)

@@ -225,10 +225,10 @@ def normalize(flows: FlowSet, params: ScaleParams) -> FlowSet:
     return FlowSet(flows.n_nodes, flows.interval_seconds, out)
 
 
-def denormalize_array(values: np.ndarray, params: ScaleParams) -> np.ndarray:
-    """Inverse of normalize for an (..., M) array of per-flow values in flow
-    order, exact up to rounding; constant flows restore the stored value. A
-    value whose normalized image is subnormal loses relative precision."""
+def predictions_in_bytes(values: np.ndarray, params: ScaleParams) -> np.ndarray:
+    """Normalized (..., M) values as bytes per interval, in a new array:
+    normalize inverted, exact up to rounding (constant flows get the stored
+    value; subnormal normalized values lose relative precision), clipped at 0."""
     if values.shape[-1] != params.n_flows:
         raise ValidationError("last axis must match the number of flows")
     span = params.per_flow_max - params.per_flow_min
@@ -236,7 +236,7 @@ def denormalize_array(values: np.ndarray, params: ScaleParams) -> np.ndarray:
     out += params.per_flow_min
     const = params.constant_mask
     out[..., const] = params.per_flow_min[const]
-    return out
+    return np.maximum(out, 0.0, out=out)
 
 
 def split(

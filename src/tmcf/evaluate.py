@@ -20,19 +20,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import ScaleParams
+from .dataset import ScaleParams, predictions_in_bytes
 from .errors import ValidationError
-from .predict import predictions_in_bytes
+from .parallel import block_rows
 
 if TYPE_CHECKING:
     from .cluster import Partition
 
 BYTES_TO_MEGABITS = 8.0 / 1e6
-
-# Values per chunk, in whole rows, when the predictions are converted and
-# scaled for the physical RMSE, so that their copies are about 64 KiB at a
-# time, not one more full array
-_SCALE_CHUNK = 1 << 13
 
 # Kneedle's S: how far (in mean x steps) the difference curve must fall
 # after a candidate to confirm it as the knee
@@ -110,8 +105,8 @@ def _squared_errors(truth, pred, factor: float | None = None, scale: ScaleParams
     in out (reshaped to pred's shape; default one new C-ordered array).
     Given a scale, pred holds normalized predictions, which enter as
     predictions_in_bytes(pred, scale). With a factor, pred is converted and
-    scaled a chunk of rows (along the first axis), about _SCALE_CHUNK
-    values, at a time."""
+    scaled a block of rows (along the first axis; tmcf.parallel.block_rows)
+    at a time, so its copies never make one more full array."""
     t = np.asarray(truth, dtype=np.float64)
     p = np.asarray(pred, dtype=np.float64)
     if t.shape != p.shape:
@@ -122,7 +117,7 @@ def _squared_errors(truth, pred, factor: float | None = None, scale: ScaleParams
     else:
         np.multiply(t, factor, out=sq)
         rows, p = sq.reshape(len(sq), -1), p.reshape(len(p), -1)
-        step = max(1, _SCALE_CHUNK // max(1, rows.shape[1]))
+        step = block_rows(rows.shape[1])
         for lo in range(0, len(rows), step):
             chunk = p[lo : lo + step]
             if scale is not None:

@@ -1,20 +1,20 @@
 """Forked worker processes, one per usable CPU, for work that splits into
-independent shares; this module alone decides how work is cut and where
-each share runs.
+independent shares, and the row blocks of passes over large arrays; this
+module alone decides how work is cut and where each share runs.
 
 A layer says only what to split and what it costs. split(fn, n, seconds)
 cuts range(n) into contiguous, near-equal ranges, one per share: one share
 per usable CPU, but at most one per unit and at most one per
 _MIN_SHARE_SECONDS of the layer's estimated serial work (share_count). The
 calling process computes the first range and a forked child each other
-one. The trace parse splits its bytes, the ACF and PSD features their rows
-and the dissimilarities their row pairs this way. deal(fn, costs) deals
-costed items to one share per usable CPU, at most one per item, and
-training deals its clusters so. Several shares all run in children, so
-that the calling process holds none of their workspace; one share runs in
-the calling process. Each share computes its part exactly as the serial
-code does, so the results are bit-identical however the work is split, and
-with one usable CPU every layer runs in the calling process.
+one. The trace parse splits its bytes, the ACF features their rows and the
+dissimilarities their row pairs this way. deal(fn, costs) deals costed
+items to one share per usable CPU, at most one per item, and training deals
+its clusters so. Several shares all run in children, so that the calling
+process holds none of their workspace; one share runs in the calling
+process. Each share computes its part exactly as the serial code does, so
+the results are bit-identical however the work is split, and with one
+usable CPU every layer runs in the calling process.
 
 Fork, not spawn: a child reads its inputs from the parent's pages with no
 pickle and no import. It runs only numpy and its pipe, and OpenBLAS restarts
@@ -38,10 +38,26 @@ import signal
 # JSD distances and PSD distances of a 576-flow trace do (about 0.2, 0.065
 # and, estimated, 0.12 s), and so do the ACF features of a 144-flow trace of
 # the paper's length (0.25 s), while the 576-flow trace's 0.02-s ACF
-# features, its 0.03-s Euclidean distances of ACF vectors, its PSD features,
-# every layer of a 144-flow trace of 806 steps and every test-sized input
-# stay serial.
+# features, its 0.03-s Euclidean distances of ACF vectors, every layer of a
+# 144-flow trace of 806 steps and every test-sized input stay serial, and
+# the PSD features (at most about 50 ms, see tmcf.represent) never split.
 _MIN_SHARE_SECONDS = 0.03
+
+# Values per row block of the passes over large arrays: histogram bin
+# indices, PSD slabs, the checks of a dissimilarity matrix or of flows, hac's
+# row-minimum refreshes and scoring's conversion to bytes. Each temporary of a
+# block stays under glibc's 128-KiB mmap threshold, so the heap reuses it in
+# cache. On the 2-vCPU benchmark host (CPU time, medians of 5-9), against
+# whole-array temporaries: histograms of 2304 x 806 blocks 72 -> 41 ms (57 ->
+# 1.9 MiB peak), of 144 x 38,707 232 -> 200 ms; the checks of an M=2304 matrix
+# 133 -> 45 ms (hac in place with them 0.82 s, on a copy 1.07 s); PSD slabs of
+# 64 rows of 256 steps on 2304 x 806 blocks 24 -> 17 ms (15.9 -> 4.8 MiB).
+BLOCK_VALUES = 1 << 14
+
+
+def block_rows(row_values: int) -> int:
+    """Rows of row_values values per block of about BLOCK_VALUES, at least 1."""
+    return max(1, BLOCK_VALUES // max(row_values, 1))
 
 
 def usable_cpus() -> int:

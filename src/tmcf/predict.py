@@ -51,9 +51,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .cluster import Partition
-from .dataset import ScaleParams, TmSeries, denormalize_array
+from .dataset import ScaleParams, TmSeries, predictions_in_bytes
 from .errors import NumericalError, ValidationError
-from .parallel import deal
+from .parallel import block_rows, deal
 
 PARAM_ORDER = ("wz", "uz", "bz", "wr", "ur", "br", "wn", "un", "bn", "wo", "bo")
 
@@ -567,6 +567,15 @@ def _train_group(
     return results
 
 
+def _check_finite(flow_values: np.ndarray, lo: int, hi: int) -> None:
+    """ValidationError for the first flow with NaN or Inf in steps [lo, hi), by row blocks."""
+    step = block_rows(hi - lo)
+    for start in range(0, len(flow_values), step):
+        finite = np.isfinite(flow_values[start : start + step, lo:hi]).all(axis=1)
+        if not finite.all():
+            raise ValidationError(f"flow {start + int(finite.argmin())} holds NaN or Inf")
+
+
 def cluster_seed(base_seed: int, cluster_id: int) -> int:
     """Stable per-cluster seed, independent of training order."""
     return int(np.random.SeedSequence((base_seed, cluster_id)).generate_state(1)[0])
@@ -587,9 +596,10 @@ def train_partitioned(
     not depend on the other clusters, nor on where or with which others it
     trains. The clusters are dealt to shares by their estimated cost
     (tmcf.parallel.deal), and each share trains in groups that fit the
-    workspace. A non-finite loss stops a group and its share with
-    NumericalError; of several, the one of the lowest diverging cluster id
-    is raised. Results are keyed by cluster id.
+    workspace. A NaN or Inf in the steps training reads raises
+    ValidationError before any share starts. A non-finite loss stops a
+    group and its share with NumericalError; of several, the one of the
+    lowest diverging cluster id is raised. Results are keyed by cluster id.
 
     Each model minimizes MSE with Adam over seeded shuffled mini-batches.
     Validation loss is checked once per epoch; training stops early after
@@ -607,7 +617,8 @@ def train_partitioned(
         raise ValidationError(f"training range {train_range} and validation range {val_range} "
                               f"of {flow_values.shape[1]} steps must each fit a window of "
                               f"{window_length} >= 2 steps")
-    widths = np.bincount(partition.labels, minlength=partition.k + 1)[1:]
+    _check_finite(flow_values, lo, hi)
+    widths = partition.cluster_sizes()
     # a model's matmul work per window step, 6h(d+1) + 9h^2 multiply-adds, over 3h
     costs = [2 * (int(d) + 1) + 3 * config.hidden_size for d in widths]
     fit = _workspace_fit(config.batch_size, window_length - 1, config.hidden_size)
@@ -673,6 +684,8 @@ def predict_flows(
     if window_length < 2 or start < 0 or stop > flow_values.shape[1] or n_samples < 1:
         raise ValidationError(f"test range {test_range} of {flow_values.shape[1]} steps must "
                               f"fit a window of {window_length} >= 2 steps")
+    # every step but the last, which only a target reads
+    _check_finite(flow_values, start, stop - 1)
 
     pred_norm = np.empty((n_samples, m), dtype=np.float64)
     scratch = _Scratch()
@@ -681,10 +694,7 @@ def predict_flows(
         if model.input_size != members.size:
             raise ValidationError(f"model {label} takes {model.input_size} flows, "
                                   f"its cluster has {members.size}")
-        # every step but the last, which only a target reads
         rows = _flow_rows(flow_values, members, start, stop - 1)
-        if not np.isfinite(rows).all():
-            raise ValidationError(f"the flows of cluster {label} hold NaN or Inf")
         stack = _Stack([model.input_size], model.hidden_size)
         v = stack.views(stack.pack([model.params]))
         # chunks of as many windows as a pass of two models takes in the
@@ -696,14 +706,6 @@ def predict_flows(
                                 scratch, keep=False)
             pred_norm[lo : lo + chunk, members] = _readout(v, state, 0)
     return pred_norm
-
-
-def predictions_in_bytes(pred_norm: np.ndarray, scale: ScaleParams) -> np.ndarray:
-    """Normalized (..., M) predictions as traffic in bytes per interval, in
-    a new array: denormalized, and clipped at zero, since traffic volumes
-    are nonnegative."""
-    out = denormalize_array(pred_norm, scale)
-    return np.maximum(out, 0.0, out=out)
 
 
 def predict_tm(

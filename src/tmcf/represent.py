@@ -13,9 +13,11 @@ slab at a time, in O(M T L) for L lags and no FFT, recomputing with the
 direct formula only the entries where its closed form is ill-conditioned.
 JSD uses the entropy form, with each row's entropy computed once.
 
-The ACF and PSD features split their rows, and the dissimilarities their
-row pairs, through tmcf.parallel.split, each estimating its serial work by
-a cost per value below. Histograms cost too little per value to split.
+The ACF features split their rows, and the dissimilarities their row
+pairs, through tmcf.parallel.split, each estimating its serial work by a
+cost per value below. Histograms cost too little per value to split, and so
+does the PSD: its largest real blocks, Abilene at the paper's length and
+GEANT, estimate 50 and 41 ms, under the 60 ms that two shares need.
 
 Memory is bounded by what a call returns: every representation works
 through blocks of rows whose temporaries have a fixed size, and the
@@ -58,18 +60,6 @@ _ACF_SLAB_VALUES = 1 << 17
 # than when they have several; chunks of at most 8,192 columns give each row
 # the same sum in a slab of any size, and so in a share of any size.
 _ACF_SUM_COLUMNS = 8192
-# Values (flow x step) per row block of the histogram bin indices, at least
-# one row: each temporary of a block stays under glibc's 128-KiB mmap
-# threshold, so the heap reuses it while it is in cache. Same host, CPU time,
-# medians of 7, traced peaks: 144 x 806 blocks 7.6 -> 3.6 ms and 3.5 -> 0.5
-# MiB, 2304 x 806 72 -> 41 ms and 57 -> 1.9 MiB, 144 x 38,707 (a row a block)
-# 232 -> 200 ms and 170 -> 1.2 MiB, against whole-block temporaries.
-_HISTOGRAM_BLOCK_VALUES = 1 << 14
-# Values per segment of a PSD slab, at least one row: 64 rows of 256 steps,
-# whose temporaries stay near that threshold. Same host: 2304 x 806 blocks took
-# 17 ms and peaked at 4.8 MiB, against 19-22 ms in slabs of 16 to 256 rows and
-# 24 ms and 15.9 MiB in one slab; 144 x 38,707 blocks 52 against 54 ms.
-_PSD_SLAB_VALUES = 1 << 14
 # Rows per block of the in-place mirror of a dissimilarity matrix's upper
 # triangle. It took 1.1 ms at M=576 and 34 ms at M=2304 (16 to 128 rows within
 # 10% of it), where the fresh d + d.T took 2.6 and 86 ms.
@@ -80,15 +70,13 @@ _MIRROR_ROWS = 64
 # (see tmcf.parallel). Measured on the 2-vCPU benchmark host: the ACF of
 # 576 x 806 blocks in 12.4 ms at 1 lag and 24 ms at 30, and of 144 x 38,707
 # blocks in 123 and 250 ms (CPU time, medians of 3-5), so a 576 x 806 ACF
-# stays in the calling process and a 144 x 38,707 one splits; the PSD
-# (256-step segments) of 576 x 806, 2304 x 806 and 144 x 38,707 blocks in
-# 4.0-4.1, 13.5-15.1 and 52-53 ms (medians of 9; scipy.signal.welch, which
-# it replaced, took 11.5 and 46.5 ms on the first two), so none of them
-# splits; and the Euclidean and JSD matrices of 576 flows (30 lags, 50 bins)
-# in 0.028 and 0.065 s (glibc mmap threshold 128 KiB, medians of 7).
+# stays in the calling process and a 144 x 38,707 one splits; and the
+# Euclidean and JSD matrices of 576 flows (30 lags, 50 bins) in 0.028 and
+# 0.065 s (glibc mmap threshold 128 KiB, medians of 7). The PSD does not
+# split: at 9e-9 s per value (52-53 ms on 144 x 38,707), Abilene at the
+# paper's length and GEANT (529 x about 8,600 steps) estimate 50 and 41 ms.
 _ACF_SECONDS_PER_CELL = 2.5e-8
 _ACF_SECONDS_PER_CELL_LAG = 8e-10
-_PSD_SECONDS_PER_CELL = 9e-9
 _EUCLIDEAN_SECONDS_PER_VALUE = 5.7e-9
 _JSD_SECONDS_PER_VALUE = 7.9e-9
 
@@ -171,8 +159,7 @@ def build_features(
     normalize_power each PSD vector is scaled to unit mass so spectral shape
     rather than total power drives the distances.
 
-    ACF and PSD split their rows (tmcf.parallel.split) and join the shares'
-    rows in order.
+    ACF rows split over shares (tmcf.parallel.split), joined in order.
     """
     if isinstance(flows, FlowSet):
         values = flows.values
@@ -214,10 +201,8 @@ def build_features(
             raise ValidationError(f"segment length must be >= 1, got {nper}")
         if t < nper:
             raise ValidationError(f"series of {t} samples is shorter than one segment ({nper})")
-        # loads numpy.fft here, before any fork, so that no share loads it again
         freqs = np.fft.rfftfreq(nper, 1.0 / fs)
-        feats = np.concatenate(parallel.split(lambda lo, hi: _psd_block(values[lo:hi], fs, nper),
-                                              len(values), _PSD_SECONDS_PER_CELL * values.size))
+        feats = _psd_block(values, fs, nper)
         if normalize_power:
             mass = feats.sum(axis=1, keepdims=True)
             feats = np.divide(feats, mass, out=np.zeros_like(feats), where=mass > 0)
@@ -249,8 +234,8 @@ def _histogram_block(values: np.ndarray, bins: int) -> np.ndarray:
         raise ValidationError(f"bins must be >= 1, got {bins}")
     edges = np.linspace(0.0, 1.0, bins + 1)
     counts = np.empty((m, bins), dtype=np.intp)
-    step = max(1, _HISTOGRAM_BLOCK_VALUES // t)
-    for lo in range(0, m, step):  # blocks of rows, so no temporary spans the block
+    step = parallel.block_rows(t)
+    for lo in range(0, m, step):  # row blocks, so no temporary spans the block
         block = values[lo : lo + step]
         if not np.isfinite(block).all():
             raise ValidationError("flows must be finite to build histograms")
@@ -387,12 +372,12 @@ def _psd_block(values: np.ndarray, fs: float, nper: int) -> np.ndarray:
     spectrum integrates to the series variance even when a period exceeds
     the segment length. fs is in samples per hour, putting the frequency
     axis in cycles per hour. The block is processed in slabs of
-    _PSD_SLAB_VALUES // nper rows (at least one): one rfft per segment
-    offset transforms that segment of every row of the slab, centred and
-    windowed in one reused buffer, and |X|^2 accumulates into the slab's
-    rows of the (M, nper // 2 + 1) result, so no temporary grows with M or
-    T. Each row is transformed and summed alone, so its power does not
-    depend on the other rows of the block.
+    tmcf.parallel.block_rows(nper) rows: one rfft per segment offset
+    transforms that segment of every row of the slab, centred and windowed
+    in one reused buffer, and |X|^2 accumulates into the slab's rows of the
+    (M, nper // 2 + 1) result, so no temporary grows with M or T. Each row
+    is transformed and summed alone, so its power does not depend on the
+    other rows of the block.
     """
     m, t = values.shape
     step = nper - nper // 2
@@ -402,7 +387,7 @@ def _psd_block(values: np.ndarray, fs: float, nper: int) -> np.ndarray:
     if nper > 1:
         window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nper + 1)[:-1])
     power = np.zeros((m, nper // 2 + 1))
-    slab_rows = max(1, _PSD_SLAB_VALUES // nper)
+    slab_rows = parallel.block_rows(nper)
     segment = np.empty((min(slab_rows, m), nper))
     for start in range(0, m, slab_rows):
         slab = values[start : start + slab_rows]

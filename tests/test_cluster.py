@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy.cluster.hierarchy import linkage as scipy_linkage
 from scipy.spatial.distance import squareform
 
-from tmcf import cluster
-from tmcf.cluster import (LINKAGES, Dendrogram, Partition, _block_rows, _validate_dissimilarity,
-                          cut, hac, naive_partition)
+from tmcf import parallel
+from tmcf.cluster import (LINKAGES, Dendrogram, Partition, _validate_dissimilarity, cut, hac,
+                          naive_partition)
 from tmcf.dataset import write_canonical_csv
 from tmcf.errors import ValidationError
 from tmcf.evaluate import ari
@@ -147,11 +147,11 @@ def upper_minimum_hac(d: np.ndarray, linkage: str = "average", overwrite: bool =
     row_min = np.empty(m)
     row_arg = np.empty(m, dtype=np.int64)
 
-    block_rows = _block_rows(m)
+    block_rows = parallel.block_rows(m)
 
     def refresh(rows: np.ndarray) -> None:
         """Recompute row_min and row_arg of rows over their columns j > i,
-        a block of rows (_block_rows) at a time."""
+        a block of rows (parallel.block_rows) at a time."""
         for lo in range(0, len(rows), block_rows):
             block = rows[lo : lo + block_rows]
             vals = linkage_values(work[block], sizes[block, None], sizes)
@@ -278,7 +278,7 @@ DEFECTS = {
 
 class TestBlockwiseValidation:
     def test_the_defects_lie_past_the_first_block(self):
-        assert cluster._block_rows(300) < 250
+        assert parallel.block_rows(300) < 250
 
     @pytest.mark.parametrize("defect", DEFECTS)
     @pytest.mark.parametrize("overwrite", [False, True])

@@ -12,12 +12,12 @@ from hypothesis.extra.numpy import arrays
 from tmcf.dataset import (
     FlowSet,
     TmSeries,
-    denormalize_array,
     extract_flows,
     fit_scale_params,
     load_tm_series,
     make_windows,
     normalize,
+    predictions_in_bytes,
     split,
     write_canonical_csv,
 )
@@ -178,14 +178,14 @@ class TestNormalize:
         params = fit_scale_params(flows)
         out = normalize(flows, params)
         assert np.array_equal(out.values, [[0.0, 0.0, 0.0]])
-        restored = denormalize_array(out.values.T, params).T
+        restored = predictions_in_bytes(out.values.T, params).T
         assert np.array_equal(restored, [[7.0, 7.0, 7.0]])
 
     def test_round_trip_identity(self):
         rng = np.random.default_rng(11)
         flows = FlowSet(3, 300, rng.random((9, 50)) * 1e6)
         params = fit_scale_params(flows, (0, 40))
-        back = denormalize_array(normalize(flows, params).values.T, params).T
+        back = predictions_in_bytes(normalize(flows, params).values.T, params).T
         assert np.allclose(back, flows.values, rtol=1e-12)
 
     def test_training_stats_only_no_clipping(self):
@@ -314,7 +314,7 @@ class TestProperties:
         n = int(np.sqrt(values.shape[0]))
         flows = FlowSet(n_nodes=n, interval_seconds=300, values=values)
         params = fit_scale_params(flows)
-        back = denormalize_array(normalize(flows, params).values.T, params).T
+        back = predictions_in_bytes(normalize(flows, params).values.T, params).T
         # relative to each value; a value whose normalized image (x - min) /
         # (max - min) is subnormal keeps only an absolute error below 1e-290
         assert np.allclose(back, values, rtol=1e-12, atol=1e-290)

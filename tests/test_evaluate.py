@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmcf import evaluate
+from tmcf import parallel
 from tmcf.cluster import naive_partition
-from tmcf.dataset import ScaleParams
+from tmcf.dataset import ScaleParams, predictions_in_bytes
 from tmcf.errors import ValidationError
 from tmcf.evaluate import (
     SweepCurve,
@@ -21,7 +21,6 @@ from tmcf.evaluate import (
     rmse,
     rmse_physical,
 )
-from tmcf.predict import predictions_in_bytes
 
 
 def brute_force_ari(a, b):
@@ -125,7 +124,7 @@ class TestRmsePhysical:
 
     def test_normalized_predictions_score_as_their_bytes(self, monkeypatch):
         # chunks of 3 rows of 4 flows, so that the conversion spans several
-        monkeypatch.setattr(evaluate, "_SCALE_CHUNK", 12)
+        monkeypatch.setattr(parallel, "BLOCK_VALUES", 12)
         rng = np.random.default_rng(4)
         pred_norm = rng.normal(size=(10, 4))  # negative bytes are clipped
         scale = ScaleParams(np.array([0.0, 1e3, 5.0, 7.0]), np.array([1e6, 2e6, 5.0, 9e5]))

@@ -1,8 +1,9 @@
 """Module boundaries of the tmcf package: no module reaches into another's
 private names, so each underscore name can change with its module alone; no
-module names scipy, a test-only dependency; tmcf.parallel alone forks and decides how work splits; and RunConfig alone
-declares the run settings, which every config-backed CLI subcommand takes as
-flags."""
+module names scipy, a test-only dependency; tmcf.parallel alone forks and
+decides how work splits; tmcf.evaluate scores without the forecaster; and
+RunConfig alone declares the run settings, which every config-backed CLI
+subcommand takes as flags."""
 
 import argparse
 import ast
@@ -74,6 +75,15 @@ def test_only_parallel_forks_or_sizes_a_split(path):
             names = []
         found += [f"line {node.lineno}: {name}" for name in names]
     assert found == []
+
+
+def test_evaluate_imports_nothing_from_the_forecaster():
+    # scoring converts predictions to bytes through tmcf.dataset
+    path = next(p for p in SOURCES if p.name == "evaluate.py")
+    imported = [f"{node.module}.{alias.name}" if isinstance(node, ast.ImportFrom) else alias.name
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert [name for name in imported if "predict" in name.split(".")] == []
 
 
 # the run settings each config-backed subcommand takes no flag for

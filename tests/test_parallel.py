@@ -97,6 +97,15 @@ def test_share_count(monkeypatch, cpus, work, items, expected):
     assert parallel.share_count(work * parallel._MIN_SHARE_SECONDS, items) == expected
 
 
+def test_row_blocks_are_the_most_rows_that_fit_block_values():
+    values = parallel.BLOCK_VALUES
+    for width in range(1, values + 1):
+        rows = parallel.block_rows(width)
+        assert rows * width <= values < (rows + 1) * width
+    for width in (values + 1, 2 * values + 3, 10**9):
+        assert parallel.block_rows(width) == 1
+
+
 @pytest.mark.parametrize("cpus,n", [(1, 5), (3, 0), (3, 2), (3, 10), (4, 7)])
 def test_split_ranges_cover_the_range_in_order(monkeypatch, cpus, n):
     usable_cpus(monkeypatch, cpus)

@@ -355,9 +355,9 @@ def test_every_layer_forked_writes_the_serial_run_directory(trace, tmp_path, mon
     usable_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     forked = outputs(run_pipeline(cfg))
-    # a child for the parse, features (not histograms) and dissimilarities,
-    # and two for training
-    assert len(forks) == (4 if representation == "histogram" else 5)
+    # a child for the parse, the ACF features (histograms and PSDs never
+    # split) and dissimilarities, and two for training
+    assert len(forks) == (5 if representation == "acf" else 4)
     assert_no_children()
     assert forked == serial
 

@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tmcf import predict
+from tmcf import parallel, predict
 from tmcf.cluster import Partition
-from tmcf.dataset import ScaleParams, WindowedDataset, make_windows
+from tmcf.dataset import ScaleParams, WindowedDataset, make_windows, predictions_in_bytes
 from tmcf.errors import NumericalError, ValidationError
 from tmcf.predict import (
     MIN_DELTA,
@@ -25,7 +25,6 @@ from tmcf.predict import (
     load_model,
     predict_flows,
     predict_tm,
-    predictions_in_bytes,
     save_model,
     train_partitioned,
 )
@@ -396,6 +395,20 @@ class TestPartitionedTraining:
             rows = train_set.rows.base
             assert rows.shape == (160, train_set.rows.shape[1])
             assert all(a.base is rows for a in (val_set.rows, train_set.targets, val_set.targets))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("step", [10, 45], ids=["train", "validation"])
+    def test_non_finite_flows_are_rejected_before_any_share(self, monkeypatch, step, cpus):
+        values = noisy_flows(3, 60, seed=1)
+        values[1, step] = np.nan
+        values[2, step + 1] = np.inf
+        monkeypatch.setattr(parallel, "BLOCK_VALUES", 60)  # a flow a block
+        usable_cpus(monkeypatch, cpus)
+        forks = count_forks(monkeypatch)
+        cfg = GruConfig.for_profile("desk", input_size=1, seed=0, epochs=2)
+        with pytest.raises(ValidationError, match=r"^flow 1 holds NaN or Inf$"):
+            train_partitioned(Partition(np.arange(1, 4), 3), values, cfg, (0, 40), (40, 60), 5)
+        assert forks == []
 
     def test_cluster_seed_is_stable(self):
         assert cluster_seed(42, 3) == cluster_seed(42, 3)

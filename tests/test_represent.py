@@ -560,8 +560,9 @@ def adversarial_acf_block():
 
 @pytest.mark.usefixtures("deadline")
 class TestSplitRows:
-    """ACF and PSD features and both dissimilarities split their rows over
-    forked shares when the work pays for the forks, with the serial bytes."""
+    """ACF features and both dissimilarities split their rows over forked
+    shares when the work pays for the forks, with the serial bytes;
+    histogram and PSD features never split."""
 
     CASES = [
         ("histogram", {"bins": 7}, "jsd", feature_corpus),
@@ -586,10 +587,10 @@ class TestSplitRows:
         usable_cpus(monkeypatch, cpus)
         forks = count_forks(monkeypatch)
         feats = build_features(block, kind, **kwargs)
-        # histograms are cheap per value and stay in this process; each
-        # split layer forks a child per share but the first, the features
-        # at most one share per row and the dissimilarities per row pair
-        feature_forks = 0 if kind == "histogram" else min(cpus, len(block)) - 1
+        # histograms and PSDs stay in this process; each split layer forks
+        # a child per share but the first, the ACF features at most one
+        # share per row and the dissimilarities per row pair
+        feature_forks = 0 if kind != "acf" else min(cpus, len(block)) - 1
         assert len(forks) == feature_forks
         d = pairwise_dissimilarity(feats, metric).d
         assert len(forks) == feature_forks + min(cpus, len(block) // 2) - 1
@@ -637,18 +638,29 @@ class TestSplitRows:
 
     @pytest.mark.parametrize("kind,shape,shares", [
         ("acf", (576, 806), 1), ("acf", (144, 38_707), 2),
-        ("psd", (2304, 806), 1), ("psd", (144, 38_707), 1), ("psd", (288, 38_707), 2)])
+        ("psd", (2304, 806), 1), ("psd", (144, 38_707), 1), ("psd", (288, 38_707), 1)])
     def test_features_split_by_their_estimated_cost(self, monkeypatch, kind, shape, shares):
         # 30 lags: the benchmark's 576-flow ACF block is too little work to
         # fork for, a 144-flow block of the paper's length is not; the Welch
-        # PSD takes 15 ms at 2304 x 806 and 52 ms at 144 x 38,707, which
-        # fork for nothing, and twice that at 288 flows, which splits
+        # PSD never splits, not even at 288 x 38,707, twice the work of
+        # Abilene at the paper's length
         block = np.broadcast_to(np.random.default_rng(16).random(shape[1]), shape)
         usable_cpus(monkeypatch, 2)
         forks = count_forks(monkeypatch)
         build_features(block, kind, interval_seconds=300)
         assert len(forks) == shares - 1
         assert_no_children()
+
+    def test_psd_features_never_fork(self, monkeypatch):
+        block = np.broadcast_to(np.random.default_rng(16).random(38_707), (288, 38_707))
+        usable_cpus(monkeypatch, 1)
+        serial = build_features(block, "psd", interval_seconds=300)
+        fork_any_work(monkeypatch)
+        usable_cpus(monkeypatch, 3)
+        forks = count_forks(monkeypatch)
+        feats = build_features(block, "psd", interval_seconds=300)
+        assert forks == []
+        assert feats.features.tobytes() == serial.features.tobytes()
 
     def test_an_error_in_a_share_is_raised_here(self, monkeypatch):
         block = feature_corpus()
