@@ -22,7 +22,7 @@ import argparse
 import os
 import sys
 from types import UnionType
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -273,7 +273,7 @@ def _add_run_config_flags(p: argparse.ArgumentParser, skip: tuple[str, ...] = ()
             p.add_argument("--k-grid", dest=name,
                            help="comma list '1,11,21' or range 'start:stop:step'")
         else:
-            if get_origin(hint) in (Union, UnionType):  # X | None takes an X
+            if get_origin(hint) is UnionType:  # X | None takes an X
                 (hint,) = set(get_args(hint)) - {type(None)}
             nargs = "+" if get_origin(hint) is list else None  # list[X] one or more
             p.add_argument("--" + name.replace("_", "-"), dest=name, nargs=nargs,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .errors import ParseError, ValidationError
+from .errors import DataError, ParseError, ValidationError
 
 TRACE_FORMATS = ("canonical", "abilene", "geant")
 MISSING_POLICIES = ("reject", "zero")
@@ -363,12 +363,24 @@ def _infer_nodes(n_cols: int, source: str) -> int:
     return n
 
 
+def _text_lines(path: str, newline: str | None = None):
+    """The lines of a UTF-8 text file, read lazily as open(path, newline=newline)
+    reads them; ParseError with the number of the first line that is not UTF-8."""
+    with open(path, newline=newline, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(f"{path} is not UTF-8", line=line_no) from None
+            yield line
+
+
 def _load_canonical(path: str, interval_seconds: int | None, missing: str) -> TmSeries:
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise ParseError("file is empty", line=1) from None
+    try:
+        header = next(csv.reader(_text_lines(path, newline="")))
+    except StopIteration:
+        raise ParseError("file is empty", line=1) from None
     header = [h.strip() for h in header]
     if not header or header[0] != "t":
         raise ParseError("header must start with column 't'", line=1)
@@ -414,22 +426,21 @@ def _read_rows(path: str, m: int, missing: str, header_lines: int, timed: bool):
             times = np.concatenate([block[:, 0] for block in blocks]).tolist() if timed else None
             return times, np.concatenate([block[:, 1:] for block in blocks])
     times, rows = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if line_no <= header_lines or not row:
-                continue
-            if len(row) != m + 1:
+    for line_no, row in enumerate(csv.reader(_text_lines(path, newline="")), start=1):
+        if line_no <= header_lines or not row:
+            continue
+        if len(row) != m + 1:
+            raise ParseError(
+                f"expected {m + 1} columns, found {len(row)}", line=line_no
+            )
+        if timed:
+            try:
+                times.append(float(row[0]))
+            except ValueError:
                 raise ParseError(
-                    f"expected {m + 1} columns, found {len(row)}", line=line_no
-                )
-            if timed:
-                try:
-                    times.append(float(row[0]))
-                except ValueError:
-                    raise ParseError(
-                        f"cannot parse time value {row[0]!r}", line=line_no
-                    ) from None
-            rows.append([_parse_cell(c, line_no, missing) for c in row[1:]])
+                    f"cannot parse time value {row[0]!r}", line=line_no
+                ) from None
+        rows.append([_parse_cell(c, line_no, missing) for c in row[1:]])
     if not rows:
         raise ValidationError(f"{path}: trace has no data rows")
     return (times if timed else None), np.asarray(rows, dtype=np.float64)
@@ -517,25 +528,56 @@ def trace_files(path: str, format: str) -> list[str]:
 
 def _load_abilene(path: str, files: list[str]) -> TmSeries:
     """Abilene archive layout: whitespace matrices, first 144 columns real OD
-    traffic; `files` are the trace_files of path."""
+    traffic; `files` are the trace_files of path. np.loadtxt reads each file;
+    when it rejects one, or the file's first 144 columns are not all finite
+    and nonnegative, _abilene_fault reads it again to name the line."""
     m = ABILENE_NODES * ABILENE_NODES
     blocks = []
     for fname in files:
         try:
-            block = np.loadtxt(fname, ndmin=2)
-        except ValueError as exc:
-            raise ParseError(f"{fname}: {exc}") from None
-        if block.shape[1] < m:
-            raise ValidationError(
-                f"{fname}: expected at least {m} columns, found {block.shape[1]}"
-            )
-        blocks.append(block[:, :m])
+            block = np.loadtxt(fname, ndmin=2, encoding="utf-8")[:, :m]
+        except ValueError:
+            block = None
+        if block is None or block.shape[1] < m or not ((block >= 0) & (block < np.inf)).all():
+            raise _abilene_fault(fname, m)
+        blocks.append(block)
     flat = np.concatenate(blocks, axis=0)
     return TmSeries(
         n_nodes=ABILENE_NODES,
         interval_seconds=ABILENE_INTERVAL_S,
         values=flat.reshape(flat.shape[0], ABILENE_NODES, ABILENE_NODES),
     )
+
+
+def _abilene_fault(fname: str, m: int) -> DataError:
+    """The first fault of an Abilene file, read line by line as np.loadtxt
+    reads it: a row that does not parse or has another width than the first
+    is a ParseError; else rows under m columns wide, or the first row whose
+    first m values are not all finite and nonnegative, a ValidationError."""
+    width = first = bad = None
+    for line_no, line in enumerate(_text_lines(fname), start=1):
+        try:
+            with warnings.catch_warnings():
+                # a blank or comment line holds no data
+                warnings.simplefilter("ignore", UserWarning)
+                row = np.loadtxt([line], ndmin=1)
+        except ValueError:
+            return ParseError(f"{fname}: cannot parse the row as numbers", line=line_no)
+        if row.size == 0:
+            continue
+        if width is None:
+            width, first = row.size, line_no
+        if row.size != width:
+            return ParseError(f"{fname}: expected {width} columns, found {row.size}", line=line_no)
+        if bad is None and not (np.isfinite(row[:m]).all() and (row[:m] >= 0).all()):
+            kind = "NaN or Inf" if not np.isfinite(row[:m]).all() else "negative"
+            bad = ValidationError(f"line {line_no}: {fname}: {kind} traffic value")
+    if width is None:
+        return ValidationError(f"{fname}: trace has no data rows")
+    if width < m:
+        return ValidationError(f"line {first}: {fname}: expected at least {m} columns, "
+                               f"found {width}")
+    return bad or ParseError(f"{fname}: np.loadtxt cannot read the file")
 
 
 def _load_geant(path: str) -> TmSeries:

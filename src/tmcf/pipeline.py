@@ -69,7 +69,7 @@ import threading
 import time
 from dataclasses import asdict, astuple, dataclass, replace
 from types import UnionType
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -197,7 +197,7 @@ def read_config(path: str) -> dict:
 def _fits(value, hint) -> bool:
     """Whether a value fits a RunConfig annotation: an int fits a float, a
     bool fits only a bool, and a list fits if every item does."""
-    if get_origin(hint) in (Union, UnionType):
+    if get_origin(hint) is UnionType:
         return any(_fits(value, h) for h in get_args(hint))
     if get_origin(hint) is list:
         return isinstance(value, list) and all(_fits(v, get_args(hint)[0]) for v in value)

@@ -45,7 +45,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -134,7 +134,9 @@ class GruModel:
 class TrainReport:
     """Per-epoch loss curves and the early-stopping outcome of one model: a
     function of the data, the config and the seed, with no wall time (a run
-    directory keeps its times in manifest.json)."""
+    directory keeps its times in manifest.json). Training writes into it
+    epoch by epoch; best_epoch is 0-based, and the first epoch always sets
+    it, since it improves on no loss seen."""
 
     epochs_run: int
     train_losses: list[float]
@@ -441,19 +443,6 @@ def _dataset_mse(v: _Views, sets: list[_Windows], chunk: int, scratch: _Scratch)
     return total / np.array([w.targets.size for w in sets])
 
 
-@dataclass
-class _Progress:
-    """Loss curves and early-stopping state of one model in training."""
-
-    train_losses: list[float] = field(default_factory=list)
-    val_losses: list[float] = field(default_factory=list)
-    best_val: float = np.inf
-    best_epoch: int = -1
-    best_params: dict | None = None
-    bad_epochs: int = 0
-    stopped_early: bool = False
-
-
 def _diverged(message: str, live: list[int], losses: np.ndarray) -> NumericalError:
     """NumericalError whose `member` is the index, among the configs of a
     group, of the first live model whose loss is not finite."""
@@ -472,15 +461,19 @@ def _train_group(
 
     The configs differ only in input_size and seed, and the training sets
     have the same number and length of windows, so every model takes the
-    same Adam steps. A model that stops early leaves the stack after that
-    epoch: its parameters and Adam moments are packed out, and it is not
-    computed on.
+    same Adam steps. Each model trains straight into its TrainReport: every
+    epoch appends to both curves and updates epochs_run, best_epoch and
+    stopped_early. Each epoch that improves the validation loss copies the
+    model's weights into its GruModel.params; the validation loss is checked
+    finite first, so the first epoch always does. A model that stops early
+    leaves the stack after that epoch: the others are packed into a smaller
+    one, and it is not computed on.
     """
     cfg = configs[0]
     models = [init_model(c) for c in configs]
     rngs = [np.random.default_rng(c.seed) for c in configs]
-    progress = [_Progress() for _ in configs]
-    final: dict[int, dict] = {}
+    reports = [TrainReport(0, [], [], False, -1) for _ in configs]
+    best_val, bad_epochs = [np.inf] * len(configs), [0] * len(configs)
     live = list(range(len(configs)))
     stack = _Stack([c.input_size for c in configs], cfg.hidden_size)
     params = stack.pack([m.params for m in models])
@@ -532,18 +525,17 @@ def _train_group(
 
             keep = []
             for c, i in enumerate(live):
-                p = progress[i]
-                p.train_losses.append(float(train_loss[c]))
-                p.val_losses.append(float(val_loss[c]))
-                if p.best_val - val_loss[c] > MIN_DELTA:
-                    p.best_val, p.best_epoch, p.bad_epochs = val_loss[c], epoch, 0
-                    p.best_params = stack.unpack(params, c)
+                r = reports[i]
+                r.train_losses.append(float(train_loss[c]))
+                r.val_losses.append(float(val_loss[c]))
+                r.epochs_run = epoch + 1
+                if best_val[i] - val_loss[c] > MIN_DELTA:
+                    best_val[i], r.best_epoch, bad_epochs[i] = val_loss[c], epoch, 0
+                    models[i].params = stack.unpack(params, c)
                 else:
-                    p.bad_epochs += 1
-                    p.stopped_early = p.bad_epochs >= cfg.patience
-                if p.stopped_early or epoch == cfg.epochs - 1:
-                    final[i] = p.best_params or stack.unpack(params, c)
-                else:
+                    bad_epochs[i] += 1
+                    r.stopped_early = bad_epochs[i] >= cfg.patience
+                if not r.stopped_early:
                     keep.append(c)
             if len(keep) < len(live):
                 packed = _Stack([int(stack.widths[c]) for c in keep], cfg.hidden_size)
@@ -553,18 +545,7 @@ def _train_group(
                 stack, live = packed, [live[c] for c in keep]
             if not live:
                 break
-
-    results = []
-    for i, (model, p) in enumerate(zip(models, progress)):
-        model.params = final[i]
-        results.append((model, TrainReport(
-            epochs_run=len(p.val_losses),
-            train_losses=p.train_losses,
-            val_losses=p.val_losses,
-            stopped_early=p.stopped_early,
-            best_epoch=p.best_epoch,
-        )))
-    return results
+    return list(zip(models, reports))
 
 
 def _check_finite(flow_values: np.ndarray, lo: int, hi: int) -> None:

@@ -179,6 +179,30 @@ def test_compare_on_an_unreadable_trace_exits_3_without_an_out_dir(tmp_path, cap
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command,trace_format", [
+    ("run", "canonical"), ("ingest", "canonical"), ("ingest", "geant")])
+def test_a_trace_line_that_is_not_utf8_exits_3_with_its_number(tmp_path, capsys, command,
+                                                               trace_format):
+    if trace_format == "canonical":
+        trace = synth_trace(tmp_path)
+        lines = read(trace).splitlines(keepends=True)
+    else:
+        trace = str(tmp_path / "geant.csv")
+        lines = [b"2005-01-01-%02d," % (15 * i) + b",".join([b"1.0"] * 529) + b"\n"
+                 for i in range(4)]
+    lines[2] = lines[2].replace(b",", b"\xff,", 1)
+    with open(trace, "wb") as fh:
+        fh.writelines(lines)
+    out = str(tmp_path / "out")
+    if command == "run":
+        argv = ["run", "--trace", trace, "--k", "2", "--out-dir", out, *TRAIN_FLAGS]
+    else:
+        argv = ["ingest", "--input", trace, "--format", trace_format, "--out", out]
+    assert main(argv) == EXIT_DATA
+    assert "line 3: " in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 THREE_POINTS = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
 
 

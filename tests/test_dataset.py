@@ -94,6 +94,17 @@ class TestCanonicalIngest:
         with pytest.raises(ParseError, match="line 3"):
             load_tm_series(str(path))
 
+    @pytest.mark.parametrize("n_rows,line", [(2, 1), (2, 3), (1200, 1000)],
+                             ids=["header", "row", "past-the-first-read"])
+    def test_a_line_that_is_not_utf8_is_a_parse_error(self, tmp_path, n_rows, line):
+        path = tmp_path / "trace.csv"
+        _tiny_canonical(tmp_path, [[300 * i, 1, 2, 3, 4] for i in range(n_rows)])
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[line - 1] = b"\xff" + lines[line - 1]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ParseError, match=f"^line {line}: .* is not UTF-8$"):
+            load_tm_series(str(path))
+
     def test_missing_cell_policy(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("t,f0,f1,f2,f3\n0,1,,3,4\n")
@@ -138,6 +149,47 @@ class TestArchiveAdapters:
         (adir / "X01").write_text("\n".join(rows) + "\n")
         with pytest.raises(ValidationError, match=message):
             load_tm_series(str(adir), format="abilene")
+
+    @staticmethod
+    def abilene_dir(tmp_path, lines):
+        adir = tmp_path / "abilene"
+        adir.mkdir()
+        (adir / "X01").write_bytes(b"".join(line + b"\n" for line in lines))
+        return str(adir)
+
+    @pytest.mark.parametrize("lines,error,message", [
+        ([b"1 " * 150, b"1 " * 150, b"1 oops " + b"1 " * 148], ParseError,
+         "line 3: .*X01: cannot parse the row as numbers"),
+        ([b"1 " * 150, b"1 " * 150, b"", b"1 oops " + b"1 " * 148], ParseError,
+         "line 4: .*X01: cannot parse the row as numbers"),
+        ([b"1 " * 150, b"1 " * 150, b"1 " * 100], ParseError,
+         "line 3: .*X01: expected 150 columns, found 100"),
+        ([b"# counts", b"1 " * 100, b"1 " * 100], ValidationError,
+         "line 2: .*X01: expected at least 144 columns, found 100"),
+        ([b"1 " * 150, b"", b"1 nan " + b"1 " * 148], ValidationError,
+         "line 3: .*X01: NaN or Inf traffic value"),
+        ([b"1 " * 150, b"1 " * 143 + b"-1 " + b"1 " * 6, b"1 " * 150], ValidationError,
+         "line 2: .*X01: negative traffic value"),
+        ([b"1 " * 150, b"1 \xff " + b"1 " * 148], ParseError, "line 2: .*X01 is not UTF-8"),
+    ], ids=["bad-value", "bad-value-after-a-blank-line", "short-row", "narrow-file", "nan",
+            "negative", "not-utf8"])
+    def test_abilene_faults_name_the_file_and_line(self, tmp_path, lines, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            load_tm_series(self.abilene_dir(tmp_path, lines), format="abilene")
+
+    def test_abilene_checks_only_the_first_144_columns(self, tmp_path):
+        lines = [b"1 " * 150, b"# a comment", b"2 " * 144 + b"nan -1 inf 1 1 1  # tail"]
+        tm = load_tm_series(self.abilene_dir(tmp_path, lines), format="abilene")
+        assert np.array_equal(tm.values.reshape(2, 144), [[1.0] * 144, [2.0] * 144])
+
+    def test_geant_line_that_is_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "geant-flat.csv"
+        lines = [f"2005-01-01-00-{15 * i:02d},".encode() + b",".join([b"1.0"] * 529)
+                 for i in range(4)]
+        lines[2] = lines[2].replace(b"2005", b"2005\xff", 1)
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ParseError, match="^line 3: .* is not UTF-8$"):
+            load_tm_series(str(path), format="geant")
 
     def test_geant_flat_csv(self, tmp_path):
         rng = np.random.default_rng(1)

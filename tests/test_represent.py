@@ -319,9 +319,14 @@ def assert_matches_oracle(block, kind, kwargs):
 def assert_psd_close(got, want):
     """Each row within 1e-14 of its largest oracle value (the run lengths
     of test_psd_at_run_lengths read at most 1.8e-15), zero where the
-    oracle's row is zero, and NaN where it is NaN."""
+    oracle's row is zero, and NaN where it is NaN. A positive peak below
+    the normal range counts as the smallest normal float: one subnormal
+    quantum is already about 2e-13 of such a peak, so no implementation can
+    hold 1e-14 of it, and two that sum in another order differ by a few
+    quanta (for [[0, 2.78e-155, 0, 0]] by 3.7e-13 of its peak 2.68e-311)."""
     peak = np.abs(want).max(axis=1, keepdims=True, initial=0.0)
     peak[peak == 0.0] = 1.0
+    np.maximum(peak, np.finfo(np.float64).tiny, out=peak)
     np.testing.assert_allclose(got / peak, want / peak, rtol=0, atol=1e-14)
 
 
@@ -414,6 +419,12 @@ class TestBlockFeaturesMatchPerFlowOracle:
         for normalize_power in (False, True):
             assert_matches_oracle(block, "psd", {"fs": 12.0, "segment_length": segment_length,
                                                  "normalize_power": normalize_power})
+
+    def test_psd_of_a_subnormal_peak(self):
+        # a Welch power of about 2.7e-311, which _psd_block and scipy's
+        # welch round about two subnormal quanta apart
+        assert_matches_oracle(np.array([[0.0, 2.78e-155, 0.0, 0.0]]), "psd",
+                              {"fs": 12.0, "normalize_power": False})
 
     def test_corpus_marks_the_constant_flows_degenerate(self):
         reps = build_features(feature_corpus(), "acf", lags=[0, 2, 3])
